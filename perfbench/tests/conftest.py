@@ -1,0 +1,10 @@
+"""Put the benchmark's modules and the program's sources on the path.
+
+Run with ``python -m pytest perfbench/tests`` from the repository root.
+"""
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
