@@ -49,11 +49,9 @@ from .front import (
     validate_front,
 )
 from .coloring import (
-    ReducedLoop,
     brute_force_colorings,
     count_colorings,
     perm_fast_count,
     permutation_fourleg,
-    reduce_cusp_word,
     verify_indistinguishability,
 )

@@ -143,21 +143,22 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"legrack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, header=False):
         p.add_argument("--output", help="write the report to a file")
-        p.add_argument("--no-header", action="store_true",
-                       help="suppress the timestamped header line")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="parallelism degree (default $LEGRACK_JOBS or 1)")
+        if header:
+            p.add_argument("--no-header", action="store_true",
+                           help="suppress the timestamped header line")
 
     p = sub.add_parser("census", help="per-order, per-family census CSV")
     p.add_argument("--max-order", type=int, required=True)
-    common(p)
+    p.add_argument("--jobs", type=int, default=_default_jobs(),
+                   help="parallelism degree (default $LEGRACK_JOBS or 1)")
+    common(p, header=True)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("classify", help="4-Legendrian structure classes of a rack")
     p.add_argument("--rack", required=True)
-    common(p)
+    common(p, header=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("invariants", help="tb/rot of a front code")
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="indistinguishability report over a front set")
     p.add_argument("--fronts", required=True)
     p.add_argument("--max-order", type=int, default=3)
-    common(p)
+    common(p, header=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

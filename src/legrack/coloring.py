@@ -1,33 +1,39 @@
 """Coloring counts of Legendrian fronts by finite 4-Legendrian racks.
 
 ``count_colorings`` is the generic backtracking counter over a fundamental
-presentation.  For permutation racks the whole presentation collapses to a
-single loop relation; ``reduce_cusp_word`` performs the cancellation of
-up/down cusp pairs against powers of the rack's defining permutation, and
-``perm_fast_count`` counts fixed points of the reduced loop map directly
-from the classical invariants.
+presentation, and ``brute_force_colorings`` its exhaustive oracle.
+
+For the permutation rack of sigma (x > y = sigma(x) for every y) a crossing
+moves the under strand's color by sigma^+-1 whatever color the over strand
+carries, so a coloring is one basepoint color fixed by the loop map: the
+cusp maps in traversal order times sigma^writhe
+(``unreduced_loop_permutation``).  The four structure maps commute with
+sigma, and two adjacent cusps of opposite vertical direction compose to
+sigma^-1 (e.g. dl o ur = ur^-1 sigma^-1 ur).  Cancelling such pairs leaves,
+up to conjugation, (dr o dl)^rot o sigma^(rot+tb); a surviving pair of up
+cusps is sigma^-2 times an inverse down pair.  Conjugate maps have equally
+many fixed points, so ``perm_fast_count`` counts the colorings of any front
+from (tb, rot) alone.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .fourleg import FourLegRack, FourLegStructure
+from .fourleg import FourLegRack, FourLegStructure, down_maps
 from .perms import (
     Perm,
+    centralizer,
     compose,
     cycle_string,
+    cycle_type,
     identity,
-    inverse,
     power,
+    symmetric_group,
     validate_perm,
 )
-from .racks import permutation_rack, rack_flags
+from .racks import permutation_rack
 from .front import FrontCode, Presentation, classical_invariants, fundamental_presentation
-
-U_LETTERS = ("ul", "ur")
-D_LETTERS = ("dl", "dr")
-LEFT_LETTERS = ("ul", "dl")
 
 
 def _maps(rack: FourLegRack) -> dict[str, Perm]:
@@ -114,74 +120,7 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
     return count
 
 
-# --- word reduction (permutation racks) ---------------------------------------
-
-@dataclass(frozen=True)
-class ReducedLoop:
-    """Canonical loop form: a signed number of alternating down-cusp pairs
-    (negative means inverse pairs, arising when up cusps outnumber down
-    cusps) composed with sigma^(rot+tb)."""
-
-    pair_count: int
-    leading_letter: str | None
-    sigma_exponent: int
-
-
-def reduce_cusp_word(word, writhe: int, up: int, down: int) -> ReducedLoop:
-    """Cancel adjacent opposite-vertical cusp pairs against sigma powers.
-
-    Each cancellation consumes one sigma; min(U, D) cancellations leave
-    |D - U| same-vertical letters.  A surviving up-pair equals
-    sigma^-2 (down-pair)^-1, so the exponent lands at rot+tb either way.
-    """
-    letters = list(word)
-    for letter in letters:
-        if letter not in U_LETTERS + D_LETTERS:
-            raise ValueError(f"unknown cusp letter {letter!r}")
-    if sum(1 for l in letters if l in U_LETTERS) != up:
-        raise ValueError("word has wrong number of up-cusp letters")
-    if sum(1 for l in letters if l in D_LETTERS) != down:
-        raise ValueError("word has wrong number of down-cusp letters")
-    for a, b in zip(letters, letters[1:]):
-        if (a in LEFT_LETTERS) == (b in LEFT_LETTERS):
-            raise ValueError("word does not alternate between left and right letters")
-
-    exponent = writhe
-    reduced = letters[:]
-    while True:
-        for i in range(len(reduced) - 1):
-            if (reduced[i] in U_LETTERS) != (reduced[i + 1] in U_LETTERS):
-                del reduced[i:i + 2]
-                exponent -= 1
-                break
-        else:
-            break
-    assert len(reduced) == abs(down - up)
-    pair_count = (down - up) // 2
-    leading = reduced[0] if reduced else None
-    if pair_count < 0:
-        # u-pairs: convert exponent to the canonical rot+tb form
-        exponent -= 2 * abs(pair_count)
-    return ReducedLoop(pair_count, leading, exponent)
-
-
-def loop_permutation_reduced(red: ReducedLoop, sigma: Perm,
-                             ul: Perm, ur: Perm) -> Perm:
-    """The loop map (d-pair)^pair_count o sigma^sigma_exponent.
-
-    A surviving up-pair led by ul (resp. ur) corresponds to the inverse
-    down-pair led by dl (resp. dr).
-    """
-    sigma_inv = inverse(sigma)
-    dl = compose(inverse(ur), sigma_inv)
-    dr = compose(inverse(ul), sigma_inv)
-    base = power(sigma, red.sigma_exponent)
-    if red.pair_count == 0:
-        return base
-    lead = {"dl": "dl", "ul": "dl", "dr": "dr", "ur": "dr"}[red.leading_letter]
-    pair = compose(dr, dl) if lead == "dl" else compose(dl, dr)
-    return compose(power(pair, red.pair_count), base)
-
+# --- permutation racks -----------------------------------------------------------
 
 def unreduced_loop_permutation(pres: Presentation, sigma: Perm,
                                ul: Perm, ur: Perm) -> Perm:
@@ -211,20 +150,8 @@ def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
     if compose(ul, sigma) != compose(sigma, ul) \
             or compose(ur, sigma) != compose(sigma, ur):
         raise ValueError("ul and ur must commute with the defining permutation")
-    sigma_inv = inverse(sigma)
-    structure = FourLegStructure(
-        ul, ur,
-        compose(inverse(ur), sigma_inv),
-        compose(inverse(ul), sigma_inv),
-    )
-    return FourLegRack(permutation_rack(sigma), structure)
-
-
-def _permutation_base(fl: FourLegRack) -> Perm:
-    sigma = rack_flags(fl.rack).kink
-    if fl.rack.rows != permutation_rack(sigma).rows:
-        raise ValueError("not a permutation rack")
-    return sigma
+    return FourLegRack(permutation_rack(sigma),
+                       FourLegStructure(ul, ur, *down_maps(sigma, ul, ur)))
 
 
 def fixed_points(p: Perm) -> int:
@@ -233,16 +160,24 @@ def fixed_points(p: Perm) -> int:
 
 def perm_fast_count(fl: FourLegRack, inv) -> int:
     """Coloring count of any front with classical invariants ``inv`` by the
-    permutation 4-Legendrian rack ``fl``; depends only on (tb, rot)."""
-    sigma = _permutation_base(fl)
-    rot, tb = inv.rot, inv.tb
-    red = ReducedLoop(
-        pair_count=rot,
-        leading_letter=None if rot == 0 else ("dl" if rot > 0 else "ul"),
-        sigma_exponent=rot + tb,
-    )
-    loop = loop_permutation_reduced(red, sigma, fl.structure.ul, fl.structure.ur)
-    return fixed_points(loop)
+    permutation 4-Legendrian rack ``fl``: the number of fixed points of
+    (dr o dl)^rot o sigma^(rot+tb).
+
+    The loop map is conjugate to this closed form (see the module
+    docstring), and conjugate permutations have equally many fixed points,
+    so the count depends only on (tb, rot).
+    """
+    columns = fl.rack.columns
+    sigma = columns[0] if columns else ()
+    if any(c != sigma for c in columns):
+        raise ValueError("not a permutation rack")
+    try:
+        validate_perm(sigma)
+    except ValueError:
+        raise ValueError("not a permutation rack") from None
+    s = fl.structure
+    return fixed_points(compose(power(compose(s.dr, s.dl), inv.rot),
+                                power(sigma, inv.rot + inv.tb)))
 
 
 # --- indistinguishability verification -------------------------------------------
@@ -271,9 +206,9 @@ class VerifyReport:
 
 def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
     """Yield (rack_id, FourLegRack) over permutation racks of order 1..max_order
-    and all 4-Legendrian structures (pairs commuting with sigma) on each."""
-    from .perms import centralizer, symmetric_group, cycle_type
+    and all 4-Legendrian structures (pairs commuting with sigma) on each.
 
+    The structures of one sigma share a single rack table."""
     for n in range(1, max_order + 1):
         sym = symmetric_group(n)
         seen_types = set()
@@ -283,11 +218,13 @@ def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
                 if t in seen_types:
                     continue
                 seen_types.add(t)
+            rack = permutation_rack(sigma)
+            rack_id = f"perm{n}:{cycle_string(sigma)}"
             commuting = centralizer(sym, [sigma]).sorted_elements()
             for ul in commuting:
                 for ur in commuting:
-                    rack_id = f"perm{n}:{cycle_string(sigma)}"
-                    yield rack_id, permutation_fourleg(sigma, ul, ur)
+                    yield rack_id, FourLegRack(rack, FourLegStructure(
+                        ul, ur, *down_maps(sigma, ul, ur)))
 
 
 def verify_indistinguishability(codes, max_order: int) -> VerifyReport:

@@ -2,7 +2,8 @@
 
 A 4-Legendrian structure is an ordered pair (ul, ur) of GL-structures,
 i.e. elements of U_X, the centralizer of Inn(X) inside Aut(X).  The two
-down maps are derived: dl = ur^-1 o kink^-1 and dr = ul^-1 o kink^-1.
+down maps are derived by ``down_maps``: dl = ur^-1 o kink^-1 and
+dr = ul^-1 o kink^-1.
 """
 from __future__ import annotations
 
@@ -48,15 +49,20 @@ def gl_center(rack: RackTable) -> PermGroup:
     return centralizer(automorphism_group(rack), inner_group(rack).elements)
 
 
+def down_maps(kink: Perm, ul: Perm, ur: Perm) -> tuple[Perm, Perm]:
+    """(dl, dr) = (ur^-1 kink^-1, ul^-1 kink^-1); the maps are not checked."""
+    kink_inv = inverse(kink)
+    return compose(inverse(ur), kink_inv), compose(inverse(ul), kink_inv)
+
+
 def derive_down_maps(rack: RackTable, ul, ur) -> tuple[Perm, Perm]:
-    """(dl, dr) determined by (ul, ur): dl = ur^-1 kink^-1, dr = ul^-1 kink^-1."""
+    """(dl, dr) determined by GL-structures (ul, ur) of ``rack``."""
     ul = validate_perm(ul)
     ur = validate_perm(ur)
     center = gl_center(rack)
     if ul not in center or ur not in center:
         raise ValueError("ul and ur must be GL-structures (elements of U_X)")
-    kink_inv = inverse(rack_flags(rack).kink)
-    return compose(inverse(ur), kink_inv), compose(inverse(ul), kink_inv)
+    return down_maps(rack_flags(rack).kink, ul, ur)
 
 
 def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
@@ -66,15 +72,10 @@ def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
 
 def enumerate_structures(rack: RackTable) -> list[FourLegStructure]:
     """All |U_X|^2 structures, lexicographically ordered by (ul, ur)."""
-    center = gl_center(rack)
-    kink_inv = inverse(rack_flags(rack).kink)
-    out = []
-    for ul in center.sorted_elements():
-        dr = compose(inverse(ul), kink_inv)
-        for ur in center.sorted_elements():
-            dl = compose(inverse(ur), kink_inv)
-            out.append(FourLegStructure(ul, ur, dl, dr))
-    return out
+    elems = gl_center(rack).sorted_elements()
+    kink = rack_flags(rack).kink
+    return [FourLegStructure(ul, ur, *down_maps(kink, ul, ur))
+            for ul in elems for ur in elems]
 
 
 def classify_structures(rack: RackTable) -> list[StructureClass]:

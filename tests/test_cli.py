@@ -1,7 +1,7 @@
 import pytest
 
 from legrack import __version__
-from legrack.cli import main
+from legrack.cli import build_parser, main
 from legrack.front import builtin_fixtures, left_trefoil, save_front, standard_unknot
 from legrack.racks import dihedral_quandle, save_rack, trivial_quandle
 
@@ -38,6 +38,27 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_jobs_and_no_header_only_on_commands_that_read_them(capsys):
+    parser = build_parser()
+    required = {"census": ["--max-order", "1"], "classify": ["--rack", "r"],
+                "invariants": ["--front", "f"],
+                "presentation": ["--front", "f"],
+                "colorings": ["--front", "f", "--rack", "r"],
+                "verify": ["--fronts", "d"]}
+
+    def accepts(command, flags):
+        try:
+            parser.parse_args([command, *required[command], *flags])
+        except SystemExit:
+            return False
+        return True
+
+    assert all(accepts(command, []) for command in required)
+    assert {c for c in required if accepts(c, ["--jobs", "2"])} == {"census"}
+    assert {c for c in required if accepts(c, ["--no-header"])} == \
+        {"census", "classify", "verify"}
 
 
 def test_census_csv(capsys):

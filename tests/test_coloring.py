@@ -1,17 +1,14 @@
 import pytest
 
 from legrack.coloring import (
-    ReducedLoop,
     VerifyReport,
     apply_word,
     brute_force_colorings,
     count_colorings,
     fixed_points,
-    loop_permutation_reduced,
     perm_fast_count,
     permutation_fourleg,
     permutation_structures,
-    reduce_cusp_word,
     unreduced_loop_permutation,
     verify_indistinguishability,
 )
@@ -22,6 +19,8 @@ from legrack.front import (
     fundamental_presentation,
     left_trefoil,
     rotate_basepoint,
+    stabilize,
+    stabilized_unknot,
     standard_unknot,
 )
 from legrack.perms import compose, identity, inverse, power
@@ -82,82 +81,34 @@ def test_count_invariant_under_basepoint_rotation():
                 assert count_colorings(rotated, fl) == baseline
 
 
-def test_reduce_cusp_word_single_pair():
-    red = reduce_cusp_word(["ur", "dl"], writhe=0, up=1, down=1)
-    assert red == ReducedLoop(0, None, -1)
-
-
-def test_reduce_cusp_word_trefoil_total_word():
-    # concatenation of the trefoil's three arc words
-    word = ("ur", "ul", "dr", "ul", "ur", "dl")
-    red = reduce_cusp_word(word, writhe=-3, up=4, down=2)
-    assert red.pair_count == -1
-    assert red.leading_letter in ("ul", "ur")
-    assert red.sigma_exponent == -7  # rot + tb
-
-
-def test_reduce_cusp_word_empty():
-    assert reduce_cusp_word([], writhe=5, up=0, down=0) == ReducedLoop(0, None, 5)
-
-
-def test_reduce_cusp_word_exponent_is_rot_plus_tb():
-    for code in builtin_fixtures().values():
-        inv = classical_invariants(code)
-        pres = fundamental_presentation(code)
-        word = pres.closure_word + tuple(
-            letter for rel in pres.relations for letter in rel.word)
-        red = reduce_cusp_word(word, inv.writhe, inv.up_cusps, inv.down_cusps)
-        assert red.sigma_exponent == inv.rot + inv.tb
-        assert red.pair_count == inv.rot
-
-
-def test_reduce_cusp_word_rejects_malformed():
-    with pytest.raises(ValueError, match="unknown cusp letter"):
-        reduce_cusp_word(["ur", "xx"], 0, 1, 1)
-    with pytest.raises(ValueError, match="up-cusp"):
-        reduce_cusp_word(["ur", "dl"], 0, 2, 0)
-    with pytest.raises(ValueError, match="down-cusp"):
-        reduce_cusp_word(["ur", "dl"], 0, 1, 2)
-    with pytest.raises(ValueError, match="alternate"):
-        reduce_cusp_word(["ur", "dr", "dr", "ul"], 0, 2, 2)
+def _fast_path_cases():
+    """(structure, invariants, presentation) triples: every structure of
+    order <= 3 with every fixture, and every structure of order <= 4 with
+    three fronts of |rot| >= 2, which no fixture reaches."""
+    steep = [stabilized_unknot(3, 0), stabilized_unknot(0, 2),
+             stabilize(stabilize(left_trefoil(), -1), -1)]
+    assert sorted(classical_invariants(c).rot for c in steep) == [-3, -2, 3]
+    for max_order, codes in ((3, builtin_fixtures().values()), (4, steep)):
+        fronts = [(classical_invariants(c), fundamental_presentation(c))
+                  for c in codes]
+        for _, fl in permutation_structures(max_order,
+                                            conjugacy_reps_only=False):
+            for inv, pres in fronts:
+                yield fl, inv, pres
 
 
 def test_reduced_loop_matches_unreduced_loop():
-    # function-level soundness of the cancellation, across every fixture and
-    # every 4-Legendrian structure on permutation racks of order <= 3
-    fixtures = builtin_fixtures()
-    for rack_id, fl in permutation_structures(3, conjugacy_reps_only=False):
-        sigma = fl.rack.column(0)
-        ul, ur = fl.structure.ul, fl.structure.ur
-        for code in fixtures.values():
-            inv = classical_invariants(code)
-            pres = fundamental_presentation(code)
-            word = pres.closure_word + tuple(
-                letter for rel in pres.relations for letter in rel.word)
-            red = reduce_cusp_word(word, inv.writhe, inv.up_cusps,
-                                   inv.down_cusps)
-            reduced = loop_permutation_reduced(red, sigma, ul, ur)
-            assert fixed_points(reduced) == \
-                fixed_points(unreduced_loop_permutation(pres, sigma, ul, ur))
-
-
-def test_leading_letter_choice_does_not_change_fixed_points():
-    sigma = (1, 2, 0, 3)
-    ul, ur = (1, 2, 0, 3), (2, 0, 1, 3)
-    for count, exp in [(1, 0), (2, -3), (-1, -2), (-2, 1)]:
-        forms = [loop_permutation_reduced(
-            ReducedLoop(count, lead, exp), sigma, ul, ur)
-            for lead in (("dl", "dr") if count > 0 else ("ul", "ur"))]
-        assert len({fixed_points(p) for p in forms}) == 1
+    # the closed form against the loop map built letter by letter; the two
+    # maps are only conjugate, so their fixed points are compared
+    for fl, inv, pres in _fast_path_cases():
+        s = fl.structure
+        loop = unreduced_loop_permutation(pres, fl.rack.column(0), s.ul, s.ur)
+        assert perm_fast_count(fl, inv) == fixed_points(loop)
 
 
 def test_perm_fast_count_matches_generic_counter():
-    fixtures = builtin_fixtures()
-    for rack_id, fl in permutation_structures(3, conjugacy_reps_only=False):
-        for code in fixtures.values():
-            inv = classical_invariants(code)
-            pres = fundamental_presentation(code)
-            assert perm_fast_count(fl, inv) == count_colorings(pres, fl)
+    for fl, inv, pres in _fast_path_cases():
+        assert perm_fast_count(fl, inv) == count_colorings(pres, fl)
 
 
 def test_permutation_fourleg_validation():
