@@ -31,6 +31,7 @@ from .fourleg import (
     FourLegStructure,
     check_kimura_axioms,
     classify_structures,
+    count_structure_classes,
     derive_down_maps,
     enumerate_structures,
     gl_center,

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fourleg import classify_structures
+from .fourleg import count_structure_classes
 from .perms import Perm, compose, conjugate, cycle_type, inverse
 from .racks import (
     RackError,
@@ -173,10 +173,10 @@ def _invariant_key(rack: RackTable):
 def dedupe_racks(racks) -> list[RackTable]:
     """One representative per isomorphism class, deterministic order."""
     buckets: dict = {}
-    candidates = sorted(racks, key=lambda r: (_invariant_key(r), r.rows))
+    candidates = sorted(((_invariant_key(r), r) for r in racks),
+                        key=lambda kr: (kr[0], kr[1].rows))
     reps: list[RackTable] = []
-    for rack in candidates:
-        key = _invariant_key(rack)
+    for key, rack in candidates:
         bucket = buckets.setdefault(key, [])
         if any(find_isomorphism(rack, other) is not None for other in bucket):
             continue
@@ -219,10 +219,18 @@ def _in_family(flags, family: str) -> bool:
 
 def census_counts(n: int, racks: list[RackTable] | None = None,
                   jobs: int = 1) -> list[CensusRow]:
-    """Structure-class counts per family (racks, involutory, quandles, kei)."""
+    """Structure-class counts per family (racks, involutory, quandles, kei).
+
+    A rack X contributes its number of 4-Legendrian structures up to
+    isomorphism, the orbits of U_X x U_X under diagonal conjugation by
+    Aut(X).  They are counted, not listed, by Burnside:
+    (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, summed once per conjugacy class of
+    Aut, which is valid because U_X = C_Aut(Inn) is normal in Aut(X)
+    (``count_structure_classes``).
+    """
     if racks is None:
         racks = enumerate_racks(n, jobs=jobs)
-    per_rack = [(rack_flags(r), len(classify_structures(r))) for r in racks]
+    per_rack = [(rack_flags(r), count_structure_classes(r)) for r in racks]
     rows = []
     for family in FAMILY_NAMES:
         members = [(f, c) for f, c in per_rack if _in_family(f, family)]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .perms import (
     Perm,
     PermGroup,
+    burnside_pair_count,
     centralizer,
     compose,
     diagonal_pair_orbits,
@@ -83,15 +84,25 @@ def classify_structures(rack: RackTable) -> list[StructureClass]:
 
     Returned sorted by canonical (lexicographically least) representative.
     """
-    aut = automorphism_group(rack)
-    center = centralizer(aut, inner_group(rack).elements)
-    elems = center.sorted_elements()
+    elems = gl_center(rack).sorted_elements()
     pairs = [(a, b) for a in elems for b in elems]
-    orbits = diagonal_pair_orbits(pairs, aut)
+    orbits = diagonal_pair_orbits(pairs, automorphism_group(rack))
     return [
         StructureClass(o.representative[0], o.representative[1], o.size)
         for o in orbits
     ]
+
+
+def count_structure_classes(rack: RackTable) -> int:
+    """Number of classes ``classify_structures`` lists, counted by Burnside.
+
+    The classes are the orbits of U_X x U_X under diagonal conjugation by
+    Aut(X), so the count is (1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is
+    normal in Aut(X): for h in Aut, h b_y h^-1 = b_{h(y)}, so h Inn h^-1 =
+    Inn and h U_X h^-1 centralizes Inn as well.  Hence the sum runs once
+    per conjugacy class of Aut (``burnside_pair_count``).
+    """
+    return burnside_pair_count(automorphism_group(rack), gl_center(rack))
 
 
 # --- Kimura's eight-axiom characterization ----------------------------------

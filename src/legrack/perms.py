@@ -41,13 +41,17 @@ def inverse(p: Perm) -> Perm:
 
 
 def power(p: Perm, k: int) -> Perm:
-    """Integer power of a permutation (negative powers via the inverse)."""
-    if k < 0:
-        p, k = inverse(p), -k
-    result = identity(len(p))
-    for _ in range(k):
-        result = compose(p, result)
-    return result
+    """Integer power of a permutation, in one pass over its cycles.
+
+    Each point moves k mod L places along its cycle of length L, so any k,
+    negative or huge, costs the same.
+    """
+    out = list(range(len(p)))
+    for cyc in cycles(p):
+        s = k % len(cyc)
+        for x, y in zip(cyc, cyc[s:] + cyc[:s]):
+            out[x] = y
+    return tuple(out)
 
 
 def conjugate(g: Perm, p: Perm) -> Perm:
@@ -220,12 +224,34 @@ def diagonal_pair_orbits(pairs, group: PermGroup) -> list[PairOrbit]:
     return sorted(orbits, key=lambda o: o.representative)
 
 
-def burnside_pair_count(group: PermGroup) -> int:
-    """Number of orbits of G x G under diagonal conjugation: (1/|G|) sum |C(g)|^2."""
+def burnside_pair_count(group: PermGroup, subset=None) -> int:
+    """Number of orbits of S x S under diagonal conjugation by G.
+
+    ``subset`` S defaults to G itself.  By Burnside the count is
+    (1/|G|) sum_{g in G} |C_S(g)|^2, since the pairs fixed by g are those of
+    C_S(g) x C_S(g).  S must be a subset of G closed under conjugation by
+    G (a normal subgroup, say, such as U_X = C_Aut(Inn) in Aut(X)); then
+    C_S(hgh^-1) = h C_S(g) h^-1, so |C_S(g)| is constant on each conjugacy
+    class of G, and the sum runs once per class, weighted by its size.
+    Raises ValueError when S is not such a subset.
+    """
     elements = group.sorted_elements()
+    subset = group.elements if subset is None else frozenset(subset)
+    seen: set[Perm] = set()
+    covered = 0
     total = 0
     for g in elements:
-        c = sum(1 for h in elements if compose(g, h) == compose(h, g))
-        total += c * c
+        if g in seen:
+            continue
+        klass = {conjugate(h, g) for h in elements}
+        seen |= klass
+        inside = len(klass & subset)
+        if inside not in (0, len(klass)):
+            raise ValueError("subset is not closed under the group action")
+        covered += inside
+        c = sum(1 for u in subset if conjugate(u, g) == g)
+        total += len(klass) * c * c
+    if covered != len(subset):
+        raise ValueError("subset is not contained in the group")
     assert total % group.order == 0
     return total // group.order

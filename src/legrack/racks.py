@@ -58,6 +58,12 @@ class RackTable:
     def inv_columns(self) -> tuple[Perm, ...]:
         return tuple(inverse(c) for c in self.columns)
 
+    @cached_property
+    def automorphisms(self) -> PermGroup:
+        """Aut(X), searched once per table; see ``automorphism_group``."""
+        return PermGroup(self.n,
+                         frozenset(_iso_search(self, self, first_only=False)))
+
 
 @dataclass(frozen=True)
 class RackFlags:
@@ -296,7 +302,8 @@ def find_isomorphism(a: RackTable, b: RackTable) -> Perm | None:
 
 
 def automorphism_group(rack: RackTable) -> PermGroup:
-    return PermGroup(rack.n, frozenset(_iso_search(rack, rack, first_only=False)))
+    """Aut(X), cached on the table after the first search."""
+    return rack.automorphisms
 
 
 def inner_group(rack: RackTable) -> PermGroup:

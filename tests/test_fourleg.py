@@ -5,6 +5,7 @@ from legrack.fourleg import (
     FourLegStructure,
     check_kimura_axioms,
     classify_structures,
+    count_structure_classes,
     derive_down_maps,
     enumerate_structures,
     gl_center,
@@ -86,6 +87,12 @@ def test_classify_matches_burnside_for_trivial_quandles():
     for n in range(0, 5):
         classes = classify_structures(trivial_quandle(n))
         assert len(classes) == burnside_pair_count(symmetric_group(n))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_count_structure_classes_matches_classify(n):
+    for rack in enumerate_racks(n):
+        assert count_structure_classes(rack) == len(classify_structures(rack))
 
 
 def test_classify_representatives_sorted_with_orbit_sizes():

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +61,24 @@ def test_power_negative_and_zero():
     assert power(p, -2) == compose(inverse(p), inverse(p))
 
 
+def test_power_matches_repeated_compose():
+    for p in itertools.permutations(range(4)):
+        for k in range(-13, 14):
+            step = p if k >= 0 else inverse(p)
+            expected = identity(4)
+            for _ in range(abs(k)):
+                expected = compose(step, expected)
+            assert power(p, k) == expected
+
+
+def test_power_huge_exponent_is_one_pass():
+    p = (1, 2, 0, 4, 3)
+    start = time.perf_counter()
+    assert power(p, 10**9) == (1, 2, 0, 3, 4)
+    assert power(p, -10**9 - 1) == (1, 2, 0, 4, 3)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_subgroup_closure_examples():
     assert subgroup_closure([(1, 0)]).order == 2
     assert subgroup_closure([(1, 0, 2), (0, 2, 1)]).order == 6
@@ -107,6 +128,11 @@ def test_burnside_formula_small():
     assert burnside_pair_count(trivial_group(1)) == 1
     assert burnside_pair_count(symmetric_group(2)) == 4  # (4 + 4) / 2
     assert burnside_pair_count(symmetric_group(3)) == 11  # (36 + 3*4 + 2*9) / 6
+    # A_3 x A_3 under S_3: (a, b) ~ (a^-1, b^-1), so (9 + 3*1 + 2*9) / 6
+    a3 = subgroup_closure([(1, 2, 0)])
+    assert burnside_pair_count(symmetric_group(3), a3) == 5
+    assert burnside_pair_count(symmetric_group(3), a3.elements) == 5
+    assert burnside_pair_count(symmetric_group(3), set()) == 0
 
 
 @pytest.mark.parametrize("group", [
@@ -118,6 +144,11 @@ def test_burnside_formula_small():
     symmetric_group(4),
     subgroup_closure([(1, 2, 3, 4, 0)]),
     subgroup_closure([(1, 2, 0, 3), (1, 0, 2, 3)]),
+    # S_3 x S_3 on {0,1,2} and {3,4,5}, and S_3 x C_2 on {0,1,2} and {3,4}:
+    # their subset cases below are proper and meet classes of several sizes
+    subgroup_closure([(1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
+                      (0, 1, 2, 4, 5, 3), (0, 1, 2, 4, 3, 5)]),
+    subgroup_closure([(1, 2, 0, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)]),
 ])
 def test_burnside_matches_explicit_orbits(group):
     assert group.order <= 120
@@ -127,6 +158,20 @@ def test_burnside_matches_explicit_orbits(group):
     assert sum(o.size for o in orbits) == group.order ** 2
     for o in orbits:
         assert o.representative == min(o.members)
+    # subset case: the centralizer of a normal subgroup (the one generated
+    # by the squares) is normal, so its pairs form a union of orbits
+    normal = subgroup_closure([compose(g, g) for g in group], group.degree)
+    subset = centralizer(group, normal.elements)
+    sub_pairs = [(a, b) for a in subset for b in subset]
+    assert burnside_pair_count(group, subset) == \
+        len(diagonal_pair_orbits(sub_pairs, group))
+
+
+def test_burnside_rejects_subset_that_is_not_a_union_of_classes():
+    with pytest.raises(ValueError, match="not closed"):
+        burnside_pair_count(symmetric_group(3), {identity(3), (1, 0, 2)})
+    with pytest.raises(ValueError, match="not contained"):
+        burnside_pair_count(subgroup_closure([(1, 2, 0)]), {(1, 0, 2)})
 
 
 def test_orbit_reps_are_canonical_and_sorted():

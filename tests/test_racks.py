@@ -145,6 +145,13 @@ def test_automorphism_group_matches_brute_force():
         assert automorphism_group(rack).elements == brute
 
 
+def test_automorphism_group_is_searched_once_per_table():
+    rack = dihedral_quandle(5)
+    assert automorphism_group(rack) is automorphism_group(rack)
+    assert automorphism_group(rack) == \
+        automorphism_group(dihedral_quandle(5))
+
+
 def test_inner_groups():
     assert inner_group(trivial_quandle(4)).order == 1
     sigma = (1, 2, 0)
