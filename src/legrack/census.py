@@ -5,10 +5,22 @@ families.
 A rack on {0..n-1} is exactly a choice of column permutations b_0..b_{n-1}
 with b_{b_z(y)} = b_z b_y b_z^-1 for all y, z.  The search backtracks over
 columns with that conjugation constraint propagated in both directions, so
-most columns are forced rather than branched.  Symmetry breaking: column 0
-is required to have the minimal cycle type among all columns and to be the
-canonical representative of its orbit under conjugation by the stabilizer
-of the point 0; every rack has a relabeling of that shape.
+most columns are forced rather than branched.  Each column a new one forces
+is checked against the assigned columns before it is queued: a clash fails
+the branch at once, and an agreement queues nothing.  The forced closure is
+unique, so the order in which constraints are checked changes neither the
+results nor their order.
+
+Symmetry breaking: column 0 is required to have the minimal cycle type
+among all columns and to be the canonical representative of its orbit under
+conjugation by the stabilizer of the point 0; every rack has a relabeling
+of that shape.  Only branched columns are drawn from the types allowed by
+column 0's; a forced column is a conjugate of an assigned one, so it has an
+allowed type already.
+
+Columns are indices into a precomputed S_n product table (``_tables``),
+whose rows are built by composing the rows of two generators rather than
+by composing permutation tuples.
 """
 from __future__ import annotations
 
@@ -45,11 +57,30 @@ class CensusRow:
 @lru_cache(maxsize=None)
 def _tables(n: int):
     """Integer-indexed S_n arithmetic: perms, index map, products, inverses,
-    and a total rank on cycle types (identity type ranks lowest)."""
+    and a total rank on cycle types (identity type ranks lowest).
+
+    ``prod[p][q]`` is the index of p o q.  Row p is the permutation of the
+    indices made by left multiplication by p, so row(p o g) is row(p)
+    composed with row(g).  The rows are filled by a breadth-first walk from
+    the identity (index 0) over an n-cycle and a transposition, which
+    generate S_n; the entry of row(p o g) at the identity is its own index.
+    """
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     inv = [index[inverse(p)] for p in perms]
-    prod = [[index[compose(p, q)] for q in perms] for p in perms]
+    gens = ([tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
+            if n >= 2 else [])
+    gen_rows = [[index[compose(g, q)] for q in perms] for g in gens]
+    prod: list = [None] * len(perms)
+    prod[0] = list(range(len(perms)))
+    frontier = [0]
+    for p in frontier:
+        row_p = prod[p]
+        for row_g in gen_rows:
+            row = [row_p[x] for x in row_g]
+            if prod[row[0]] is None:
+                prod[row[0]] = row
+                frontier.append(row[0])
     types = sorted({cycle_type(p) for p in perms})
     type_rank = {t: i for i, t in enumerate(types)}
     rank = [type_rank[cycle_type(p)] for p in perms]
@@ -89,25 +120,36 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                 if cur != r:
                     return False
                 continue
-            if rank[r] < base_rank:
-                return False
             cols[t] = r
             trail.append(t)
-            snapshot = list(assigned)
             assigned.append(t)
             pr = perms[r]
             prod_r = prod[r]
             ir = inv[r]
-            snapshot.append(t)
-            for b in snapshot:
+            for b in assigned:
                 cb = cols[b]
                 icb = inv[cb]
                 # target b_b(t) is conj(b_b, b_t)
-                queue.append((perms[cb][t], prod[prod[cb][r]][icb]))
+                s, v = perms[cb][t], prod[prod[cb][r]][icb]
+                cur = cols[s]
+                if cur == -1:
+                    queue.append((s, v))
+                elif cur != v:
+                    return False
                 # target b_t(b) is conj(b_t, b_b)
-                queue.append((pr[b], prod[prod_r[cb]][ir]))
+                s, v = pr[b], prod[prod_r[cb]][ir]
+                cur = cols[s]
+                if cur == -1:
+                    queue.append((s, v))
+                elif cur != v:
+                    return False
                 # backward: the column mapped onto t by b_b is forced
-                queue.append((perms[icb][t], prod[prod[icb][r]][cb]))
+                s, v = perms[icb][t], prod[prod[icb][r]][cb]
+                cur = cols[s]
+                if cur == -1:
+                    queue.append((s, v))
+                elif cur != v:
+                    return False
             # backward through the new column: if b_t maps y onto an
             # assigned column s, then b_y = b_t^-1 b_s b_t is forced
             prod_ir = prod[ir]
@@ -143,15 +185,15 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
 
 
 def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
+    # The column tuples are shared with ``_tables``, so the raw tables of a
+    # search hold no copies of them.
     perms, _, _, _, _ = _tables(n)
-    cols = [perms[i] for i in col_ids]
-    rows = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
-    return RackTable(n, rows)
+    return RackTable.from_columns([perms[i] for i in col_ids])
 
 
 def _invariant_key(rack: RackTable):
     flags = rack_flags(rack)
-    col_types = [cycle_type(c) for c in rack.columns]
+    col_types = rack.column_types
     kink_len = {x: 0 for x in range(rack.n)}
     for x in range(rack.n):
         length, i = 1, flags.kink[x]

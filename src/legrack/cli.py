@@ -25,8 +25,15 @@ from .perms import cycle_string, parse_cycles
 from .racks import RackError, load_rack
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("LEGRACK_JOBS", "1"))
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit(lines, args) -> None:
@@ -151,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="per-order, per-family census CSV")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    # A string default goes through ``type`` only when ``census`` is parsed,
+    # so a bad $LEGRACK_JOBS is a usage error of this command alone.
+    p.add_argument("--jobs", type=_positive_int,
+                   default=os.environ.get("LEGRACK_JOBS", "1"),
                    help="parallelism degree (default $LEGRACK_JOBS or 1)")
     common(p, header=True)
     p.set_defaults(func=_cmd_census)

@@ -13,13 +13,12 @@ from .perms import (
     Perm,
     PermGroup,
     burnside_pair_count,
-    centralizer,
     compose,
     diagonal_pair_orbits,
     inverse,
     validate_perm,
 )
-from .racks import RackTable, automorphism_group, inner_group, rack_flags
+from .racks import RackTable, automorphism_group, rack_flags
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,9 @@ class StructureClass:
 
 
 def gl_center(rack: RackTable) -> PermGroup:
-    """U_X = C_{Aut(X)}(Inn(X)), the group of GL-structures."""
-    return centralizer(automorphism_group(rack), inner_group(rack).elements)
+    """U_X = C_{Aut(X)}(Inn(X)), the group of GL-structures, computed once
+    per table."""
+    return rack.gl_center
 
 
 def down_maps(kink: Perm, ul: Perm, ur: Perm) -> tuple[Perm, Perm]:

@@ -12,7 +12,7 @@ from math import gcd
 from .perms import (
     Perm,
     PermGroup,
-    compose,
+    centralizer,
     conjugate,
     cycle_type,
     identity,
@@ -38,6 +38,15 @@ class RackTable:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def from_columns(cls, columns) -> RackTable:
+        """The table whose column y is ``columns[y]``, not checked; the
+        given tuples are kept as its ``columns`` rather than rebuilt."""
+        n = len(columns)
+        table = cls(n, tuple(tuple(c[x] for c in columns) for x in range(n)))
+        table.__dict__["columns"] = tuple(columns)
+        return table
+
     def op(self, x: int, y: int) -> int:
         return self.rows[x][y]
 
@@ -59,10 +68,33 @@ class RackTable:
         return tuple(inverse(c) for c in self.columns)
 
     @cached_property
+    def column_types(self) -> tuple[tuple[int, ...], ...]:
+        """Cycle type of each column, computed once per table."""
+        return tuple(cycle_type(c) for c in self.columns)
+
+    @cached_property
+    def flags(self) -> RackFlags:
+        """Kink map and quandle / involutory flags; see ``rack_flags``."""
+        n = self.n
+        kink = tuple(self.rows[x][x] for x in range(n))
+        return RackFlags(
+            is_quandle=kink == identity(n),
+            is_involutory=all(c[c[x]] == x for c in self.columns
+                              for x in range(n)),
+            kink=kink)
+
+    @cached_property
     def automorphisms(self) -> PermGroup:
         """Aut(X), searched once per table; see ``automorphism_group``."""
         return PermGroup(self.n,
                          frozenset(_iso_search(self, self, first_only=False)))
+
+    @cached_property
+    def gl_center(self) -> PermGroup:
+        """U_X = C_Aut(Inn), computed once per table; see
+        ``fourleg.gl_center``."""
+        return centralizer(automorphism_group(self),
+                           inner_group(self).elements)
 
 
 @dataclass(frozen=True)
@@ -105,13 +137,9 @@ def validate_rack(table) -> RackTable:
 
 
 def rack_flags(rack: RackTable) -> RackFlags:
-    """Kink map x -> x>x plus the quandle / involutory flags."""
-    kink = tuple(rack.rows[x][x] for x in range(rack.n))
-    is_quandle = kink == identity(rack.n)
-    is_involutory = all(
-        compose(c, c) == identity(rack.n) for c in rack.columns
-    )
-    return RackFlags(is_quandle=is_quandle, is_involutory=is_involutory, kink=kink)
+    """Kink map x -> x>x plus the quandle / involutory flags, cached on the
+    table after the first call."""
+    return rack.flags
 
 
 # --- example families ------------------------------------------------------
@@ -242,8 +270,8 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
         return []
     if n == 0:
         return [()]
-    src_types = [cycle_type(c) for c in src.columns]
-    dst_types = [cycle_type(c) for c in dst.columns]
+    src_types = src.column_types
+    dst_types = dst.column_types
     if sorted(src_types) != sorted(dst_types):
         return []
     srows, drows = src.rows, dst.rows

@@ -1,15 +1,20 @@
+import hashlib
 import itertools
 
 import pytest
 
 from legrack.census import (
     FAMILY_NAMES,
+    _canonical_first_columns,
+    _search_shard,
+    _tables,
     census_counts,
     dedupe_racks,
     enumerate_racks,
     export_rack_set,
     import_rack_set,
 )
+from legrack.perms import compose, inverse
 from legrack.racks import (
     RackError,
     RackTable,
@@ -62,9 +67,47 @@ def test_enumeration_yields_valid_pairwise_nonisomorphic_tables():
 
 
 def test_enumeration_shard_independence():
-    serial = enumerate_racks(4, jobs=1)
-    parallel = enumerate_racks(4, jobs=2)
-    assert [r.rows for r in serial] == [r.rows for r in parallel]
+    for n in (4, 5):
+        serial = enumerate_racks(n, jobs=1)
+        parallel = enumerate_racks(n, jobs=2)
+        assert [r.rows for r in serial] == [r.rows for r in parallel]
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_product_table_matches_compose_and_inverse():
+    for n in range(7):
+        perms, _, prod, inv, _ = _tables(n)
+        assert len(prod) == len(perms)
+        assert [perms[i] for i in inv] == [inverse(p) for p in perms]
+        rows = range(len(perms)) if n <= 5 else range(0, len(perms), 7)
+        for i in rows:
+            assert [perms[j] for j in prod[i]] == \
+                [compose(perms[i], q) for q in perms]
+
+
+# The search's raw output: every table of every shard, in order, for
+# n = 1..6.  Any change to the branching, the pruning or the symmetry
+# breaking shows here before it can show in the class counts.
+RAW_TABLE_COUNTS = [1, 2, 8, 44, 446, 6941]
+RAW_SHARDS_SHA256 = \
+    "fedf16caac3d174d0a4ba62b2fefdc69100e7d600fefb1aaaeb86e8aeb0734ce"
+REPRESENTATIVES_SHA256 = \
+    "dbffe42d2146bff5aaf4068c96e7ccf770b58acb31999144275721e86aa107d7"
+
+
+def test_search_shards_are_pinned():
+    raw = [[_search_shard(n, fc) for fc in _canonical_first_columns(n)]
+           for n in range(1, 7)]
+    assert [sum(len(shard) for shard in r) for r in raw] == RAW_TABLE_COUNTS
+    assert _sha256(raw) == RAW_SHARDS_SHA256
+
+
+def test_class_representatives_are_pinned():
+    reps = [[r.rows for r in enumerate_racks(n)] for n in range(7)]
+    assert _sha256(reps) == REPRESENTATIVES_SHA256
 
 
 def test_enumeration_envelope():

@@ -61,6 +61,34 @@ def test_jobs_and_no_header_only_on_commands_that_read_them(capsys):
         {"census", "classify", "verify"}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_census_rejects_jobs_that_are_not_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--max-order", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs: expected a positive integer" in \
+        capsys.readouterr().err
+
+
+def test_bad_jobs_environment_fails_census_alone(capsys, monkeypatch,
+                                                 unknot_file):
+    monkeypatch.setenv("LEGRACK_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert run(capsys, ["invariants", "--front", unknot_file])[0] == 0
+    code, out, _ = run(capsys, ["census", "--max-order", "1", "--jobs", "1",
+                                "--no-header"])
+    assert code == 0 and out
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--max-order", "1"])
+    assert exc.value.code == 2
+    assert "expected a positive integer, got 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("LEGRACK_JOBS", "2")
+    assert build_parser().parse_args(
+        ["census", "--max-order", "1"]).jobs == 2
+
+
 def test_census_csv(capsys):
     code, out, _ = run(capsys, ["census", "--max-order", "2", "--no-header"])
     assert code == 0

@@ -31,6 +31,30 @@ def n_cycle(n):
     return tuple((i + 1) % n for i in range(n))
 
 
+def test_gl_center_is_computed_once_per_table(monkeypatch):
+    import legrack.racks
+
+    calls = []
+    real = legrack.racks.centralizer
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(legrack.racks, "centralizer", counting)
+    rack = trivial_quandle(3)
+    center = gl_center(rack)
+    for ul in center.sorted_elements():
+        for ur in center.sorted_elements():
+            make_fourleg(rack, ul, ur)
+    enumerate_structures(rack)
+    classify_structures(rack)
+    count_structure_classes(rack)
+    assert gl_center(rack) is center
+    assert len(calls) == 1
+    assert center.elements == symmetric_group(3).elements
+
+
 def test_gl_center_examples():
     for n in (2, 3, 4):
         assert gl_center(trivial_quandle(n)).elements == \

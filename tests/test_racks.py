@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from legrack.perms import compose, identity, inverse
+from legrack.census import enumerate_racks
+from legrack.perms import compose, cycle_type, identity, inverse
 from legrack.racks import (
     RackError,
+    RackTable,
     alexander_quandle,
     automorphism_group,
     conjugation_quandle,
@@ -121,6 +123,27 @@ def test_rack_flags_examples():
         flags = rack_flags(dihedral_quandle(n))
         assert flags.is_quandle and flags.is_involutory
     assert not rack_flags(ts_rack(9, 4, 3)).is_quandle
+
+
+def test_flags_and_column_types_are_cached_and_match_direct_computation():
+    for n in range(5):
+        for rack in enumerate_racks(n):
+            flags = rack_flags(rack)
+            assert flags is rack_flags(rack)
+            assert flags.kink == tuple(rack.op(x, x) for x in range(n))
+            assert flags.is_quandle == (flags.kink == identity(n))
+            assert flags.is_involutory == all(
+                compose(c, c) == identity(n) for c in rack.columns)
+            assert rack.column_types is rack.column_types
+            assert rack.column_types == tuple(cycle_type(c)
+                                              for c in rack.columns)
+
+
+def test_from_columns_rebuilds_the_table():
+    for rack in [dihedral_quandle(5), ts_rack(9, 4, 3), *enumerate_racks(3)]:
+        copy = RackTable.from_columns(rack.columns)
+        assert copy == rack
+        assert copy.columns == rack.columns
 
 
 def test_automorphism_groups():
