@@ -22,7 +22,6 @@ from .racks import (
     automorphism_group,
     find_isomorphism,
     inner_group,
-    make_family,
     rack_flags,
     validate_rack,
 )

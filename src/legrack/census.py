@@ -31,15 +31,7 @@ from functools import lru_cache
 
 from .fourleg import count_structure_classes
 from .perms import Perm, compose, conjugate, cycle_type, inverse
-from .racks import (
-    RackError,
-    RackTable,
-    find_isomorphism,
-    rack_flags,
-    rack_from_text,
-    rack_to_text,
-    validate_rack,
-)
+from .racks import RackTable, find_isomorphism, rack_flags
 
 MAX_ENUM_ORDER = 6
 
@@ -284,34 +276,3 @@ def census_counts(n: int, racks: list[RackTable] | None = None,
         ))
     return rows
 
-
-# --- rack-set files ----------------------------------------------------------
-
-def export_rack_set(racks, dirpath) -> list[str]:
-    """Write one ``.rack`` file per table; returns the file names written."""
-    import os
-
-    os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for i, rack in enumerate(racks):
-        name = f"rack_{i:04d}.rack"
-        with open(os.path.join(dirpath, name), "w", encoding="utf-8") as fh:
-            fh.write(rack_to_text(rack))
-        names.append(name)
-    return names
-
-
-def import_rack_set(dirpath) -> list[RackTable]:
-    """Read every ``.rack`` file in a directory, validating each table."""
-    import os
-
-    names = sorted(f for f in os.listdir(dirpath) if f.endswith(".rack"))
-    racks = []
-    for name in names:
-        with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
-            try:
-                racks.append(rack_from_text(fh.read()))
-            except RackError as exc:
-                raise RackError(f"{name}: {exc}", axiom=exc.axiom,
-                                witness=exc.witness) from exc
-    return racks

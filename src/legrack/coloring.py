@@ -1,7 +1,25 @@
 """Coloring counts of Legendrian fronts by finite 4-Legendrian racks.
 
-``count_colorings`` is the generic backtracking counter over a fundamental
-presentation, and ``brute_force_colorings`` its exhaustive oracle.
+``count_colorings`` is the generic counter over a fundamental presentation,
+and ``brute_force_colorings`` its exhaustive oracle.  A coloring gives each
+arc a color so that color(out) = W(color(in)) >^sign color(over) at every
+crossing.  Per call, each relation is compiled into rows[a] = T[W(a)], with
+T the rack table for sign +1 and the inverse table for sign -1, so its
+output is rows[a][o]: building the rows costs n lookups, and no lookup
+re-applies the cusp word letter by letter.  The search colors one arc at a
+time and propagates through watch lists: coloring an arc wakes only the
+relations that read it, and a woken relation whose input and over-arc are
+colored forces its output arc or fails the branch.
+
+The relations of a fundamental presentation form one cycle, arc i -> arc
+i+1.  Once every over-arc and one arc are colored, forcing runs around the
+cycle and colors every arc, so the search branches on the over-arcs first
+(each step the one that forces the most arcs) and on at most one more arc.
+A hand-built presentation need not be one cycle, so the branch order then
+falls back to any arc still uncolored.  The watch lists and the branch
+order depend only on the presentation and are cached on it
+(``Presentation.watch_lists``, ``Presentation.branch_order``); the inverse
+table is cached on the rack (``RackTable.inv_rows``).
 
 For the permutation rack of sigma (x > y = sigma(x) for every y) a crossing
 moves the under strand's color by sigma^+-1 whatever color the over strand
@@ -53,55 +71,79 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
     return rack.op(v, o) if rel.sign == 1 else rack.inv_op(v, o)
 
 
+def _compile(pres: Presentation, fl: FourLegRack):
+    """(in_arc, over_arc, out_arc, rows) per relation, with rows[a][o] =
+    W(a) >^sign o; each distinct (word, sign) is composed once."""
+    rack = fl.rack
+    maps = _maps(fl)
+    tables = {1: rack.rows, -1: rack.inv_rows}
+    rows_of: dict[tuple, list[tuple[int, ...]]] = {}
+    compiled = []
+    for rel in pres.relations:
+        key = (rel.word, rel.sign)
+        rows = rows_of.get(key)
+        if rows is None:
+            # rows[a] = table[W(a)], composed from the last letter back
+            rows = tables[rel.sign]
+            for letter in reversed(rel.word):
+                rows = [rows[v] for v in maps[letter]]
+            rows_of[key] = rows
+        compiled.append((rel.in_arc, rel.over_arc, rel.out_arc, rows))
+    return compiled
+
+
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
-    Backtracking over generator values with forward propagation: a relation
-    whose input and over-strand are colored forces its output.
+    Each distinct (cusp word, sign) of ``pres`` is composed once per call
+    from the four structure maps into the rows T[W(a)]; the search
+    then branches on ``pres.branch_order`` and propagates through
+    ``pres.watch_lists`` (see the module docstring).  Its oracles are
+    ``brute_force_colorings`` and, in the tests, a counter that rescans
+    every relation after each assignment.
     """
-    rack = fl.rack
-    maps = _maps(fl)
-    n = rack.n
-    m = pres.generators
+    n = fl.rack.n
     if not pres.relations:
+        maps = _maps(fl)
         return sum(1 for x in range(n)
                    if apply_word(pres.closure_word, maps, x) == x)
-    values = [-1] * m
+    compiled = _compile(pres, fl)
+    watch = [[compiled[i] for i in w] for w in pres.watch_lists]
+    order = pres.branch_order
+    values = [-1] * pres.generators
 
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for rel in pres.relations:
-                a, o, b = values[rel.in_arc], values[rel.over_arc], values[rel.out_arc]
-                if a == -1 or o == -1:
+    def assign(g: int, x: int, trail: list[int]) -> bool:
+        values[g] = x
+        trail.append(g)
+        for arc in trail:   # the trail grows as arcs are forced
+            for a_arc, o_arc, b_arc, rows in watch[arc]:
+                a = values[a_arc]
+                o = values[o_arc]
+                if a < 0 or o < 0:
                     continue
-                out = _relation_output(rel, maps, rack, a, o)
-                if b == -1:
-                    values[rel.out_arc] = out
-                    trail.append(rel.out_arc)
-                    changed = True
-                elif b != out:
+                v = rows[a][o]
+                b = values[b_arc]
+                if b < 0:
+                    values[b_arc] = v
+                    trail.append(b_arc)
+                elif b != v:
                     return False
         return True
 
-    def extend() -> int:
-        for g in range(m):
-            if values[g] == -1:
-                break
-        else:
+    def extend(i: int) -> int:
+        if i == len(order):
             return 1
+        g = order[i]
         total = 0
         for x in range(n):
-            trail = [g]
-            values[g] = x
-            if propagate(trail):
-                total += extend()
-            for i in trail:
-                values[i] = -1
+            trail: list[int] = []
+            if assign(g, x, trail):
+                total += extend(i + 1)
+            for arc in trail:
+                values[arc] = -1
         return total
 
-    return extend()
+    return extend(0)
 
 
 def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:

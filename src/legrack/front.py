@@ -13,6 +13,7 @@ with W the arc's accumulated cusp word (earliest operator applied first).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class FrontError(ValueError):
@@ -104,6 +105,13 @@ def validate_front(events) -> FrontCode:
         if a == b:
             raise FrontError(
                 f"adjacent cusps on the same side ({a}) violate alternation")
+    # tb + rot = writhe - U, and tb + rot is odd for every Legendrian knot
+    tb_plus_rot = sum(signs.values()) - up
+    if tb_plus_rot % 2 == 0:
+        raise FrontError(
+            f"tb + rot = writhe - up cusps = {tb_plus_rot} is even, but it is "
+            f"odd for every Legendrian knot: no Legendrian knot realizes "
+            f"this front")
     return FrontCode(events)
 
 
@@ -174,6 +182,56 @@ class Presentation:
     relations: tuple[Relation, ...]
     # Cusp word of the single closed arc when there are no crossings.
     closure_word: tuple[str, ...] = ()
+
+    @cached_property
+    def watch_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Per arc, the indices of the relations that read it, as input or
+        as over-arc.  A relation is complete once the later of its two
+        read arcs is colored: then it forces its output arc or checks it."""
+        watch: list[list[int]] = [[] for _ in range(self.generators)]
+        for i, rel in enumerate(self.relations):
+            for arc in dict.fromkeys((rel.in_arc, rel.over_arc)):
+                watch[arc].append(i)
+        return tuple(tuple(w) for w in watch)
+
+    @cached_property
+    def branch_order(self) -> tuple[int, ...]:
+        """The arcs a coloring search branches on, in order.
+
+        A relation whose input and over-arc are colored forces its output
+        arc, whatever the rack.  Each step takes, among the over-arcs not
+        yet colored (or, once none is left, among all arcs not yet
+        colored), the arc that forces the most arcs, lower index first on a
+        tie, and marks what it forces.  Coloring the returned arcs therefore
+        forces every arc.
+        """
+        m = self.generators
+        over = {rel.over_arc for rel in self.relations}
+        known = [False] * m
+
+        def forced(g: int) -> set[int]:
+            new = {g}
+            stack = [g]
+            while stack:
+                for i in self.watch_lists[stack.pop()]:
+                    rel = self.relations[i]
+                    b = rel.out_arc
+                    if not (known[b] or b in new) and all(
+                            known[a] or a in new
+                            for a in (rel.in_arc, rel.over_arc)):
+                        new.add(b)
+                        stack.append(b)
+            return new
+
+        order = []
+        while not all(known):
+            unknown = [g for g in range(m) if not known[g]]
+            g = max([g for g in unknown if g in over] or unknown,
+                    key=lambda g: (len(forced(g)), -g))
+            for a in forced(g):
+                known[a] = True
+            order.append(g)
+        return tuple(order)
 
 
 def fundamental_presentation(code: FrontCode) -> Presentation:
@@ -267,8 +325,9 @@ def stabilized_unknot(positive: int, negative: int,
     return code
 
 
-def kinked_unknot(signs=(-1,)) -> FrontCode:
-    """Unknot with one Reidemeister-1 style kink per sign."""
+def kinked_unknot(signs) -> FrontCode:
+    """Unknot with one Reidemeister-1 style kink per sign; an odd number of
+    kinks makes tb + rot even, which ``validate_front`` rejects."""
     events: list[FrontEvent] = [Cusp("R", "U"), Cusp("L", "D")]
     for i, sign in enumerate(signs, start=1):
         events.extend((CrossingPass(i, sign, "O"), CrossingPass(i, sign, "U")))

@@ -144,10 +144,6 @@ class PermGroup:
         return sorted(self.elements)
 
 
-def trivial_group(degree: int) -> PermGroup:
-    return PermGroup(degree, frozenset({identity(degree)}))
-
-
 def symmetric_group(n: int) -> PermGroup:
     return PermGroup(n, frozenset(itertools.permutations(range(n))))
 

@@ -54,9 +54,6 @@ class RackTable:
         """x >^-1 y, the inverse translation applied to x."""
         return self.inv_columns[y][x]
 
-    def column(self, y: int) -> Perm:
-        return self.columns[y]
-
     @cached_property
     def columns(self) -> tuple[Perm, ...]:
         return tuple(
@@ -66,6 +63,12 @@ class RackTable:
     @cached_property
     def inv_columns(self) -> tuple[Perm, ...]:
         return tuple(inverse(c) for c in self.columns)
+
+    @cached_property
+    def inv_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``inv_rows[x][y] = x >^-1 y``, the inverse table by rows."""
+        return tuple(tuple(c[x] for c in self.inv_columns)
+                     for x in range(self.n))
 
     @cached_property
     def column_types(self) -> tuple[tuple[int, ...], ...]:
@@ -237,24 +240,6 @@ def takasaki_quandle(mult) -> RackTable:
     return validate_rack(
         [[rows[rows[b][b]][inv[a]] for b in range(n)] for a in range(n)]
     )
-
-
-FAMILIES = {
-    "trivial": trivial_quandle,
-    "dihedral": dihedral_quandle,
-    "alexander": alexander_quandle,
-    "ts": ts_rack,
-    "permutation": permutation_rack,
-    "conj": conjugation_quandle,
-    "core": core_quandle,
-    "takasaki": takasaki_quandle,
-}
-
-
-def make_family(tag: str, *args) -> RackTable:
-    if tag not in FAMILIES:
-        raise RackError(f"unknown rack family {tag!r}")
-    return FAMILIES[tag](*args)
 
 
 # --- automorphisms and isomorphisms ----------------------------------------

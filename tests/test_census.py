@@ -11,8 +11,6 @@ from legrack.census import (
     census_counts,
     dedupe_racks,
     enumerate_racks,
-    export_rack_set,
-    import_rack_set,
 )
 from legrack.perms import compose, inverse
 from legrack.racks import (
@@ -176,21 +174,3 @@ def test_dedupe_is_idempotent_and_absorbs_relabelings():
                                                      {1: 0, 0: 1, 2: 2}[y])]
           for y in range(3)] for x in range(3)])
     assert len(dedupe_racks(list(reps) + [relabeled])) == len(reps)
-
-
-def test_rack_set_roundtrip(tmp_path):
-    racks = enumerate_racks(3)
-    names = export_rack_set(racks, tmp_path / "order3")
-    assert names == sorted(names)
-    loaded = import_rack_set(tmp_path / "order3")
-    assert [r.rows for r in loaded] == [r.rows for r in racks]
-
-
-def test_import_rejects_invalid_table(tmp_path):
-    d = tmp_path / "bad"
-    d.mkdir()
-    (d / "rack_0000.rack").write_text("2\n0 0\n0 1\n")
-    with pytest.raises(RackError) as exc:
-        import_rack_set(d)
-    assert exc.value.axiom == "R1"
-    assert "rack_0000.rack" in str(exc.value)

@@ -203,6 +203,16 @@ def test_bad_input_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_unrealizable_front_exits_one(capsys, tmp_path):
+    # the unknot with one kink: tb + rot = -2, even, so no Legendrian knot
+    kinked = tmp_path / "kinked.front"
+    kinked.write_text("CUSP R U\nCUSP L D\nX 1 - O\nX 1 - U\n")
+    for command in ("invariants", "presentation"):
+        code, out, err = run(capsys, [command, "--front", str(kinked)])
+        assert code == 1 and out == ""
+        assert "tb + rot = writhe - up cusps = -2 is even" in err
+
+
 def test_console_script_installed(tmp_path):
     """The ``legrack`` console script declared in pyproject.toml starts the CLI.
 

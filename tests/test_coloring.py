@@ -1,7 +1,11 @@
 import pytest
 
+from legrack.census import enumerate_racks
 from legrack.coloring import (
     VerifyReport,
+    _compile,
+    _maps,
+    _relation_output,
     apply_word,
     brute_force_colorings,
     count_colorings,
@@ -12,8 +16,17 @@ from legrack.coloring import (
     unreduced_loop_permutation,
     verify_indistinguishability,
 )
-from legrack.fourleg import enumerate_structures, make_fourleg, FourLegRack
+from legrack.fourleg import (
+    FourLegRack,
+    classify_structures,
+    enumerate_structures,
+    make_fourleg,
+)
 from legrack.front import (
+    CrossingPass,
+    Cusp,
+    Presentation,
+    Relation,
     builtin_fixtures,
     classical_invariants,
     fundamental_presentation,
@@ -22,6 +35,7 @@ from legrack.front import (
     stabilize,
     stabilized_unknot,
     standard_unknot,
+    validate_front,
 )
 from legrack.perms import compose, identity, inverse, power
 from legrack.racks import dihedral_quandle, trivial_quandle
@@ -47,6 +61,142 @@ def test_trefoil_counts():
     pres = fundamental_presentation(left_trefoil())
     assert count_colorings(pres, trivial_fourleg(3)) == 3
     assert count_colorings(pres, trivial_fourleg(2)) == 2
+
+
+def scan_colorings(pres, fl):
+    """Reference counter: backtracking over arcs in index order; after each
+    assignment it rescans every relation until nothing changes, applying
+    cusp words letter by letter."""
+    rack = fl.rack
+    maps = _maps(fl)
+    n = rack.n
+    m = pres.generators
+    if not pres.relations:
+        return sum(1 for x in range(n)
+                   if apply_word(pres.closure_word, maps, x) == x)
+    values = [-1] * m
+
+    def propagate(trail):
+        changed = True
+        while changed:
+            changed = False
+            for rel in pres.relations:
+                a, o, b = values[rel.in_arc], values[rel.over_arc], values[rel.out_arc]
+                if a == -1 or o == -1:
+                    continue
+                out = _relation_output(rel, maps, rack, a, o)
+                if b == -1:
+                    values[rel.out_arc] = out
+                    trail.append(rel.out_arc)
+                    changed = True
+                elif b != out:
+                    return False
+        return True
+
+    def extend():
+        for g in range(m):
+            if values[g] == -1:
+                break
+        else:
+            return 1
+        total = 0
+        for x in range(n):
+            trail = [g]
+            values[g] = x
+            if propagate(trail):
+                total += extend()
+            for i in trail:
+                values[i] = -1
+        return total
+
+    return extend()
+
+
+def two_trefoil_sum():
+    """Connected sum of two left trefoils: the first one's ``R D`` cusp and
+    the second one's ``L U`` cusp are removed and the event sequences are
+    spliced there; the second trefoil's crossings become 4, 5, 6."""
+    a = left_trefoil().events
+    b = tuple(CrossingPass(ev.crossing + 3, ev.sign, ev.role)
+              if isinstance(ev, CrossingPass) else ev
+              for ev in left_trefoil().events)
+    p = a.index(Cusp("R", "D"))
+    q = b.index(Cusp("L", "U"))
+    return validate_front(a[p + 1:] + a[:p] + b[q + 1:] + b[:q])
+
+
+def structure_classes(n):
+    """One 4-Legendrian structure per class, on every rack of order n."""
+    return [make_fourleg(rack, cls.ul, cls.ur)
+            for rack in enumerate_racks(n)
+            for cls in classify_structures(rack)]
+
+
+def test_two_trefoil_sum():
+    code = two_trefoil_sum()
+    inv = classical_invariants(code)
+    # tb(K # K') = tb(K) + tb(K') + 1, rot(K # K') = rot(K) + rot(K')
+    assert (inv.tb, inv.rot) == (-11, -2)
+    assert fundamental_presentation(code).generators == 6
+
+
+def oracle_fronts():
+    return dict(builtin_fixtures(), trefoil_sum=two_trefoil_sum(),
+                trefoil_s1p1m=stabilize(stabilize(left_trefoil(), 1), -1,
+                                        position=4))
+
+
+def test_compiled_rows_match_relation_output():
+    # the stabilized trefoil has four-letter cusp words on crossing arcs;
+    # composing a word in the wrong order changes these rows, but leaves
+    # every count in the oracle test below unchanged
+    fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
+    for fl in structure_classes(3) + structure_classes(4):
+        maps = _maps(fl)
+        for pres in fronts:
+            for rel, (a_arc, o_arc, b_arc, rows) in zip(pres.relations,
+                                                       _compile(pres, fl)):
+                assert (a_arc, o_arc, b_arc) == \
+                    (rel.in_arc, rel.over_arc, rel.out_arc)
+                assert list(rows) == [
+                    tuple(_relation_output(rel, maps, fl.rack, a, o)
+                          for o in range(fl.rack.n))
+                    for a in range(fl.rack.n)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_count_matches_oracles_on_every_structure_class(n):
+    codes = oracle_fronts()
+    fronts = {name: fundamental_presentation(c) for name, c in codes.items()}
+    for pres in fronts.values():
+        # one cycle: the over-arcs and at most one more arc force the rest
+        over = {rel.over_arc for rel in pres.relations}
+        assert len(pres.branch_order) <= len(over) + 1
+    for fl in structure_classes(n):
+        for name, pres in fronts.items():
+            count = count_colorings(pres, fl)
+            assert count == scan_colorings(pres, fl), (name, fl.structure)
+            if n ** pres.generators <= 10 ** 4:
+                assert count == brute_force_colorings(pres, fl), \
+                    (name, fl.structure)
+
+
+def test_two_cycle_presentation_branches_on_each_cycle():
+    # arcs 0 -> 1 -> 0 and 2 -> 3 -> 2, every over-arc is arc 0: coloring
+    # the over-arcs forces arc 1 only, so the search must also branch on
+    # an arc of the second cycle
+    pres = Presentation(generators=4, relations=(
+        Relation(0, 1, 0, ("ur", "dl"), -1, 1),
+        Relation(1, 0, 0, (), 1, 2),
+        Relation(2, 3, 0, ("ul",), 1, 3),
+        Relation(3, 2, 0, ("dr", "ur"), -1, 4),
+    ))
+    assert pres.branch_order == (0, 2)
+    for n in range(5):
+        for fl in structure_classes(n):
+            count = count_colorings(pres, fl)
+            assert count == brute_force_colorings(pres, fl)
+            assert count == scan_colorings(pres, fl)
 
 
 def test_apply_word_order():
@@ -102,7 +252,7 @@ def test_reduced_loop_matches_unreduced_loop():
     # maps are only conjugate, so their fixed points are compared
     for fl, inv, pres in _fast_path_cases():
         s = fl.structure
-        loop = unreduced_loop_permutation(pres, fl.rack.column(0), s.ul, s.ur)
+        loop = unreduced_loop_permutation(pres, fl.rack.columns[0], s.ul, s.ur)
         assert perm_fast_count(fl, inv) == fixed_points(loop)
 
 

