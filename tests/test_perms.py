@@ -81,7 +81,8 @@ def test_power_huge_exponent_is_one_pass():
 def test_subgroup_closure_examples():
     assert subgroup_closure([(1, 0)]).order == 2
     assert subgroup_closure([(1, 0, 2), (0, 2, 1)]).order == 6
-    assert subgroup_closure([], degree=3) == subgroup_closure([], degree=3)
+    assert subgroup_closure([], degree=3) == PermGroup(3, frozenset({identity(3)}))
+    assert subgroup_closure([], degree=1).elements == {identity(1)}
 
 
 @given(st.integers(2, 5).flatmap(
