@@ -8,7 +8,6 @@ from .perms import (
     centralizer,
     compose,
     cycle_string,
-    diagonal_pair_orbits,
     identity,
     inverse,
     parse_cycles,
@@ -33,7 +32,6 @@ from .fourleg import (
     count_structure_classes,
     derive_down_maps,
     enumerate_structures,
-    gl_center,
     make_fourleg,
 )
 from .census import census_counts, dedupe_racks, enumerate_racks

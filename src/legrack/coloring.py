@@ -184,7 +184,7 @@ def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
     """4-Legendrian permutation rack; ul and ur must commute with sigma.
 
     For a permutation rack U_X is exactly the centralizer of sigma, so the
-    commutation check replaces the generic gl_center membership test.
+    commutation check replaces the generic U_X membership test.
     """
     sigma = validate_perm(sigma)
     ul = validate_perm(ul)

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .perms import (
     Perm,
-    PermGroup,
     burnside_pair_count,
     compose,
-    diagonal_pair_orbits,
+    conjugate,
     inverse,
     validate_perm,
 )
@@ -44,12 +43,6 @@ class StructureClass:
     orbit_size: int
 
 
-def gl_center(rack: RackTable) -> PermGroup:
-    """U_X = C_{Aut(X)}(Inn(X)), the group of GL-structures, computed once
-    per table."""
-    return rack.gl_center
-
-
 def down_maps(kink: Perm, ul: Perm, ur: Perm) -> tuple[Perm, Perm]:
     """(dl, dr) = (ur^-1 kink^-1, ul^-1 kink^-1); the maps are not checked."""
     kink_inv = inverse(kink)
@@ -60,7 +53,7 @@ def derive_down_maps(rack: RackTable, ul, ur) -> tuple[Perm, Perm]:
     """(dl, dr) determined by GL-structures (ul, ur) of ``rack``."""
     ul = validate_perm(ul)
     ur = validate_perm(ur)
-    center = gl_center(rack)
+    center = rack.gl_center
     if ul not in center or ur not in center:
         raise ValueError("ul and ur must be GL-structures (elements of U_X)")
     return down_maps(rack_flags(rack).kink, ul, ur)
@@ -73,7 +66,7 @@ def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
 
 def enumerate_structures(rack: RackTable) -> list[FourLegStructure]:
     """All |U_X|^2 structures, lexicographically ordered by (ul, ur)."""
-    elems = gl_center(rack).sorted_elements()
+    elems = rack.gl_center.sorted_elements()
     kink = rack_flags(rack).kink
     return [FourLegStructure(ul, ur, *down_maps(kink, ul, ur))
             for ul in elems for ur in elems]
@@ -82,15 +75,49 @@ def enumerate_structures(rack: RackTable) -> list[FourLegStructure]:
 def classify_structures(rack: RackTable) -> list[StructureClass]:
     """Orbit representatives of U_X x U_X under diagonal conjugation by Aut(X).
 
-    Returned sorted by canonical (lexicographically least) representative.
+    Returned sorted by canonical (lexicographically least) representative,
+    each with the size of its orbit.  U_X is normal in Aut(X) (see
+    ``count_structure_classes``), so Aut acts on it by conjugation.
+
+    Listing rule: walk U_X in sorted order, skipping every ``a`` already in
+    the conjugacy class of an earlier one.  One pass over Aut gives the class
+    K(a) and the centralizer C(a).  Walk U_X again in sorted order, skipping
+    every ``b`` already in the C(a)-orbit of an earlier one; each new ``b``
+    gives the class of (a, b), of size |K(a)| |C(a).b|.
+
+    Why (a, b) is the least pair of its orbit: the first entries of the
+    orbit's pairs are exactly K(a), whose least element is ``a`` (the first
+    one the walk meets).  The pairs starting with ``a`` are (a, g b g^-1)
+    for g in C(a), i.e. one C(a)-orbit, whose least element is ``b``.  The
+    orbit size is |Aut| / |C(a) n C(b)| = |K(a)| |C(a) : C(a) n C(b)|.
+
+    Cost: |Aut| conjugations per representative a plus |C(a)| per class
+    listed, at most |U| |Aut| + sum_a |C(a)| |U| in all, against
+    |U|^2 |Aut| for conjugating every pair by every automorphism.
     """
-    elems = gl_center(rack).sorted_elements()
-    pairs = [(a, b) for a in elems for b in elems]
-    orbits = diagonal_pair_orbits(pairs, automorphism_group(rack))
-    return [
-        StructureClass(o.representative[0], o.representative[1], o.size)
-        for o in orbits
-    ]
+    elems = rack.gl_center.sorted_elements()
+    aut = automorphism_group(rack).sorted_elements()
+    classes: list[StructureClass] = []
+    covered_a: set[Perm] = set()
+    for a in elems:
+        if a in covered_a:
+            continue
+        klass: set[Perm] = set()
+        cent = []
+        for g in aut:
+            c = conjugate(g, a)
+            klass.add(c)
+            if c == a:
+                cent.append(g)
+        covered_a |= klass
+        covered_b: set[Perm] = set()
+        for b in elems:
+            if b in covered_b:
+                continue
+            orbit = {conjugate(g, b) for g in cent}
+            covered_b |= orbit
+            classes.append(StructureClass(a, b, len(klass) * len(orbit)))
+    return classes
 
 
 def count_structure_classes(rack: RackTable) -> int:
@@ -102,7 +129,7 @@ def count_structure_classes(rack: RackTable) -> int:
     Inn and h U_X h^-1 centralizes Inn as well.  Hence the sum runs once
     per conjugacy class of Aut (``burnside_pair_count``).
     """
-    return burnside_pair_count(automorphism_group(rack), gl_center(rack))
+    return burnside_pair_count(automorphism_group(rack), rack.gl_center)
 
 
 # --- Kimura's eight-axiom characterization ----------------------------------

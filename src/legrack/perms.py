@@ -183,43 +183,6 @@ def centralizer(group: PermGroup, others) -> PermGroup:
     return PermGroup(group.degree, kept)
 
 
-@dataclass(frozen=True)
-class PairOrbit:
-    """One orbit of pairs under diagonal conjugation, with its canonical rep."""
-
-    representative: tuple[Perm, Perm]
-    members: tuple[tuple[Perm, Perm], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def diagonal_pair_orbits(pairs, group: PermGroup) -> list[PairOrbit]:
-    """Partition ``pairs`` into orbits of g.(a,b) = (gag^-1, gbg^-1).
-
-    Orbits are returned sorted by their lexicographically least pair.
-    """
-    pairs = {(validate_perm(a), validate_perm(b)) for a, b in pairs}
-    for a, b in pairs:
-        if len(a) != group.degree or len(b) != group.degree:
-            raise ValueError("pair degree does not match acting group")
-    elements = group.sorted_elements()
-    seen: set[tuple[Perm, Perm]] = set()
-    orbits = []
-    for pair in sorted(pairs):
-        if pair in seen:
-            continue
-        a, b = pair
-        orbit = {(conjugate(g, a), conjugate(g, b)) for g in elements}
-        if not orbit <= pairs:
-            raise ValueError("pair set is not closed under the group action")
-        seen |= orbit
-        members = tuple(sorted(orbit))
-        orbits.append(PairOrbit(members[0], members))
-    return sorted(orbits, key=lambda o: o.representative)
-
-
 def burnside_pair_count(group: PermGroup, subset=None) -> int:
     """Number of orbits of S x S under diagonal conjugation by G.
 

@@ -94,8 +94,8 @@ class RackTable:
 
     @cached_property
     def gl_center(self) -> PermGroup:
-        """U_X = C_Aut(Inn), computed once per table; see
-        ``fourleg.gl_center``."""
+        """U_X = C_Aut(Inn), the group of GL-structures, computed once per
+        table."""
         return centralizer(automorphism_group(self),
                            inner_group(self).elements)
 

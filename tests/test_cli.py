@@ -3,6 +3,7 @@ import pytest
 from legrack import __version__
 from legrack.cli import build_parser, main
 from legrack.front import builtin_fixtures, left_trefoil, save_front, standard_unknot
+from legrack.perms import burnside_pair_count, symmetric_group
 from legrack.racks import dihedral_quandle, save_rack, trivial_quandle
 
 
@@ -126,6 +127,19 @@ def test_classify(capsys, t3_file):
     assert len(rows) == 11
     assert rows[0] == "t3.rack,0,(),(),1"
     assert sum(int(r.rsplit(",", 1)[1]) for r in rows) == 36
+
+
+def test_classify_large_gl_center(capsys, tmp_path):
+    # T_7: |U_X| = |Aut| = 5040, so conjugating all 5040^2 pairs by every
+    # automorphism would take about 50 min; class representatives and their
+    # centralizers list the classes in well under a second
+    path = tmp_path / "t7.rack"
+    save_rack(trivial_quandle(7), path)
+    code, out, _ = run(capsys, ["classify", "--rack", str(path), "--no-header"])
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 5579 == burnside_pair_count(symmetric_group(7))
+    assert sum(int(r.rsplit(",", 1)[1]) for r in rows) == 5040 ** 2
 
 
 def test_invariants(capsys, trefoil_file, unknot_file):

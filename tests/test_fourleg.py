@@ -8,7 +8,6 @@ from legrack.fourleg import (
     count_structure_classes,
     derive_down_maps,
     enumerate_structures,
-    gl_center,
     make_fourleg,
 )
 from legrack.perms import (
@@ -20,11 +19,13 @@ from legrack.perms import (
     symmetric_group,
 )
 from legrack.racks import (
+    automorphism_group,
     dihedral_quandle,
     permutation_rack,
     rack_flags,
     trivial_quandle,
 )
+from test_perms import diagonal_pair_orbits
 
 
 def n_cycle(n):
@@ -43,26 +44,26 @@ def test_gl_center_is_computed_once_per_table(monkeypatch):
 
     monkeypatch.setattr(legrack.racks, "centralizer", counting)
     rack = trivial_quandle(3)
-    center = gl_center(rack)
+    center = rack.gl_center
     for ul in center.sorted_elements():
         for ur in center.sorted_elements():
             make_fourleg(rack, ul, ur)
     enumerate_structures(rack)
     classify_structures(rack)
     count_structure_classes(rack)
-    assert gl_center(rack) is center
+    assert rack.gl_center is center
     assert len(calls) == 1
     assert center.elements == symmetric_group(3).elements
 
 
 def test_gl_center_examples():
     for n in (2, 3, 4):
-        assert gl_center(trivial_quandle(n)).elements == \
+        assert trivial_quandle(n).gl_center.elements == \
             symmetric_group(n).elements
     for n in (3, 4, 5):
-        center = gl_center(permutation_rack(n_cycle(n)))
+        center = permutation_rack(n_cycle(n)).gl_center
         assert center.order == n and n_cycle(n) in center
-    assert gl_center(dihedral_quandle(3)).order == 1
+    assert dihedral_quandle(3).gl_center.order == 1
 
 
 def test_enumerate_structures_counts_and_order():
@@ -113,7 +114,7 @@ def test_classify_matches_burnside_for_trivial_quandles():
         assert len(classes) == burnside_pair_count(symmetric_group(n))
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_count_structure_classes_matches_classify(n):
     for rack in enumerate_racks(n):
         assert count_structure_classes(rack) == len(classify_structures(rack))
@@ -127,17 +128,18 @@ def test_classify_representatives_sorted_with_orbit_sizes():
 
 
 def test_structure_isomorphism_soundness():
-    # conjugating an orbit representative never leaves its orbit, and the
-    # orbits partition all pairs (exhaustive for orders <= 4)
-    from legrack.perms import diagonal_pair_orbits
-    from legrack.racks import automorphism_group
-
-    for n in range(5):
+    # conjugating an orbit representative never leaves its orbit, the orbits
+    # partition all pairs, and classify_structures lists exactly the oracle's
+    # representatives and orbit sizes, in order (exhaustive for orders <= 5)
+    for n in range(6):
         for rack in enumerate_racks(n):
             aut = automorphism_group(rack)
-            center = gl_center(rack).sorted_elements()
+            center = rack.gl_center.sorted_elements()
             pairs = [(a, b) for a in center for b in center]
             orbits = diagonal_pair_orbits(pairs, aut)
+            assert [((c.ul, c.ur), c.orbit_size)
+                    for c in classify_structures(rack)] == \
+                [(o.representative, o.size) for o in orbits]
             pair_to_orbit = {p: i for i, o in enumerate(orbits)
                              for p in o.members}
             assert len(pair_to_orbit) == len(pairs)
@@ -153,7 +155,7 @@ def test_order_asymmetry_witness():
     t3 = trivial_quandle(3)
     ul = (0, 2, 1)
     reps = {(c.ul, c.ur) for c in classify_structures(t3)}
-    aut = gl_center(t3).sorted_elements()
+    aut = t3.gl_center.sorted_elements()
     same_orbit = any(
         (conjugate(g, ul), conjugate(g, identity(3))) == (identity(3), ul)
         for g in aut)
@@ -167,7 +169,7 @@ def test_componentwise_conjugate_but_not_simultaneously():
     t3 = trivial_quandle(3)
     ul = ur = vl = (0, 2, 1)
     vr = (2, 1, 0)
-    aut = gl_center(t3).sorted_elements()
+    aut = t3.gl_center.sorted_elements()
     assert any(conjugate(g, ul) == vl for g in aut)
     assert any(conjugate(g, ur) == vr for g in aut)
     assert not any(

@@ -1,10 +1,12 @@
 import itertools
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
 from legrack.perms import (
+    Perm,
     PermGroup,
     burnside_pair_count,
     centralizer,
@@ -12,7 +14,6 @@ from legrack.perms import (
     conjugate,
     cycle_string,
     cycle_type,
-    diagonal_pair_orbits,
     identity,
     inverse,
     parse_cycles,
@@ -21,6 +22,46 @@ from legrack.perms import (
     symmetric_group,
     validate_perm,
 )
+
+
+@dataclass(frozen=True)
+class PairOrbit:
+    """One orbit of pairs under diagonal conjugation, with its canonical rep."""
+
+    representative: tuple[Perm, Perm]
+    members: tuple[tuple[Perm, Perm], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def diagonal_pair_orbits(pairs, group: PermGroup) -> list[PairOrbit]:
+    """Partition ``pairs`` into orbits of g.(a,b) = (gag^-1, gbg^-1).
+
+    Orbits are returned sorted by their lexicographically least pair.  This
+    conjugates every pair by every group element; it is the oracle that
+    ``fourleg.classify_structures`` and ``burnside_pair_count`` are checked
+    against.
+    """
+    pairs = {(validate_perm(a), validate_perm(b)) for a, b in pairs}
+    for a, b in pairs:
+        if len(a) != group.degree or len(b) != group.degree:
+            raise ValueError("pair degree does not match acting group")
+    elements = group.sorted_elements()
+    seen: set[tuple[Perm, Perm]] = set()
+    orbits = []
+    for pair in sorted(pairs):
+        if pair in seen:
+            continue
+        a, b = pair
+        orbit = {(conjugate(g, a), conjugate(g, b)) for g in elements}
+        if not orbit <= pairs:
+            raise ValueError("pair set is not closed under the group action")
+        seen |= orbit
+        members = tuple(sorted(orbit))
+        orbits.append(PairOrbit(members[0], members))
+    return sorted(orbits, key=lambda o: o.representative)
 
 
 def perms_of(n):
