@@ -14,9 +14,21 @@ results nor their order.
 Symmetry breaking: column 0 is required to have the minimal cycle type
 among all columns and to be the canonical representative of its orbit under
 conjugation by the stabilizer of the point 0; every rack has a relabeling
-of that shape.  Only branched columns are drawn from the types allowed by
-column 0's; a forced column is a conjugate of an assigned one, so it has an
-allowed type already.
+of that shape, and each such column 0 starts one shard of the search.
+Branched columns are drawn from the types allowed by column 0's; a forced
+column is a conjugate of an assigned one, so it meets that bound already.
+
+In the shard whose column 0 is the identity, the column cycle-type ranks
+must also not decrease from column 0 to column n-1.  Relabeling by any h
+with h(0) = 0 keeps column 0 the identity and moves column x, with its
+cycle type, to position h(x), so some such h sorts the ranks: every rack
+with an identity column has a sorted table in this shard.  The other shards
+get no such rule: there column 0 is fixed as the least of its conjugates
+under Stab(0), so only relabelings that commute with it remain, and those
+cannot in general sort the other columns.  The rank order is checked on
+every column as it is assigned, forced columns included (where a forced
+column lands decides whether its rank fits), and a branch column is drawn
+only from the ranks between those of its assigned neighbours.
 
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
@@ -25,6 +37,7 @@ by composing permutation tuples.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,10 +108,16 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
 
 
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
-    """All column assignments with the given canonical first column."""
+    """All column assignments with the given canonical first column; when
+    that column is the identity, only those whose column ranks do not
+    decrease."""
     perms, _, prod, inv, rank = _tables(n)
     base_rank = rank[first_col]
     pool = [i for i in range(len(perms)) if rank[i] >= base_rank]
+    ordered = first_col == 0
+    if ordered:
+        pool.sort(key=rank.__getitem__)
+        pool_rank = [rank[i] for i in pool]
     cols = [-1] * n
     assigned: list[int] = []
     results: list[tuple[int, ...]] = []
@@ -107,11 +126,17 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         queue = [(t, r)]
         while queue:
             t, r = queue.pop()
-            cur = cols[t]
-            if cur != -1:
-                if cur != r:
-                    return False
+            if cols[t] != -1:
+                # assigned already, and to r: the entry was queued by a
+                # constraint whose other two columns were assigned, and
+                # the checks below fail a new column that breaks any such
+                # constraint
                 continue
+            if ordered:
+                k = rank[r]
+                for b in assigned:
+                    if rank[cols[b]] > k if b < t else rank[cols[b]] < k:
+                        return False
             cols[t] = r
             trail.append(t)
             assigned.append(t)
@@ -163,7 +188,15 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         else:
             results.append(tuple(cols))
             return
-        for r in pool:
+        branch = pool
+        if ordered:
+            # column 0 is assigned, so y >= 1; its rank lies between
+            # those of its assigned neighbours
+            hi = min((rank[c] for c in cols[y + 1:] if c != -1),
+                     default=pool_rank[-1])
+            branch = pool[bisect_left(pool_rank, rank[cols[y - 1]]):
+                          bisect_right(pool_rank, hi)]
+        for r in branch:
             trail: list[int] = []
             if assign(y, r, trail):
                 extend()

@@ -1,4 +1,16 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+shares one rack enumeration of orders 0..6 among the tests."""
+
+import pytest
+
+from legrack.census import enumerate_racks
+
+
+@pytest.fixture(scope="session")
+def rack_classes():
+    """``enumerate_racks(n)`` for n = 0..6, computed once per session."""
+    return {n: tuple(enumerate_racks(n)) for n in range(7)}
+
 
 _acceptance_results: dict[str, str] = {}
 

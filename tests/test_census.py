@@ -6,6 +6,7 @@ import pytest
 from legrack.census import (
     FAMILY_NAMES,
     _canonical_first_columns,
+    _cols_to_table,
     _search_shard,
     _tables,
     census_counts,
@@ -86,26 +87,164 @@ def test_product_table_matches_compose_and_inverse():
                 [compose(perms[i], q) for q in perms]
 
 
-# The search's raw output: every table of every shard, in order, for
-# n = 1..6.  Any change to the branching, the pruning or the symmetry
-# breaking shows here before it can show in the class counts.
-RAW_TABLE_COUNTS = [1, 2, 8, 44, 446, 6941]
-RAW_SHARDS_SHA256 = \
+def unrestricted_search_shard(n, first_col):
+    """The column search with no rank ordering in any shard: the oracle of
+    ``_search_shard``, which keeps only the rank-sorted tables of shard 0."""
+    perms, _, prod, inv, rank = _tables(n)
+    base_rank = rank[first_col]
+    pool = [i for i in range(len(perms)) if rank[i] >= base_rank]
+    cols = [-1] * n
+    assigned = []
+    results = []
+
+    def assign(t, r, trail):
+        queue = [(t, r)]
+        while queue:
+            t, r = queue.pop()
+            cur = cols[t]
+            if cur != -1:
+                if cur != r:
+                    return False
+                continue
+            cols[t] = r
+            trail.append(t)
+            assigned.append(t)
+            pr = perms[r]
+            prod_r = prod[r]
+            ir = inv[r]
+            for b in assigned:
+                cb = cols[b]
+                icb = inv[cb]
+                for s, v in ((perms[cb][t], prod[prod[cb][r]][icb]),
+                             (pr[b], prod[prod_r[cb]][ir]),
+                             (perms[icb][t], prod[prod[icb][r]][cb])):
+                    cur = cols[s]
+                    if cur == -1:
+                        queue.append((s, v))
+                    elif cur != v:
+                        return False
+            prod_ir = prod[ir]
+            for y in range(n):
+                s = cols[pr[y]]
+                if s != -1 and cols[y] == -1:
+                    queue.append((y, prod[prod_ir[s]][r]))
+        return True
+
+    def undo(trail):
+        for t in reversed(trail):
+            cols[t] = -1
+            assigned.pop()
+
+    def extend():
+        for y in range(n):
+            if cols[y] == -1:
+                break
+        else:
+            results.append(tuple(cols))
+            return
+        for r in pool:
+            trail = []
+            if assign(y, r, trail):
+                extend()
+            undo(trail)
+
+    trail = []
+    if assign(0, first_col, trail):
+        extend()
+    undo(trail)
+    return results
+
+
+def _raw_search(search):
+    return [[search(n, fc) for fc in _canonical_first_columns(n)]
+            for n in range(1, 7)]
+
+
+def _dedupe_raw(raw):
+    return [[RackTable(0, ())]] + [
+        dedupe_racks([_cols_to_table(n, cols)
+                      for shard in shards for cols in shard])
+        for n, shards in enumerate(raw, start=1)]
+
+
+@pytest.fixture(scope="module")
+def oracle_raw():
+    return _raw_search(unrestricted_search_shard)
+
+
+@pytest.fixture(scope="module")
+def search_raw():
+    return _raw_search(_search_shard)
+
+
+@pytest.fixture(scope="module")
+def oracle_classes(oracle_raw):
+    return _dedupe_raw(oracle_raw)
+
+
+# Raw output (every table of every shard, in order) and class
+# representatives of the oracle and of the search, for n = 1..6 (the
+# representatives for n = 0..6).  Any change to the branching, the pruning
+# or the symmetry breaking shows in the raw pins before it can show in the
+# class counts.  The search generates a subset of the oracle's tables, so
+# the lexicographically least table of some classes is no longer among
+# them and the two representative hashes differ.
+ORACLE_RAW_TABLE_COUNTS = [1, 2, 8, 44, 446, 6941]
+ORACLE_RAW_SHARDS_SHA256 = \
     "fedf16caac3d174d0a4ba62b2fefdc69100e7d600fefb1aaaeb86e8aeb0734ce"
-REPRESENTATIVES_SHA256 = \
+ORACLE_REPRESENTATIVES_SHA256 = \
     "dbffe42d2146bff5aaf4068c96e7ccf770b58acb31999144275721e86aa107d7"
+RAW_TABLE_COUNTS = [1, 2, 7, 28, 201, 1940]
+RAW_SHARDS_SHA256 = \
+    "6e9b59dc55371a5eb0d6457f520413aa3d68ca36c2ce5c0a32fe1774d352eaf9"
+REPRESENTATIVES_SHA256 = \
+    "f34516a709cded225bb2b816e15a8e15466b6c34cf0ec00354851030b3bb53de"
 
 
-def test_search_shards_are_pinned():
-    raw = [[_search_shard(n, fc) for fc in _canonical_first_columns(n)]
-           for n in range(1, 7)]
-    assert [sum(len(shard) for shard in r) for r in raw] == RAW_TABLE_COUNTS
-    assert _sha256(raw) == RAW_SHARDS_SHA256
+def test_oracle_search_is_pinned(oracle_raw, oracle_classes):
+    assert [sum(len(shard) for shard in r) for r in oracle_raw] == \
+        ORACLE_RAW_TABLE_COUNTS
+    assert _sha256(oracle_raw) == ORACLE_RAW_SHARDS_SHA256
+    assert _sha256([[r.rows for r in reps] for reps in oracle_classes]) == \
+        ORACLE_REPRESENTATIVES_SHA256
 
 
-def test_class_representatives_are_pinned():
-    reps = [[r.rows for r in enumerate_racks(n)] for n in range(7)]
+def test_search_shards_are_pinned(search_raw):
+    assert [sum(len(shard) for shard in r) for r in search_raw] == \
+        RAW_TABLE_COUNTS
+    assert _sha256(search_raw) == RAW_SHARDS_SHA256
+
+
+def _ranks_sorted(n, cols):
+    rank = _tables(n)[4]
+    return all(rank[a] <= rank[b] for a, b in zip(cols, cols[1:]))
+
+
+def test_search_is_the_oracle_with_sorted_identity_shard(search_raw,
+                                                         oracle_raw):
+    # shard 0 (column 0 the identity) keeps exactly the oracle's tables
+    # whose column ranks do not decrease; every other shard is unchanged
+    for n, (shards, oracle_shards) in enumerate(zip(search_raw, oracle_raw),
+                                                start=1):
+        assert _canonical_first_columns(n)[0] == 0
+        assert all(_ranks_sorted(n, cols) for cols in shards[0])
+        assert sorted(shards[0]) == [cols for cols in sorted(oracle_shards[0])
+                                     if _ranks_sorted(n, cols)]
+        assert shards[1:] == oracle_shards[1:]
+
+
+def test_class_representatives_are_pinned(rack_classes):
+    reps = [[r.rows for r in rack_classes[n]] for n in range(7)]
     assert _sha256(reps) == REPRESENTATIVES_SHA256
+
+
+def test_representatives_match_oracle(rack_classes, oracle_classes):
+    for n in range(7):
+        reps, oracle = rack_classes[n], oracle_classes[n]
+        assert len(reps) == len(oracle)
+        for rep in reps:
+            assert sum(find_isomorphism(rep, other) is not None
+                       for other in oracle) == 1, (n, rep.rows)
 
 
 def test_enumeration_envelope():
