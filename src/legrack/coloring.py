@@ -3,23 +3,27 @@
 ``count_colorings`` is the generic counter over a fundamental presentation,
 and ``brute_force_colorings`` its exhaustive oracle.  A coloring gives each
 arc a color so that color(out) = W(color(in)) >^sign color(over) at every
-crossing.  Per call, each relation is compiled into rows[a] = T[W(a)], with
-T the rack table for sign +1 and the inverse table for sign -1, so its
-output is rows[a][o]: building the rows costs n lookups, and no lookup
-re-applies the cusp word letter by letter.  The search colors one arc at a
-time and propagates through watch lists: coloring an arc wakes only the
-relations that read it, and a woken relation whose input and over-arc are
-colored forces its output arc or fails the branch.
+crossing.  Each relation reads rows[a] = T[W(a)], with T the rack table for
+sign +1 and the inverse table for sign -1, so its output is rows[a][o]:
+the rows are composed once per (cusp word, sign) and structure and cached
+on the structure (``FourLegRack.word_rows``), so every presentation one
+structure colors shares them, and no lookup re-applies a cusp word letter
+by letter.
 
-The relations of a fundamental presentation form one cycle, arc i -> arc
-i+1.  Once every over-arc and one arc are colored, forcing runs around the
-cycle and colors every arc, so the search branches on the over-arcs first
-(each step the one that forces the most arcs) and on at most one more arc.
-A hand-built presentation need not be one cycle, so the branch order then
-falls back to any arc still uncolored.  The watch lists and the branch
-order depend only on the presentation and are cached on it
-(``Presentation.watch_lists``, ``Presentation.branch_order``); the inverse
-table is cached on the rack (``RackTable.inv_rows``).
+A relation whose input and over-arc are colored forces its output arc,
+whatever the colors, so the search follows a schedule fixed by the
+presentation alone (``Presentation.schedule``, cached on it).  The search
+branches on one arc per level; the level's steps are the relations that
+become complete once that arc is colored, in forcing order, each forcing
+its output arc or checking it.  A level colors its branch arc, runs its
+steps, and stops the color at the first failed check; the last level
+counts the colors that pass.  Deeper levels write only their own arcs, so
+nothing is undone.  The relations of a fundamental presentation form one
+cycle, arc i -> arc i+1, so once every over-arc and one arc are colored
+forcing colors every arc: the search branches on the over-arcs first (each
+level the one that forces the most arcs) and on at most one more arc.  A
+hand-built presentation need not be one cycle, so the branch arcs then
+fall back to any arc still uncolored.
 
 For the permutation rack of sigma (x > y = sigma(x) for every y) a crossing
 moves the under strand's color by sigma^+-1 whatever color the over strand
@@ -31,7 +35,9 @@ sigma^-1 (e.g. dl o ur = ur^-1 sigma^-1 ur).  Cancelling such pairs leaves,
 up to conjugation, (dr o dl)^rot o sigma^(rot+tb); a surviving pair of up
 cusps is sigma^-2 times an inverse down pair.  Conjugate maps have equally
 many fixed points, so ``perm_fast_count`` counts the colorings of any front
-from (tb, rot) alone.
+from (tb, rot) alone.  It finds sigma once per rack table
+(``RackTable.permutation``) and memoizes each count per structure under
+(rot, rot + tb) (``FourLegRack.fast_counts``).
 """
 from __future__ import annotations
 
@@ -73,34 +79,20 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
 
 def _compile(pres: Presentation, fl: FourLegRack):
     """(in_arc, over_arc, out_arc, rows) per relation, with rows[a][o] =
-    W(a) >^sign o; each distinct (word, sign) is composed once."""
-    rack = fl.rack
-    maps = _maps(fl)
-    tables = {1: rack.rows, -1: rack.inv_rows}
-    rows_of: dict[tuple, list[tuple[int, ...]]] = {}
-    compiled = []
-    for rel in pres.relations:
-        key = (rel.word, rel.sign)
-        rows = rows_of.get(key)
-        if rows is None:
-            # rows[a] = table[W(a)], composed from the last letter back
-            rows = tables[rel.sign]
-            for letter in reversed(rel.word):
-                rows = [rows[v] for v in maps[letter]]
-            rows_of[key] = rows
-        compiled.append((rel.in_arc, rel.over_arc, rel.out_arc, rows))
-    return compiled
+    W(a) >^sign o, taken from the structure's cache (``fl.word_rows``)."""
+    return [(rel.in_arc, rel.over_arc, rel.out_arc,
+             fl.word_rows(rel.word, rel.sign)) for rel in pres.relations]
 
 
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
-    Each distinct (cusp word, sign) of ``pres`` is composed once per call
-    from the four structure maps into the rows T[W(a)]; the search
-    then branches on ``pres.branch_order`` and propagates through
-    ``pres.watch_lists`` (see the module docstring).  Its oracles are
-    ``brute_force_colorings`` and, in the tests, a counter that rescans
-    every relation after each assignment.
+    Each step of ``pres.schedule`` is bound to its relation's rows T[W(a)],
+    composed once per (cusp word, sign) and structure (``fl.word_rows``).
+    Each search level colors its branch arc and runs its steps: a force step
+    writes its output arc, a check step compares it (see the module
+    docstring).  Its oracles are ``brute_force_colorings`` and, in the
+    tests, a counter that rescans every relation after each assignment.
     """
     n = fl.rack.n
     if not pres.relations:
@@ -108,39 +100,27 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
         return sum(1 for x in range(n)
                    if apply_word(pres.closure_word, maps, x) == x)
     compiled = _compile(pres, fl)
-    watch = [[compiled[i] for i in w] for w in pres.watch_lists]
-    order = pres.branch_order
-    values = [-1] * pres.generators
+    levels = [(level.arc, [(compiled[i][3], a, o, b, forces)
+                           for i, a, o, b, forces in level.steps])
+              for level in pres.schedule]
+    last = len(levels) - 1
+    values = [0] * pres.generators
 
-    def assign(g: int, x: int, trail: list[int]) -> bool:
-        values[g] = x
-        trail.append(g)
-        for arc in trail:   # the trail grows as arcs are forced
-            for a_arc, o_arc, b_arc, rows in watch[arc]:
-                a = values[a_arc]
-                o = values[o_arc]
-                if a < 0 or o < 0:
-                    continue
-                v = rows[a][o]
-                b = values[b_arc]
-                if b < 0:
-                    values[b_arc] = v
-                    trail.append(b_arc)
-                elif b != v:
-                    return False
-        return True
-
-    def extend(i: int) -> int:
-        if i == len(order):
-            return 1
-        g = order[i]
+    def extend(depth: int) -> int:
+        # Deeper levels only write arcs that this level has not colored,
+        # so nothing needs undoing between colors.
+        g, steps = levels[depth]
         total = 0
         for x in range(n):
-            trail: list[int] = []
-            if assign(g, x, trail):
-                total += extend(i + 1)
-            for arc in trail:
-                values[arc] = -1
+            values[g] = x
+            for r, a, o, b, forces in steps:
+                v = r[values[a]][values[o]]
+                if forces:
+                    values[b] = v
+                elif values[b] != v:
+                    break
+            else:
+                total += 1 if depth == last else extend(depth + 1)
         return total
 
     return extend(0)
@@ -207,19 +187,22 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
 
     The loop map is conjugate to this closed form (see the module
     docstring), and conjugate permutations have equally many fixed points,
-    so the count depends only on (tb, rot).
+    so the count depends only on (tb, rot).  The defining permutation sigma
+    is found once per rack table (``RackTable.permutation``), and the count
+    is memoized per structure under (rot, rot + tb) (``fl.fast_counts``);
+    a rack that is not a permutation rack raises on every call.
     """
-    columns = fl.rack.columns
-    sigma = columns[0] if columns else ()
-    if any(c != sigma for c in columns):
+    sigma = fl.rack.permutation
+    if sigma is None:
         raise ValueError("not a permutation rack")
-    try:
-        validate_perm(sigma)
-    except ValueError:
-        raise ValueError("not a permutation rack") from None
-    s = fl.structure
-    return fixed_points(compose(power(compose(s.dr, s.dl), inv.rot),
-                                power(sigma, inv.rot + inv.tb)))
+    key = (inv.rot, inv.rot + inv.tb)
+    count = fl.fast_counts.get(key)
+    if count is None:
+        s = fl.structure
+        count = fl.fast_counts[key] = fixed_points(
+            compose(power(compose(s.dr, s.dl), inv.rot),
+                    power(sigma, inv.rot + inv.tb)))
+    return count
 
 
 # --- indistinguishability verification -------------------------------------------

@@ -8,6 +8,7 @@ dr = ul^-1 o kink^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .perms import (
     Perm,
@@ -32,6 +33,35 @@ class FourLegStructure:
 class FourLegRack:
     rack: RackTable
     structure: FourLegStructure
+
+    @cached_property
+    def _word_rows(self) -> dict[tuple[tuple[str, ...], int],
+                                 list[tuple[int, ...]]]:
+        return {}
+
+    @cached_property
+    def fast_counts(self) -> dict[tuple[int, int], int]:
+        """Memo of ``coloring.perm_fast_count`` for this structure, keyed by
+        (rot, rot + tb)."""
+        return {}
+
+    def word_rows(self, word: tuple[str, ...], sign: int):
+        """Rows with ``rows[a][o] = W(a) >^sign o``, W the cusp word ``word``
+        applied earliest letter first.
+
+        Composed once per (word, sign) from the last letter back and cached
+        on the structure, so every presentation it colors shares them; the
+        table is the rack's rows for sign +1 and ``RackTable.inv_rows`` for
+        sign -1.
+        """
+        key = (word, sign)
+        rows = self._word_rows.get(key)
+        if rows is None:
+            rows = self.rack.rows if sign == 1 else self.rack.inv_rows
+            for letter in reversed(word):
+                rows = [rows[v] for v in getattr(self.structure, letter)]
+            self._word_rows[key] = rows
+        return rows
 
 
 @dataclass(frozen=True)

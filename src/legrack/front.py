@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class FrontError(ValueError):
@@ -176,6 +177,22 @@ class Relation:
     crossing: int
 
 
+class ScheduleStep(NamedTuple):
+    """One relation of a forcing schedule: once its input and over-arc are
+    colored it forces its output arc (``forces``) or checks it."""
+    relation: int
+    in_arc: int
+    over_arc: int
+    out_arc: int
+    forces: bool
+
+
+class ScheduleLevel(NamedTuple):
+    """The branch arc of one search level and the steps its coloring runs."""
+    arc: int
+    steps: tuple[ScheduleStep, ...]
+
+
 @dataclass(frozen=True)
 class Presentation:
     generators: int
@@ -184,54 +201,65 @@ class Presentation:
     closure_word: tuple[str, ...] = ()
 
     @cached_property
-    def watch_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per arc, the indices of the relations that read it, as input or
-        as over-arc.  A relation is complete once the later of its two
-        read arcs is colored: then it forces its output arc or checks it."""
-        watch: list[list[int]] = [[] for _ in range(self.generators)]
+    def schedule(self) -> tuple[ScheduleLevel, ...]:
+        """The forcing a coloring search runs, one level per branch arc.
+
+        A relation whose input and over-arc are colored forces its output
+        arc, whatever the rack and the colors.  So which arcs are colored
+        after each branch step, and which relations become complete there,
+        follow from the presentation alone.  Each level takes, among the
+        over-arcs not yet colored (or, once none is left, among all arcs
+        not yet colored), the arc that forces the most arcs, lower index
+        first on a tie.  Its steps are the relations that become complete
+        once that arc is colored, in the order forcing reaches them: a step
+        forces its output arc if that arc is not yet colored and otherwise
+        checks it.  Every relation is one step of one level, and after the
+        last level every arc is colored.
+        """
+        m = self.generators
+        watch: list[list[int]] = [[] for _ in range(m)]
         for i, rel in enumerate(self.relations):
             for arc in dict.fromkeys((rel.in_arc, rel.over_arc)):
                 watch[arc].append(i)
-        return tuple(tuple(w) for w in watch)
-
-    @cached_property
-    def branch_order(self) -> tuple[int, ...]:
-        """The arcs a coloring search branches on, in order.
-
-        A relation whose input and over-arc are colored forces its output
-        arc, whatever the rack.  Each step takes, among the over-arcs not
-        yet colored (or, once none is left, among all arcs not yet
-        colored), the arc that forces the most arcs, lower index first on a
-        tie, and marks what it forces.  Coloring the returned arcs therefore
-        forces every arc.
-        """
-        m = self.generators
         over = {rel.over_arc for rel in self.relations}
         known = [False] * m
+        done = [False] * len(self.relations)
 
-        def forced(g: int) -> set[int]:
-            new = {g}
-            stack = [g]
-            while stack:
-                for i in self.watch_lists[stack.pop()]:
+        def color(g: int, known: list[bool], done: list[bool]):
+            """Color ``g`` and every arc it forces, marking them in ``known``
+            and the relations that become complete in ``done``; return the
+            arcs colored and the steps, in order."""
+            known[g] = True
+            trail = [g]
+            steps = []
+            for arc in trail:   # the trail grows as arcs are forced
+                for i in watch[arc]:
                     rel = self.relations[i]
+                    if done[i] or not (known[rel.in_arc]
+                                       and known[rel.over_arc]):
+                        continue
+                    done[i] = True
                     b = rel.out_arc
-                    if not (known[b] or b in new) and all(
-                            known[a] or a in new
-                            for a in (rel.in_arc, rel.over_arc)):
-                        new.add(b)
-                        stack.append(b)
-            return new
+                    steps.append(ScheduleStep(i, rel.in_arc, rel.over_arc, b,
+                                              not known[b]))
+                    if not known[b]:
+                        known[b] = True
+                        trail.append(b)
+            return trail, tuple(steps)
 
-        order = []
+        levels = []
         while not all(known):
             unknown = [g for g in range(m) if not known[g]]
             g = max([g for g in unknown if g in over] or unknown,
-                    key=lambda g: (len(forced(g)), -g))
-            for a in forced(g):
-                known[a] = True
-            order.append(g)
-        return tuple(order)
+                    key=lambda g: (len(color(g, known[:], done[:])[0]), -g))
+            levels.append(ScheduleLevel(g, color(g, known, done)[1]))
+        return tuple(levels)
+
+    @property
+    def branch_order(self) -> tuple[int, ...]:
+        """The arcs a coloring search branches on, in order: the branch
+        arcs of ``schedule``.  Coloring them forces every arc."""
+        return tuple(level.arc for level in self.schedule)
 
 
 def fundamental_presentation(code: FrontCode) -> Presentation:

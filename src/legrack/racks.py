@@ -71,6 +71,19 @@ class RackTable:
                      for x in range(self.n))
 
     @cached_property
+    def permutation(self) -> Perm | None:
+        """sigma if this is the permutation rack of sigma (every column is
+        the same permutation sigma), else None; checked once per table."""
+        columns = self.columns
+        sigma = columns[0] if columns else ()
+        if any(c != sigma for c in columns):
+            return None
+        try:
+            return validate_perm(sigma)
+        except ValueError:
+            return None
+
+    @cached_property
     def column_types(self) -> tuple[tuple[int, ...], ...]:
         """Cycle type of each column, computed once per table."""
         return tuple(cycle_type(c) for c in self.columns)

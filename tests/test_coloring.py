@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from legrack.census import enumerate_racks
@@ -38,7 +40,7 @@ from legrack.front import (
     validate_front,
 )
 from legrack.perms import compose, identity, inverse, power
-from legrack.racks import dihedral_quandle, trivial_quandle
+from legrack.racks import dihedral_quandle, permutation_rack, trivial_quandle
 
 
 def trivial_fourleg(n):
@@ -146,22 +148,85 @@ def oracle_fronts():
                                         position=4))
 
 
+def assert_rows_match_relation_output(fl, fronts):
+    maps = _maps(fl)
+    for pres in fronts:
+        for rel, (a_arc, o_arc, b_arc, rows) in zip(pres.relations,
+                                                   _compile(pres, fl)):
+            assert (a_arc, o_arc, b_arc) == \
+                (rel.in_arc, rel.over_arc, rel.out_arc)
+            assert list(rows) == [
+                tuple(_relation_output(rel, maps, fl.rack, a, o)
+                      for o in range(fl.rack.n))
+                for a in range(fl.rack.n)]
+
+
 def test_compiled_rows_match_relation_output():
     # the stabilized trefoil has four-letter cusp words on crossing arcs;
     # composing a word in the wrong order changes these rows, but leaves
     # every count in the oracle test below unchanged
     fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
     for fl in structure_classes(3) + structure_classes(4):
-        maps = _maps(fl)
+        assert_rows_match_relation_output(fl, fronts)
+
+
+def reversed_words(pres):
+    return Presentation(pres.generators, tuple(
+        replace(rel, word=rel.word[::-1]) for rel in pres.relations))
+
+
+def test_compiled_rows_match_relation_output_with_warm_cache():
+    # the rows are cached per structure, so a cache warmed by presentations
+    # whose words are the reverses of these must not hand back their rows
+    fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
+    for fl in structure_classes(3) + structure_classes(4):
         for pres in fronts:
-            for rel, (a_arc, o_arc, b_arc, rows) in zip(pres.relations,
-                                                       _compile(pres, fl)):
-                assert (a_arc, o_arc, b_arc) == \
-                    (rel.in_arc, rel.over_arc, rel.out_arc)
-                assert list(rows) == [
-                    tuple(_relation_output(rel, maps, fl.rack, a, o)
-                          for o in range(fl.rack.n))
-                    for a in range(fl.rack.n)]
+            count_colorings(reversed_words(pres), fl)
+        assert_rows_match_relation_output(fl, fronts)
+
+
+def test_row_cache_keeps_the_signs_of_one_word_apart():
+    # two one-arc presentations with the same cusp word and opposite signs,
+    # colored one after the other by a structure whose cache starts empty
+    word = ("ur", "dl", "ul")
+    plus, minus = (Presentation(1, (Relation(0, 0, 0, word, sign, 1),))
+                   for sign in (1, -1))
+    signs_differ = False
+    for n in range(1, 5):
+        for fl in structure_classes(n):
+            want = {p: brute_force_colorings(p, fl) for p in (plus, minus)}
+            signs_differ |= want[plus] != want[minus]
+            for order in ((plus, minus), (minus, plus)):
+                cold = FourLegRack(fl.rack, fl.structure)
+                for pres in order:
+                    assert count_colorings(pres, cold) == want[pres]
+    assert signs_differ
+
+
+def test_schedule_colors_every_arc_and_runs_every_relation_once():
+    presentations = [fundamental_presentation(c)
+                     for c in oracle_fronts().values()]
+    for pres in presentations + [two_cycle_presentation()]:
+        assert pres.branch_order == tuple(lv.arc for lv in pres.schedule)
+        colored: set[int] = set()
+        forced = []
+        steps = []
+        for level in pres.schedule:
+            assert level.arc not in colored
+            colored.add(level.arc)
+            for i, a, o, b, forces in level.steps:
+                rel = pres.relations[i]
+                assert (a, o, b) == (rel.in_arc, rel.over_arc, rel.out_arc)
+                assert a in colored and o in colored
+                assert forces == (b not in colored)
+                if forces:
+                    colored.add(b)
+                    forced.append(b)
+                steps.append(i)
+        assert sorted(steps) == list(range(len(pres.relations)))
+        assert sorted(forced) == sorted(
+            set(range(pres.generators)) - set(pres.branch_order))
+        assert colored == set(range(pres.generators))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -181,16 +246,20 @@ def test_count_matches_oracles_on_every_structure_class(n):
                     (name, fl.structure)
 
 
-def test_two_cycle_presentation_branches_on_each_cycle():
-    # arcs 0 -> 1 -> 0 and 2 -> 3 -> 2, every over-arc is arc 0: coloring
-    # the over-arcs forces arc 1 only, so the search must also branch on
-    # an arc of the second cycle
-    pres = Presentation(generators=4, relations=(
+def two_cycle_presentation():
+    return Presentation(generators=4, relations=(
         Relation(0, 1, 0, ("ur", "dl"), -1, 1),
         Relation(1, 0, 0, (), 1, 2),
         Relation(2, 3, 0, ("ul",), 1, 3),
         Relation(3, 2, 0, ("dr", "ur"), -1, 4),
     ))
+
+
+def test_two_cycle_presentation_branches_on_each_cycle():
+    # arcs 0 -> 1 -> 0 and 2 -> 3 -> 2, every over-arc is arc 0: coloring
+    # the over-arcs forces arc 1 only, so the search must also branch on
+    # an arc of the second cycle
+    pres = two_cycle_presentation()
     assert pres.branch_order == (0, 2)
     for n in range(5):
         for fl in structure_classes(n):
@@ -274,6 +343,30 @@ def test_perm_fast_count_rejects_non_permutation_rack():
     fl = make_fourleg(dihedral_quandle(3), identity(3), identity(3))
     with pytest.raises(ValueError, match="permutation rack"):
         perm_fast_count(fl, classical_invariants(standard_unknot()))
+
+
+def test_fast_path_caches():
+    inv = classical_invariants(standard_unknot())
+    for sigma in ((), (0,), (1, 2, 0), (1, 0, 2, 3)):
+        rack = permutation_rack(sigma)
+        assert rack.permutation is rack.permutation
+        assert rack.permutation == sigma
+    others = [r for r in enumerate_racks(4) if len(set(r.columns)) > 1]
+    assert others
+    for rack in [dihedral_quandle(3), *others]:
+        assert rack.permutation is None
+        fl = make_fourleg(rack, identity(rack.n), identity(rack.n))
+        for _ in range(2):   # the memo must not skip the check
+            with pytest.raises(ValueError, match="permutation rack"):
+                perm_fast_count(fl, inv)
+    # memoized counts, in either call order, equal counts of a fresh memo
+    cases = list(_fast_path_cases())
+    for order in (cases, cases[::-1]):
+        warm: dict[int, FourLegRack] = {}
+        for fl, inv, _ in order:
+            shared = warm.setdefault(id(fl), FourLegRack(fl.rack, fl.structure))
+            assert perm_fast_count(shared, inv) == \
+                perm_fast_count(FourLegRack(fl.rack, fl.structure), inv)
 
 
 def test_permutation_structures_enumeration():
