@@ -30,7 +30,6 @@ from .fourleg import (
     check_kimura_axioms,
     classify_structures,
     count_structure_classes,
-    derive_down_maps,
     enumerate_structures,
     make_fourleg,
 )

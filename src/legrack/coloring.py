@@ -38,26 +38,21 @@ many fixed points, so ``perm_fast_count`` counts the colorings of any front
 from (tb, rot) alone.  It finds sigma once per rack table
 (``RackTable.permutation``) and memoizes each count per structure under
 (rot, rot + tb) (``FourLegRack.fast_counts``).
+
+Permutation racks get their structures the way every rack does: U_X is the
+rack's ``gl_center`` (here the centralizer of sigma), ``permutation_fourleg``
+is ``make_fourleg`` on the permutation rack, and ``permutation_structures``
+builds each structure with the constructor ``make_fourleg`` uses.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .fourleg import FourLegRack, FourLegStructure, down_maps
-from .perms import (
-    Perm,
-    centralizer,
-    compose,
-    cycle_string,
-    cycle_type,
-    identity,
-    power,
-    symmetric_group,
-    validate_perm,
-)
+from .fourleg import FourLegRack, _structure, make_fourleg
+from .perms import Perm, compose, cycle_string, cycle_type, identity, power
 from .racks import permutation_rack
-from .front import FrontCode, Presentation, classical_invariants, fundamental_presentation
+from .front import Presentation, classical_invariants, fundamental_presentation
 
 
 def _maps(rack: FourLegRack) -> dict[str, Perm]:
@@ -77,13 +72,6 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
     return rack.op(v, o) if rel.sign == 1 else rack.inv_op(v, o)
 
 
-def _compile(pres: Presentation, fl: FourLegRack):
-    """(in_arc, over_arc, out_arc, rows) per relation, with rows[a][o] =
-    W(a) >^sign o, taken from the structure's cache (``fl.word_rows``)."""
-    return [(rel.in_arc, rel.over_arc, rel.out_arc,
-             fl.word_rows(rel.word, rel.sign)) for rel in pres.relations]
-
-
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
@@ -99,8 +87,8 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
         maps = _maps(fl)
         return sum(1 for x in range(n)
                    if apply_word(pres.closure_word, maps, x) == x)
-    compiled = _compile(pres, fl)
-    levels = [(level.arc, [(compiled[i][3], a, o, b, forces)
+    rows = [fl.word_rows(rel.word, rel.sign) for rel in pres.relations]
+    levels = [(level.arc, [(rows[i], a, o, b, forces)
                            for i, a, o, b, forces in level.steps])
               for level in pres.schedule]
     last = len(levels) - 1
@@ -161,19 +149,9 @@ def unreduced_loop_permutation(pres: Presentation, sigma: Perm,
 
 
 def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
-    """4-Legendrian permutation rack; ul and ur must commute with sigma.
-
-    For a permutation rack U_X is exactly the centralizer of sigma, so the
-    commutation check replaces the generic U_X membership test.
-    """
-    sigma = validate_perm(sigma)
-    ul = validate_perm(ul)
-    ur = validate_perm(ur)
-    if compose(ul, sigma) != compose(sigma, ul) \
-            or compose(ur, sigma) != compose(sigma, ur):
-        raise ValueError("ul and ur must commute with the defining permutation")
-    return FourLegRack(permutation_rack(sigma),
-                       FourLegStructure(ul, ur, *down_maps(sigma, ul, ur)))
+    """4-Legendrian permutation rack of sigma; ``make_fourleg`` checks that
+    ul and ur lie in U_X, which here is the centralizer of sigma."""
+    return make_fourleg(permutation_rack(sigma), ul, ur)
 
 
 def fixed_points(p: Perm) -> int:
@@ -231,13 +209,15 @@ class VerifyReport:
 
 def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
     """Yield (rack_id, FourLegRack) over permutation racks of order 1..max_order
-    and all 4-Legendrian structures (pairs commuting with sigma) on each.
+    and all 4-Legendrian structures on each, sigma and then (ul, ur) in
+    lexicographic order.
 
-    The structures of one sigma share a single rack table."""
+    The pairs are read from the rack's U_X (``RackTable.gl_center``, the
+    centralizer of sigma), and the structures of one sigma share a single
+    rack table.  One structure is built per step, never a list of them."""
     for n in range(1, max_order + 1):
-        sym = symmetric_group(n)
         seen_types = set()
-        for sigma in sym.sorted_elements():
+        for sigma in itertools.permutations(range(n)):
             if conjugacy_reps_only:
                 t = cycle_type(sigma)
                 if t in seen_types:
@@ -245,11 +225,11 @@ def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
                 seen_types.add(t)
             rack = permutation_rack(sigma)
             rack_id = f"perm{n}:{cycle_string(sigma)}"
-            commuting = centralizer(sym, [sigma]).sorted_elements()
+            kink = rack.flags.kink
+            commuting = rack.gl_center.sorted_elements()
             for ul in commuting:
                 for ur in commuting:
-                    yield rack_id, FourLegRack(rack, FourLegStructure(
-                        ul, ur, *down_maps(sigma, ul, ur)))
+                    yield rack_id, FourLegRack(rack, _structure(kink, ul, ur))
 
 
 def verify_indistinguishability(codes, max_order: int) -> VerifyReport:

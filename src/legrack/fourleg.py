@@ -1,9 +1,13 @@
 """4-Legendrian structures on finite racks and their classification.
 
 A 4-Legendrian structure is an ordered pair (ul, ur) of GL-structures,
-i.e. elements of U_X, the centralizer of Inn(X) inside Aut(X).  The two
-down maps are derived by ``down_maps``: dl = ur^-1 o kink^-1 and
-dr = ul^-1 o kink^-1.
+i.e. elements of U_X, the centralizer of Inn(X) inside Aut(X), which
+``RackTable.gl_center`` reads off the columns that generate Inn(X).  The
+two down maps follow from the pair: dl = ur^-1 o kink^-1 and
+dr = ul^-1 o kink^-1.  Every structure is built by ``_structure``, the only
+place this formula is written: ``make_fourleg`` checks one pair against
+U_X first, while ``enumerate_structures`` and
+``coloring.permutation_structures`` walk U_X itself.
 """
 from __future__ import annotations
 
@@ -73,33 +77,32 @@ class StructureClass:
     orbit_size: int
 
 
-def down_maps(kink: Perm, ul: Perm, ur: Perm) -> tuple[Perm, Perm]:
-    """(dl, dr) = (ur^-1 kink^-1, ul^-1 kink^-1); the maps are not checked."""
+def _structure(kink: Perm, ul: Perm, ur: Perm) -> FourLegStructure:
+    """(ul, ur, dl, dr) with (dl, dr) = (ur^-1 kink^-1, ul^-1 kink^-1); the
+    maps are not checked."""
     kink_inv = inverse(kink)
-    return compose(inverse(ur), kink_inv), compose(inverse(ul), kink_inv)
+    return FourLegStructure(ul, ur, compose(inverse(ur), kink_inv),
+                            compose(inverse(ul), kink_inv))
 
 
-def derive_down_maps(rack: RackTable, ul, ur) -> tuple[Perm, Perm]:
-    """(dl, dr) determined by GL-structures (ul, ur) of ``rack``."""
+def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
+    """The 4-Legendrian rack of the GL-structures (ul, ur) on ``rack``, with
+    its down maps derived from them; raises ValueError unless both lie in
+    U_X, i.e. are automorphisms commuting with every column."""
     ul = validate_perm(ul)
     ur = validate_perm(ur)
     center = rack.gl_center
     if ul not in center or ur not in center:
-        raise ValueError("ul and ur must be GL-structures (elements of U_X)")
-    return down_maps(rack_flags(rack).kink, ul, ur)
-
-
-def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
-    dl, dr = derive_down_maps(rack, ul, ur)
-    return FourLegRack(rack, FourLegStructure(tuple(ul), tuple(ur), dl, dr))
+        raise ValueError("ul and ur must be GL-structures: automorphisms "
+                         "that commute with every column (elements of U_X)")
+    return FourLegRack(rack, _structure(rack_flags(rack).kink, ul, ur))
 
 
 def enumerate_structures(rack: RackTable) -> list[FourLegStructure]:
     """All |U_X|^2 structures, lexicographically ordered by (ul, ur)."""
     elems = rack.gl_center.sorted_elements()
     kink = rack_flags(rack).kink
-    return [FourLegStructure(ul, ur, *down_maps(kink, ul, ur))
-            for ul in elems for ur in elems]
+    return [_structure(kink, ul, ur) for ul in elems for ur in elems]
 
 
 def classify_structures(rack: RackTable) -> list[StructureClass]:

@@ -13,7 +13,6 @@ from .perms import (
     Perm,
     PermGroup,
     centralizer,
-    conjugate,
     cycle_type,
     identity,
     inverse,
@@ -52,7 +51,7 @@ class RackTable:
 
     def inv_op(self, x: int, y: int) -> int:
         """x >^-1 y, the inverse translation applied to x."""
-        return self.inv_columns[y][x]
+        return self.inv_rows[x][y]
 
     @cached_property
     def columns(self) -> tuple[Perm, ...]:
@@ -61,14 +60,10 @@ class RackTable:
         )
 
     @cached_property
-    def inv_columns(self) -> tuple[Perm, ...]:
-        return tuple(inverse(c) for c in self.columns)
-
-    @cached_property
     def inv_rows(self) -> tuple[tuple[int, ...], ...]:
-        """``inv_rows[x][y] = x >^-1 y``, the inverse table by rows."""
-        return tuple(tuple(c[x] for c in self.inv_columns)
-                     for x in range(self.n))
+        """``inv_rows[x][y] = x >^-1 y``, the inverse table by rows: row x
+        reads the inverted columns at x."""
+        return tuple(zip(*(inverse(c) for c in self.columns)))
 
     @cached_property
     def permutation(self) -> Perm | None:
@@ -108,9 +103,14 @@ class RackTable:
     @cached_property
     def gl_center(self) -> PermGroup:
         """U_X = C_Aut(Inn), the group of GL-structures, computed once per
-        table."""
-        return centralizer(automorphism_group(self),
-                           inner_group(self).elements)
+        table.
+
+        The columns generate Inn(X), so an automorphism commutes with all
+        of Inn(X) exactly when it commutes with every column; Inn(X) itself
+        is never listed.  For the permutation rack of sigma every column is
+        sigma, and U_X is the centralizer of sigma.
+        """
+        return centralizer(self.automorphisms, self.columns)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from legrack.census import enumerate_racks
 from legrack.coloring import (
     VerifyReport,
-    _compile,
     _maps,
     _relation_output,
     apply_word,
@@ -151,10 +151,8 @@ def oracle_fronts():
 def assert_rows_match_relation_output(fl, fronts):
     maps = _maps(fl)
     for pres in fronts:
-        for rel, (a_arc, o_arc, b_arc, rows) in zip(pres.relations,
-                                                   _compile(pres, fl)):
-            assert (a_arc, o_arc, b_arc) == \
-                (rel.in_arc, rel.over_arc, rel.out_arc)
+        for rel in pres.relations:
+            rows = fl.word_rows(rel.word, rel.sign)
             assert list(rows) == [
                 tuple(_relation_output(rel, maps, fl.rack, a, o)
                       for o in range(fl.rack.n))
@@ -162,9 +160,17 @@ def assert_rows_match_relation_output(fl, fronts):
 
 
 def test_compiled_rows_match_relation_output():
-    # the stabilized trefoil has four-letter cusp words on crossing arcs;
-    # composing a word in the wrong order changes these rows, but leaves
-    # every count in the oracle test below unchanged
+    """The row-level tests (this one and its warm-cache twin) are the guard
+    on cusp-word letter order.
+
+    The stabilized trefoil has four-letter cusp words on crossing arcs, and
+    composing a word in the wrong order changes these rows.  No count-level
+    test catches it: with the composition reversed in
+    ``FourLegRack.word_rows`` every count test passes, and no count changes
+    under word reversal for one-arc words of length <= 4 or two-arc
+    presentations with a three-letter word, over the structure classes of
+    order <= 4 whose maps do not all commute.
+    """
     fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
     for fl in structure_classes(3) + structure_classes(4):
         assert_rows_match_relation_output(fl, fronts)
@@ -377,6 +383,40 @@ def test_permutation_structures_enumeration():
     assert all(isinstance(fl, FourLegRack) for _, fl in pairs)
     full = list(permutation_structures(3, conjugacy_reps_only=False))
     assert len(full) == 1 + 4 + 4 + 36 + 3 * 4 + 2 * 9
+
+
+def test_permutation_structures_builds_one_structure_per_step(monkeypatch):
+    # the sweep walks 20,427 structures; listing a rack's |U_X|^2 of them at
+    # once (14,400 at sigma = id, n = 5) would raise its peak memory
+    import legrack.coloring
+
+    built = []
+    real = legrack.coloring._structure
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(legrack.coloring, "_structure", counting)
+    structures = permutation_structures(5, conjugacy_reps_only=False)
+    for k in range(1, 4):
+        next(structures)
+        assert len(built) == k
+
+
+def test_permutation_structures_are_pinned():
+    # sha256 over every (rack_id, ul, ur, dl, dr) in yield order, pinned
+    # from the listing that filtered S_n for the elements commuting with sigma
+    digest = hashlib.sha256()
+    count = 0
+    for rack_id, fl in permutation_structures(5, conjugacy_reps_only=False):
+        s = fl.structure
+        digest.update(repr((rack_id, s.ul, s.ur, s.dl, s.dr)).encode())
+        digest.update(b"\n")
+        count += 1
+    assert count == 20427
+    assert digest.hexdigest() == \
+        "975b916e79aa64591b669df20e6cf69864440c3eab5b33538de07c3a3e53f4dc"
 
 
 def test_verify_indistinguishability_passes_on_fixtures():

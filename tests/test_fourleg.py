@@ -6,12 +6,12 @@ from legrack.fourleg import (
     check_kimura_axioms,
     classify_structures,
     count_structure_classes,
-    derive_down_maps,
     enumerate_structures,
     make_fourleg,
 )
 from legrack.perms import (
     burnside_pair_count,
+    centralizer,
     compose,
     conjugate,
     identity,
@@ -21,6 +21,7 @@ from legrack.perms import (
 from legrack.racks import (
     automorphism_group,
     dihedral_quandle,
+    inner_group,
     permutation_rack,
     rack_flags,
     trivial_quandle,
@@ -66,6 +67,23 @@ def test_gl_center_examples():
     assert dihedral_quandle(3).gl_center.order == 1
 
 
+def test_gl_center_of_permutation_rack_is_centralizer_of_sigma():
+    # oracle: filter all of S_n for the elements commuting with sigma
+    for n in range(1, 6):
+        sym = symmetric_group(n)
+        for sigma in sym.sorted_elements():
+            assert permutation_rack(sigma).gl_center.elements == \
+                centralizer(sym, [sigma]).elements
+
+
+def test_gl_center_centralizes_the_inner_group(rack_classes):
+    # oracle: centralize all of Inn(X), listed by closure, not its generators
+    for n in range(6):
+        for rack in rack_classes[n]:
+            assert rack.gl_center.elements == centralizer(
+                automorphism_group(rack), inner_group(rack).elements).elements
+
+
 def test_enumerate_structures_counts_and_order():
     assert len(enumerate_structures(trivial_quandle(2))) == 4
     assert len(enumerate_structures(dihedral_quandle(3))) == 1
@@ -78,14 +96,13 @@ def test_enumerate_structures_counts_and_order():
 
 
 def test_derive_down_maps():
-    t3 = trivial_quandle(3)
-    assert derive_down_maps(t3, identity(3), identity(3)) == \
-        (identity(3), identity(3))
+    s = make_fourleg(trivial_quandle(3), identity(3), identity(3)).structure
+    assert (s.dl, s.dr) == (identity(3), identity(3))
     sigma = n_cycle(3)
-    dl, dr = derive_down_maps(permutation_rack(sigma), identity(3), identity(3))
-    assert dl == dr == inverse(sigma)
-    with pytest.raises(ValueError):
-        derive_down_maps(dihedral_quandle(3), (1, 0, 2), identity(3))
+    s = make_fourleg(permutation_rack(sigma), identity(3), identity(3)).structure
+    assert s.dl == s.dr == inverse(sigma)
+    with pytest.raises(ValueError, match="commute"):
+        make_fourleg(dihedral_quandle(3), (1, 0, 2), identity(3))
 
 
 def test_down_maps_invert_kink_through_up_maps():
