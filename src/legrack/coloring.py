@@ -23,21 +23,24 @@ cycle, arc i -> arc i+1, so once every over-arc and one arc are colored
 forcing colors every arc: the search branches on the over-arcs first (each
 level the one that forces the most arcs) and on at most one more arc.  A
 hand-built presentation need not be one cycle, so the branch arcs then
-fall back to any arc still uncolored.
+fall back to any arc still uncolored.  Without crossings the counter counts
+the colors the closure word fixes, applying its maps in turn to each.
 
 For the permutation rack of sigma (x > y = sigma(x) for every y) a crossing
 moves the under strand's color by sigma^+-1 whatever color the over strand
 carries, so a coloring is one basepoint color fixed by the loop map: the
-cusp maps in traversal order times sigma^writhe
-(``unreduced_loop_permutation``).  The four structure maps commute with
-sigma, and two adjacent cusps of opposite vertical direction compose to
-sigma^-1 (e.g. dl o ur = ur^-1 sigma^-1 ur).  Cancelling such pairs leaves,
-up to conjugation, (dr o dl)^rot o sigma^(rot+tb); a surviving pair of up
-cusps is sigma^-2 times an inverse down pair.  Conjugate maps have equally
+cusp maps in traversal order times sigma^writhe (its letter-by-letter
+oracle is in ``tests/test_coloring.py``).  The four structure maps commute
+with sigma, and two adjacent cusps of opposite vertical direction compose
+to sigma^-1 (e.g. dl o ur = ur^-1 sigma^-1 ur).  Cancelling such pairs
+leaves, up to conjugation, (dr o dl)^rot o sigma^(rot+tb); a surviving pair
+of up cusps is sigma^-2 times an inverse down pair.  The kink map is sigma,
+so dr o dl = ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2 with g = ur o ul,
+and the closed form is g^-rot o sigma^(tb-rot).  Conjugate maps have equally
 many fixed points, so ``perm_fast_count`` counts the colorings of any front
-from (tb, rot) alone.  It finds sigma once per rack table
-(``RackTable.permutation``) and memoizes each count per structure under
-(rot, rot + tb) (``FourLegRack.fast_counts``).
+from (tb, rot) alone, memoized on the rack table (next to sigma) under
+(g, rot, tb - rot).  For a fixed ul, ur -> ur o ul is a bijection of U_X, so
+the |U_X|^2 structures of one rack share |U_X| products g.
 
 Permutation racks get their structures the way every rack does: U_X is the
 rack's ``gl_center`` (here the centralizer of sigma), ``permutation_fourleg``
@@ -50,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fourleg import FourLegRack, _structure, make_fourleg
-from .perms import Perm, compose, cycle_string, cycle_type, identity, power
+from .perms import Perm, compose, cycle_string, cycle_type, power
 from .racks import permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
 
@@ -84,9 +87,14 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """
     n = fl.rack.n
     if not pres.relations:
-        maps = _maps(fl)
-        return sum(1 for x in range(n)
-                   if apply_word(pres.closure_word, maps, x) == x)
+        maps = [getattr(fl.structure, letter) for letter in pres.closure_word]
+        total = 0
+        for x in range(n):
+            v = x
+            for m in maps:
+                v = m[v]
+            total += v == x
+        return total
     rows = [fl.word_rows(rel.word, rel.sign) for rel in pres.relations]
     levels = [(level.arc, [(rows[i], a, o, b, forces)
                            for i, a, o, b, forces in level.steps])
@@ -132,22 +140,6 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
 
 # --- permutation racks -----------------------------------------------------------
 
-def unreduced_loop_permutation(pres: Presentation, sigma: Perm,
-                               ul: Perm, ur: Perm) -> Perm:
-    """Loop map assembled letter by letter in traversal order: cusp maps and
-    one sigma^sign per crossing relation."""
-    fl = permutation_fourleg(sigma, ul, ur)
-    maps = _maps(fl)
-    loop = identity(len(sigma))
-    for letter in pres.closure_word:
-        loop = compose(maps[letter], loop)
-    for rel in pres.relations:
-        for letter in rel.word:
-            loop = compose(maps[letter], loop)
-        loop = compose(power(sigma, rel.sign), loop)
-    return loop
-
-
 def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
     """4-Legendrian permutation rack of sigma; ``make_fourleg`` checks that
     ul and ur lie in U_X, which here is the centralizer of sigma."""
@@ -161,25 +153,28 @@ def fixed_points(p: Perm) -> int:
 def perm_fast_count(fl: FourLegRack, inv) -> int:
     """Coloring count of any front with classical invariants ``inv`` by the
     permutation 4-Legendrian rack ``fl``: the number of fixed points of
-    (dr o dl)^rot o sigma^(rot+tb).
+    (dr o dl)^rot o sigma^(rot+tb) = g^-rot o sigma^(tb-rot), g = ur o ul.
 
     The loop map is conjugate to this closed form (see the module
     docstring), and conjugate permutations have equally many fixed points,
-    so the count depends only on (tb, rot).  The defining permutation sigma
-    is found once per rack table (``RackTable.permutation``), and the count
-    is memoized per structure under (rot, rot + tb) (``fl.fast_counts``);
-    a rack that is not a permutation rack raises on every call.
+    so the count depends only on (tb, rot).  The two forms agree because the
+    kink map is sigma and ul, ur commute with it: dr o dl =
+    ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.  sigma is found once per
+    rack table (``RackTable.permutation``), g once per structure
+    (``fl.ur_ul``), and the count is memoized per rack table under
+    (g, rot, tb - rot) (``RackTable.fast_counts``); a rack that is not a
+    permutation rack raises on every call.
     """
-    sigma = fl.rack.permutation
+    rack = fl.rack
+    sigma = rack.permutation
     if sigma is None:
         raise ValueError("not a permutation rack")
-    key = (inv.rot, inv.rot + inv.tb)
-    count = fl.fast_counts.get(key)
+    g = fl.ur_ul
+    key = (g, inv.rot, inv.tb - inv.rot)
+    count = rack.fast_counts.get(key)
     if count is None:
-        s = fl.structure
-        count = fl.fast_counts[key] = fixed_points(
-            compose(power(compose(s.dr, s.dl), inv.rot),
-                    power(sigma, inv.rot + inv.tb)))
+        count = rack.fast_counts[key] = fixed_points(
+            compose(power(g, -inv.rot), power(sigma, inv.tb - inv.rot)))
     return count
 
 

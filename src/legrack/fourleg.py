@@ -44,10 +44,9 @@ class FourLegRack:
         return {}
 
     @cached_property
-    def fast_counts(self) -> dict[tuple[int, int], int]:
-        """Memo of ``coloring.perm_fast_count`` for this structure, keyed by
-        (rot, rot + tb)."""
-        return {}
+    def ur_ul(self) -> Perm:
+        """ur o ul, a key of the rack's ``RackTable.fast_counts`` memo."""
+        return compose(self.structure.ur, self.structure.ul)
 
     def word_rows(self, word: tuple[str, ...], sign: int):
         """Rows with ``rows[a][o] = W(a) >^sign o``, W the cusp word ``word``

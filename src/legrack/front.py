@@ -255,12 +255,6 @@ class Presentation:
             levels.append(ScheduleLevel(g, color(g, known, done)[1]))
         return tuple(levels)
 
-    @property
-    def branch_order(self) -> tuple[int, ...]:
-        """The arcs a coloring search branches on, in order: the branch
-        arcs of ``schedule``.  Coloring them forces every arc."""
-        return tuple(level.arc for level in self.schedule)
-
 
 def fundamental_presentation(code: FrontCode) -> Presentation:
     code = validate_front(code.events)
@@ -355,7 +349,10 @@ def stabilized_unknot(positive: int, negative: int,
 
 def kinked_unknot(signs) -> FrontCode:
     """Unknot with one Reidemeister-1 style kink per sign; an odd number of
-    kinks makes tb + rot even, which ``validate_front`` rejects."""
+    kinks makes tb + rot even, which ``validate_front`` rejects.
+
+    A combinatorial code, not a front: a kink's O and U passes are adjacent,
+    and a cusp-free stretch of a front is x-monotone, so it cannot close."""
     events: list[FrontEvent] = [Cusp("R", "U"), Cusp("L", "D")]
     for i, sign in enumerate(signs, start=1):
         events.extend((CrossingPass(i, sign, "O"), CrossingPass(i, sign, "U")))
@@ -363,7 +360,10 @@ def kinked_unknot(signs) -> FrontCode:
 
 
 def trefoil_with_kinks() -> FrontCode:
-    """Left trefoil plus one positive and one negative kink: same (tb, rot)."""
+    """Left trefoil plus one positive and one negative kink: same (tb, rot).
+
+    A combinatorial code, not a front: a kink's O and U passes are adjacent,
+    and a cusp-free stretch of a front is x-monotone, so it cannot close."""
     base = left_trefoil()
     extra = (CrossingPass(4, 1, "O"), CrossingPass(4, 1, "U"),
              CrossingPass(5, -1, "O"), CrossingPass(5, -1, "U"))

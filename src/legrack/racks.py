@@ -79,6 +79,12 @@ class RackTable:
             return None
 
     @cached_property
+    def fast_counts(self) -> dict[tuple[Perm, int, int], int]:
+        """Memo of ``coloring.perm_fast_count`` for a permutation rack, keyed
+        by (ur o ul, rot, tb - rot) and shared by all its structures."""
+        return {}
+
+    @cached_property
     def column_types(self) -> tuple[tuple[int, ...], ...]:
         """Cycle type of each column, computed once per table."""
         return tuple(cycle_type(c) for c in self.columns)

@@ -15,7 +15,6 @@ from legrack.coloring import (
     perm_fast_count,
     permutation_fourleg,
     permutation_structures,
-    unreduced_loop_permutation,
     verify_indistinguishability,
 )
 from legrack.fourleg import (
@@ -40,7 +39,12 @@ from legrack.front import (
     validate_front,
 )
 from legrack.perms import compose, identity, inverse, power
-from legrack.racks import dihedral_quandle, permutation_rack, trivial_quandle
+from legrack.racks import (
+    RackTable,
+    dihedral_quandle,
+    permutation_rack,
+    trivial_quandle,
+)
 
 
 def trivial_fourleg(n):
@@ -213,7 +217,6 @@ def test_schedule_colors_every_arc_and_runs_every_relation_once():
     presentations = [fundamental_presentation(c)
                      for c in oracle_fronts().values()]
     for pres in presentations + [two_cycle_presentation()]:
-        assert pres.branch_order == tuple(lv.arc for lv in pres.schedule)
         colored: set[int] = set()
         forced = []
         steps = []
@@ -231,7 +234,7 @@ def test_schedule_colors_every_arc_and_runs_every_relation_once():
                 steps.append(i)
         assert sorted(steps) == list(range(len(pres.relations)))
         assert sorted(forced) == sorted(
-            set(range(pres.generators)) - set(pres.branch_order))
+            set(range(pres.generators)) - {lv.arc for lv in pres.schedule})
         assert colored == set(range(pres.generators))
 
 
@@ -242,7 +245,7 @@ def test_count_matches_oracles_on_every_structure_class(n):
     for pres in fronts.values():
         # one cycle: the over-arcs and at most one more arc force the rest
         over = {rel.over_arc for rel in pres.relations}
-        assert len(pres.branch_order) <= len(over) + 1
+        assert len(pres.schedule) <= len(over) + 1
     for fl in structure_classes(n):
         for name, pres in fronts.items():
             count = count_colorings(pres, fl)
@@ -266,7 +269,7 @@ def test_two_cycle_presentation_branches_on_each_cycle():
     # the over-arcs forces arc 1 only, so the search must also branch on
     # an arc of the second cycle
     pres = two_cycle_presentation()
-    assert pres.branch_order == (0, 2)
+    assert tuple(lv.arc for lv in pres.schedule) == (0, 2)
     for n in range(5):
         for fl in structure_classes(n):
             count = count_colorings(pres, fl)
@@ -282,6 +285,19 @@ def test_apply_word_order():
     for x in range(3):
         assert apply_word(("ur", "dl"), maps, x) == \
             maps["dl"][maps["ur"][x]]
+
+
+def test_closure_word_letter_order():
+    # on T_5 with these maps, reversing this closure word changes its count
+    # from 5 to 0, so applying a closure word's maps in the wrong order
+    # fails here (the fixtures' closure words do not show it)
+    word = ("ul", "ur", "ur", "dr", "dl")
+    fl = make_fourleg(trivial_quandle(5), (0, 2, 3, 4, 1), (1, 2, 4, 0, 3))
+    forward, backward = (Presentation(1, (), w) for w in (word, word[::-1]))
+    assert count_colorings(forward, fl) == \
+        brute_force_colorings(forward, fl) == 5
+    assert count_colorings(backward, fl) == \
+        brute_force_colorings(backward, fl) == 0
 
 
 @pytest.mark.parametrize("name", sorted(builtin_fixtures()))
@@ -322,13 +338,55 @@ def _fast_path_cases():
                 yield fl, inv, pres
 
 
+def unreduced_loop_permutation(pres, fl):
+    """Loop map of the permutation 4-Legendrian rack ``fl`` assembled letter
+    by letter in traversal order: cusp maps and one sigma^sign per crossing
+    relation, sigma read off the rack's first column."""
+    sigma = fl.rack.columns[0]
+    maps = _maps(fl)
+    loop = identity(len(sigma))
+    for letter in pres.closure_word:
+        loop = compose(maps[letter], loop)
+    for rel in pres.relations:
+        for letter in rel.word:
+            loop = compose(maps[letter], loop)
+        loop = compose(power(sigma, rel.sign), loop)
+    return loop
+
+
 def test_reduced_loop_matches_unreduced_loop():
     # the closed form against the loop map built letter by letter; the two
     # maps are only conjugate, so their fixed points are compared
     for fl, inv, pres in _fast_path_cases():
-        s = fl.structure
-        loop = unreduced_loop_permutation(pres, fl.rack.columns[0], s.ul, s.ur)
+        loop = unreduced_loop_permutation(pres, fl)
         assert perm_fast_count(fl, inv) == fixed_points(loop)
+
+
+def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
+    """A rack table's memo, warmed by every structure on it in either
+    order, hands each structure the count of its own loop map, and holds
+    one count per (ur o ul, rot, tb - rot)."""
+    codes = [*builtin_fixtures().values(), stabilized_unknot(3, 0),
+             stabilized_unknot(0, 2)]
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in codes]
+    keys = {(inv.rot, inv.tb - inv.rot) for inv, _ in fronts}
+    for sigma in ((0, 1, 2), (1, 2, 0), (1, 0, 2, 3), (1, 2, 0, 3),
+                  (0, 1, 2, 3)):
+        rack = permutation_rack(sigma)
+        center = rack.gl_center.sorted_elements()
+        pairs = [(ul, ur) for ul in center for ur in center]
+        products = {compose(ur, ul) for ul, ur in pairs}
+        assert len(products) == len(center) < len(pairs)
+        for order in (pairs, pairs[::-1]):
+            warm = RackTable(rack.n, rack.rows)
+            for ul, ur in order:
+                fl = make_fourleg(warm, ul, ur)
+                for inv, pres in fronts:
+                    loop = unreduced_loop_permutation(pres, fl)
+                    assert perm_fast_count(fl, inv) == fixed_points(loop), \
+                        (sigma, ul, ur, inv)
+            assert len(warm.fast_counts) == len(products) * len(keys)
 
 
 def test_perm_fast_count_matches_generic_counter():
@@ -365,14 +423,17 @@ def test_fast_path_caches():
         for _ in range(2):   # the memo must not skip the check
             with pytest.raises(ValueError, match="permutation rack"):
                 perm_fast_count(fl, inv)
-    # memoized counts, in either call order, equal counts of a fresh memo
+    # memoized counts, in either call order, equal counts of a fresh memo;
+    # the memo lives on the rack table, so both sides get copies of it
     cases = list(_fast_path_cases())
     for order in (cases, cases[::-1]):
-        warm: dict[int, FourLegRack] = {}
+        warm: dict[int, RackTable] = {}
         for fl, inv, _ in order:
-            shared = warm.setdefault(id(fl), FourLegRack(fl.rack, fl.structure))
-            assert perm_fast_count(shared, inv) == \
-                perm_fast_count(FourLegRack(fl.rack, fl.structure), inv)
+            shared = warm.setdefault(id(fl.rack),
+                                     RackTable(fl.rack.n, fl.rack.rows))
+            fresh = RackTable(fl.rack.n, fl.rack.rows)
+            assert perm_fast_count(FourLegRack(shared, fl.structure), inv) == \
+                perm_fast_count(FourLegRack(fresh, fl.structure), inv)
 
 
 def test_permutation_structures_enumeration():

@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 No linter ships with the project, so the check walks each module's syntax
 tree: every name an import binds must be read somewhere in that module.
-``__init__.py`` is skipped, since its imports are the package's exports.
+``__init__.py`` is skipped, since its imports are the package's exports,
+and so is ``tests/test_acceptance.py``, the acceptance gate, which is kept
+byte for byte and imports ``pytest`` without using it.
 """
 import ast
 from pathlib import Path
@@ -11,6 +13,8 @@ import legrack
 
 MODULES = sorted(p for p in Path(legrack.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(p for p in Path(__file__).parent.glob("*.py")
+               if p.name != "test_acceptance.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +40,11 @@ def test_unused_import_check_sees_dead_names():
 
 
 def test_no_unused_imports():
-    found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
-             for p in MODULES}
-    assert {"coloring.py", "fourleg.py", "racks.py"} <= found.keys()
+    found = {f"{p.parent.name}/{p.name}":
+             unused_imports(p.read_text(encoding="utf-8"))
+             for p in MODULES + TESTS}
+    assert {"legrack/coloring.py", "legrack/fourleg.py", "legrack/racks.py",
+            "tests/conftest.py", "tests/test_coloring.py",
+            "tests/test_perms.py"} <= found.keys()
+    assert "tests/test_acceptance.py" not in found
     assert {name: names for name, names in found.items() if names} == {}

@@ -13,7 +13,6 @@ from legrack.perms import (
     compose,
     conjugate,
     cycle_string,
-    cycle_type,
     identity,
     inverse,
     parse_cycles,
