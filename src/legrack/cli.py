@@ -12,7 +12,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .census import census_counts, enumerate_racks
+from .census import MAX_ENUM_ORDER, census_counts, enumerate_racks
 from .coloring import count_colorings, verify_indistinguishability
 from .fourleg import classify_structures, make_fourleg
 from .front import (
@@ -34,6 +34,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
     return value
+
+
+def _census_order(text: str) -> int:
+    if text not in map(str, range(MAX_ENUM_ORDER + 1)):
+        raise argparse.ArgumentTypeError(
+            f"expected an order from 0 to {MAX_ENUM_ORDER}, got {text!r}")
+    return int(text)
 
 
 def _emit(lines, args) -> None:
@@ -129,13 +136,11 @@ def _cmd_verify(args) -> int:
     for row in report.rows:
         lines.append(f"{row.code_name},{row.tb},{row.rot},{row.rack_id},"
                      f"{row.ul},{row.ur},{row.count}")
-    for key in sorted(report.groups):
-        members = report.groups[key]
-        bad = [v for v in report.violations if f"(tb,rot)={key}" in v]
-        status = "FAIL" if bad else "PASS"
+    for key, members in sorted(report.groups.items()):
+        status = "PASS" if report.group_passed(key) else "FAIL"
         lines.append(f"# group tb={key[0]} rot={key[1]} "
                      f"[{' '.join(members)}]: {status}")
-    for v in report.violations:
+    for _, v in report.violations:
         lines.append(f"# violation: {v}")
     _emit(lines, args)
     return 0 if report.passed else 3
@@ -157,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="suppress the timestamped header line")
 
     p = sub.add_parser("census", help="per-order, per-family census CSV")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_census_order, required=True)
     # A string default goes through ``type`` only when ``census`` is parsed,
     # so a bad $LEGRACK_JOBS is a usage error of this command alone.
     p.add_argument("--jobs", type=_positive_int,
@@ -193,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="indistinguishability report over a front set")
     p.add_argument("--fronts", required=True)
-    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--max-order", type=_positive_int, default=3)
     common(p, header=True)
     p.set_defaults(func=_cmd_verify)
 

@@ -72,7 +72,7 @@ def apply_word(word, maps, x: int) -> int:
 
 def _relation_output(rel, maps, rack, a: int, o: int) -> int:
     v = apply_word(rel.word, maps, a)
-    return rack.op(v, o) if rel.sign == 1 else rack.inv_op(v, o)
+    return (rack.rows if rel.sign == 1 else rack.inv_rows)[v][o]
 
 
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
@@ -195,11 +195,16 @@ class ColoringRow:
 class VerifyReport:
     groups: dict[tuple[int, int], tuple[str, ...]]
     rows: tuple[ColoringRow, ...]
-    violations: tuple[str, ...]
+    # (tb, rot) group key and witness, in the order they were found
+    violations: tuple[tuple[tuple[int, int], str], ...]
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def group_passed(self, key: tuple[int, int]) -> bool:
+        """The verdict on one (tb, rot) group: no violation names it."""
+        return all(k != key for k, _ in self.violations)
 
 
 def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
@@ -235,15 +240,12 @@ def verify_indistinguishability(codes, max_order: int) -> VerifyReport:
     racks depend only on (tb, rot), so any violation indicates an
     implementation bug and is reported with a witness.
     """
-    named = list(codes.items()) if isinstance(codes, dict) else list(codes)
     groups: dict[tuple[int, int], list[str]] = {}
-    pres = {}
-    invs = {}
-    for name, code in named:
+    fronts = {}
+    for name, code in codes.items():
         inv = classical_invariants(code)
-        invs[name] = inv
+        fronts[name] = inv, fundamental_presentation(code)
         groups.setdefault((inv.tb, inv.rot), []).append(name)
-        pres[name] = fundamental_presentation(code)
 
     rows = []
     violations = []
@@ -251,17 +253,15 @@ def verify_indistinguishability(codes, max_order: int) -> VerifyReport:
         ul_str = cycle_string(fl.structure.ul)
         ur_str = cycle_string(fl.structure.ur)
         counts = {}
-        for name, _ in named:
-            counts[name] = count_colorings(pres[name], fl)
-            inv = invs[name]
+        for name, (inv, pres) in fronts.items():
+            counts[name] = count_colorings(pres, fl)
             rows.append(ColoringRow(name, inv.tb, inv.rot, rack_id,
                                     ul_str, ur_str, counts[name]))
         for key, members in groups.items():
-            vals = {counts[name] for name in members}
-            if len(vals) > 1:
+            if len({counts[m] for m in members}) > 1:
                 detail = ", ".join(f"{m}={counts[m]}" for m in members)
-                violations.append(
-                    f"(tb,rot)={key} rack={rack_id} ul={ul_str} ur={ur_str}: {detail}")
+                violations.append((key, f"(tb,rot)={key} rack={rack_id} "
+                                        f"ul={ul_str} ur={ur_str}: {detail}"))
     return VerifyReport(
         groups={k: tuple(v) for k, v in groups.items()},
         rows=tuple(rows),

@@ -46,13 +46,6 @@ class RackTable:
         table.__dict__["columns"] = tuple(columns)
         return table
 
-    def op(self, x: int, y: int) -> int:
-        return self.rows[x][y]
-
-    def inv_op(self, x: int, y: int) -> int:
-        """x >^-1 y, the inverse translation applied to x."""
-        return self.inv_rows[x][y]
-
     @cached_property
     def columns(self) -> tuple[Perm, ...]:
         return tuple(
@@ -194,71 +187,6 @@ def permutation_rack(sigma) -> RackTable:
     sigma = validate_perm(sigma)
     n = len(sigma)
     return validate_rack([[sigma[x]] * n for x in range(n)])
-
-
-def _group_from_table(mult):
-    """Validate a group multiplication table; return (table, identity, inverses)."""
-    rows = tuple(tuple(row) for row in mult)
-    n = len(rows)
-    for x, row in enumerate(rows):
-        if len(row) != n or any(not (0 <= v < n) for v in row):
-            raise RackError(f"group table row {x} malformed", axiom="group")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    raise RackError(
-                        f"group table not associative at ({a},{b},{c})",
-                        axiom="group", witness=(a, b, c))
-    ident = None
-    for e in range(n):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-            ident = e
-            break
-    if ident is None:
-        raise RackError("group table has no identity", axiom="group")
-    inv = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if rows[a][b] == ident:
-                inv[a] = b
-                break
-        if inv[a] is None:
-            raise RackError(f"group table: no inverse for {a}", axiom="group")
-    return rows, ident, inv
-
-
-def conjugation_quandle(mult) -> RackTable:
-    """Conj(G): a > b = b a b^-1, from an explicit multiplication table."""
-    rows, _, inv = _group_from_table(mult)
-    n = len(rows)
-    return validate_rack(
-        [[rows[rows[b][a]][inv[b]] for b in range(n)] for a in range(n)]
-    )
-
-
-def core_quandle(mult) -> RackTable:
-    """Core(G): a > b = b a^-1 b."""
-    rows, _, inv = _group_from_table(mult)
-    n = len(rows)
-    return validate_rack(
-        [[rows[rows[b][inv[a]]][b] for b in range(n)] for a in range(n)]
-    )
-
-
-def takasaki_quandle(mult) -> RackTable:
-    """T(A) for an abelian group table: a > b = 2b - a."""
-    rows, _, inv = _group_from_table(mult)
-    n = len(rows)
-    for a in range(n):
-        for b in range(n):
-            if rows[a][b] != rows[b][a]:
-                raise RackError(
-                    f"takasaki requires an abelian group; ({a},{b}) do not commute",
-                    axiom="abelian", witness=(a, b))
-    return validate_rack(
-        [[rows[rows[b][b]][inv[a]] for b in range(n)] for a in range(n)]
-    )
 
 
 # --- automorphisms and isomorphisms ----------------------------------------

@@ -308,8 +308,8 @@ def test_dedupe_is_idempotent_and_absorbs_relabelings():
     reps = enumerate_racks(3)
     assert [r.rows for r in dedupe_racks(reps)] == [r.rows for r in reps]
     # feeding a relabeled copy alongside the originals adds no class
-    relabeled = validate_rack(
-        [[{0: 1, 1: 0, 2: 2}[dihedral_quandle(3).op({1: 0, 0: 1, 2: 2}[x],
-                                                     {1: 0, 0: 1, 2: 2}[y])]
-          for y in range(3)] for x in range(3)])
+    d3 = dihedral_quandle(3).rows
+    swap = (1, 0, 2)
+    relabeled = validate_rack([[swap[d3[swap[x]][swap[y]]] for y in range(3)]
+                               for x in range(3)])
     assert len(dedupe_racks(list(reps) + [relabeled])) == len(reps)

@@ -1,8 +1,18 @@
+import hashlib
+
 import pytest
 
+import legrack.coloring
 from legrack import __version__
+from legrack.census import MAX_ENUM_ORDER
 from legrack.cli import build_parser, main
-from legrack.front import builtin_fixtures, left_trefoil, save_front, standard_unknot
+from legrack.front import (
+    builtin_fixtures,
+    fundamental_presentation,
+    left_trefoil,
+    save_front,
+    standard_unknot,
+)
 from legrack.perms import burnside_pair_count, symmetric_group
 from legrack.racks import dihedral_quandle, save_rack, trivial_quandle
 
@@ -26,6 +36,16 @@ def t3_file(tmp_path):
     path = tmp_path / "t3.rack"
     save_rack(trivial_quandle(3), path)
     return str(path)
+
+
+@pytest.fixture()
+def fixtures_dir(tmp_path):
+    """The 12 built-in fixtures, one ``.front`` file each."""
+    fronts = tmp_path / "fixtures"
+    fronts.mkdir()
+    for name, code in builtin_fixtures().items():
+        save_front(code, fronts / f"{name}.front")
+    return str(fronts)
 
 
 def run(capsys, argv):
@@ -68,6 +88,24 @@ def test_census_rejects_jobs_that_are_not_positive(capsys, jobs):
         main(["census", "--max-order", "1", "--jobs", jobs])
     assert exc.value.code == 2
     assert "argument --jobs: expected a positive integer" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [str(MAX_ENUM_ORDER + 1), "-1", "-2", "six"])
+def test_census_rejects_orders_it_cannot_enumerate(capsys, order):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--max-order", order])
+    assert exc.value.code == 2
+    assert (f"argument --max-order: expected an order from 0 to "
+            f"{MAX_ENUM_ORDER}, got {order!r}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["0", "-5"])
+def test_verify_rejects_orders_below_one(capsys, fixtures_dir, order):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fronts", fixtures_dir, "--max-order", order])
+    assert exc.value.code == 2
+    assert "argument --max-order: expected a positive integer" in \
         capsys.readouterr().err
 
 
@@ -198,6 +236,38 @@ def test_verify_pass(capsys, tmp_path):
     assert len(groups) == 2
     assert all(line.endswith("PASS") for line in groups)
     assert not any("violation" in line for line in lines)
+
+
+def test_verify_fixtures_output_is_pinned(capsys, fixtures_dir):
+    code, out, _ = run(capsys, ["verify", "--fronts", fixtures_dir,
+                                "--max-order", "3", "--no-header"])
+    assert code == 0
+    assert len(out.splitlines()) == 703
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "38438d96c0756fad1547966e2e07ce69a6c043c82b723b2b71bbcbc205d9af90"
+
+
+def test_verify_fail_marks_only_the_broken_group(capsys, monkeypatch,
+                                                 fixtures_dir):
+    # one front of the (tb, rot) = (-1, 0) group is miscounted by one
+    broken = fundamental_presentation(builtin_fixtures()["unknot_kinks_pm"])
+    count = legrack.coloring.count_colorings
+    monkeypatch.setattr(legrack.coloring, "count_colorings",
+                        lambda pres, fl: count(pres, fl) + (pres == broken))
+    code, out, _ = run(capsys, ["verify", "--fronts", fixtures_dir,
+                                "--max-order", "2", "--no-header"])
+    assert code == 3
+    lines = out.splitlines()
+    groups = [line for line in lines if line.startswith("# group")]
+    failed = [line for line in groups if line.endswith(": FAIL")]
+    assert failed == ["# group tb=-1 rot=0 [unknot unknot_kinks_pm]: FAIL"]
+    assert all(line.endswith(": PASS") for line in groups
+               if line not in failed)
+    assert len(groups) == 6
+    violations = [line for line in lines if line.startswith("# violation: ")]
+    assert violations
+    assert all("(tb,rot)=(-1, 0)" in v and "unknot_kinks_pm=" in v
+               for v in violations)
 
 
 def test_verify_empty_directory(capsys, tmp_path):

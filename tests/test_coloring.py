@@ -494,8 +494,10 @@ def test_verify_indistinguishability_passes_on_fixtures():
 
 def test_verify_report_flags_violations():
     ok = VerifyReport(groups={}, rows=(), violations=())
-    bad = VerifyReport(groups={}, rows=(), violations=("witness",))
+    bad = VerifyReport(groups={(-1, 0): ("a", "b"), (-2, 1): ("c",)},
+                       rows=(), violations=(((-1, 0), "witness"),))
     assert ok.passed and not bad.passed
+    assert not bad.group_passed((-1, 0)) and bad.group_passed((-2, 1))
 
 
 def test_structures_on_trivial_quandle_agree_with_fast_path():

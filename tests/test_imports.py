@@ -1,6 +1,7 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses,
+and the package holds no public code that only its own tests call.
 
-No linter ships with the project, so the check walks each module's syntax
+No linter ships with the project, so the checks walk each module's syntax
 tree: every name an import binds must be read somewhere in that module.
 ``__init__.py`` is skipped, since its imports are the package's exports,
 and so is ``tests/test_acceptance.py``, the acceptance gate, which is kept
@@ -15,6 +16,13 @@ MODULES = sorted(p for p in Path(legrack.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TESTS = sorted(p for p in Path(__file__).parent.glob("*.py")
                if p.name != "test_acceptance.py")
+# Callers from outside the package that count as real users: the acceptance
+# gate and the benchmark harness.  Both are read here, never edited.
+OUTSIDE = [Path(__file__).parent / "test_acceptance.py",
+           *sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))]
+# The write half of the documented ``.rack`` and ``.front`` formats: the
+# CLI only reads those files, but a user writes them with these.
+TEST_ONLY_ALLOWED = {"save_rack", "save_front"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +56,31 @@ def test_no_unused_imports():
             "tests/test_perms.py"} <= found.keys()
     assert "tests/test_acceptance.py" not in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def names_read(source: str) -> set[str]:
+    """Names ``source`` reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_no_public_code_only_tests_call():
+    """Every public top-level function and class of the package is read by
+    its own module beyond its definition, by another package module, by
+    the acceptance gate or by perfbench; tests alone do not keep it."""
+    assert {"run.py", "test_acceptance.py"} <= {p.name for p in OUTSIDE}
+    read = set().union(*(names_read(p.read_text(encoding="utf-8"))
+                         for p in MODULES + OUTSIDE))
+    unread = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in read):
+                unread.add(node.name)
+    assert unread == TEST_ONLY_ALLOWED

@@ -9,8 +9,6 @@ from legrack.racks import (
     RackTable,
     alexander_quandle,
     automorphism_group,
-    conjugation_quandle,
-    core_quandle,
     dihedral_quandle,
     find_isomorphism,
     inner_group,
@@ -20,21 +18,10 @@ from legrack.racks import (
     rack_from_text,
     rack_to_text,
     save_rack,
-    takasaki_quandle,
     trivial_quandle,
     ts_rack,
     validate_rack,
 )
-
-
-def cyclic_group_table(n):
-    return [[(a + b) % n for b in range(n)] for a in range(n)]
-
-
-def s3_table():
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return [[index[compose(p, q)] for q in perms] for p in perms]
 
 
 def test_validate_accepts_families():
@@ -66,7 +53,7 @@ def test_validate_rejects_out_of_range():
 
 
 def test_dihedral_entry():
-    assert dihedral_quandle(3).op(0, 1) == 2  # 2*1 - 0 mod 3
+    assert dihedral_quandle(3).rows[0][1] == 2  # 2*1 - 0 mod 3
 
 
 def test_permutation_rack_kink_is_sigma():
@@ -92,23 +79,6 @@ def test_family_parameter_validation():
         alexander_quandle(4, 2)  # gcd(2,4) != 1
     with pytest.raises(RackError):
         ts_rack(5, 2, 3)  # 9 != 3*(1-2) mod 5
-    with pytest.raises(RackError):
-        takasaki_quandle(s3_table())  # non-abelian
-
-
-def test_takasaki_on_cyclic_group_is_dihedral():
-    for n in (3, 4, 5):
-        t = takasaki_quandle(cyclic_group_table(n))
-        assert t.rows == dihedral_quandle(n).rows
-        assert find_isomorphism(t, dihedral_quandle(n)) == identity(n)
-
-
-def test_conjugation_and_core_quandles():
-    conj = conjugation_quandle(s3_table())
-    assert rack_flags(conj).is_quandle
-    core = core_quandle(s3_table())
-    flags = rack_flags(core)
-    assert flags.is_quandle and flags.is_involutory
 
 
 def test_rack_flags_examples():
@@ -123,7 +93,7 @@ def test_flags_and_column_types_are_cached_and_match_direct_computation():
         for rack in enumerate_racks(n):
             flags = rack_flags(rack)
             assert flags is rack_flags(rack)
-            assert flags.kink == tuple(rack.op(x, x) for x in range(n))
+            assert flags.kink == tuple(rack.rows[x][x] for x in range(n))
             assert flags.is_quandle == (flags.kink == identity(n))
             assert flags.is_involutory == all(
                 compose(c, c) == identity(n) for c in rack.columns)
@@ -131,7 +101,7 @@ def test_flags_and_column_types_are_cached_and_match_direct_computation():
             assert rack.column_types == tuple(cycle_type(c)
                                               for c in rack.columns)
             assert rack.inv_rows is rack.inv_rows
-            assert all(rack.op(rack.inv_rows[x][y], y) == x
+            assert all(rack.rows[rack.inv_rows[x][y]][y] == x
                        for x in range(n) for y in range(n))
 
 
@@ -158,7 +128,7 @@ def test_automorphism_group_matches_brute_force():
                  alexander_quandle(5, 2)]:
         brute = {
             phi for phi in itertools.permutations(range(rack.n))
-            if all(phi[rack.op(x, y)] == rack.op(phi[x], phi[y])
+            if all(phi[rack.rows[x][y]] == rack.rows[phi[x]][phi[y]]
                    for x in range(rack.n) for y in range(rack.n))
         }
         assert automorphism_group(rack).elements == brute
@@ -183,8 +153,16 @@ def test_find_isomorphism_examples():
     t3 = trivial_quandle(3)
     assert find_isomorphism(t3, t3) == identity(3)
     assert find_isomorphism(trivial_quandle(2), permutation_rack((1, 0))) is None
-    r = find_isomorphism(dihedral_quandle(5), takasaki_quandle(cyclic_group_table(5)))
-    assert r is not None
+    d5 = dihedral_quandle(5)
+    relabel = (2, 4, 0, 3, 1)  # d5 carried along a non-identity relabelling
+    back = inverse(relabel)
+    moved = validate_rack([[relabel[d5.rows[back[x]][back[y]]]
+                            for y in range(5)] for x in range(5)])
+    assert moved.rows != d5.rows
+    phi = find_isomorphism(d5, moved)
+    assert phi is not None
+    assert all(phi[d5.rows[x][y]] == moved.rows[phi[x]][phi[y]]
+               for x in range(5) for y in range(5))
 
 
 def test_isomorphism_preserves_structure():
@@ -194,7 +172,7 @@ def test_isomorphism_preserves_structure():
     if phi is not None:
         for x in range(5):
             for y in range(5):
-                assert phi[a.op(x, y)] == b.op(phi[x], phi[y])
+                assert phi[a.rows[x][y]] == b.rows[phi[x]][phi[y]]
 
 
 @pytest.mark.parametrize("rack", [
@@ -214,7 +192,7 @@ def test_kink_map_properties(rack):
     # inverse kink is x >^-1 x
     pi_inv = inverse(pi)
     for x in range(rack.n):
-        assert pi_inv[x] == rack.inv_op(x, x)
+        assert pi_inv[x] == rack.inv_rows[x][x]
 
 
 @pytest.mark.parametrize("rack", [
