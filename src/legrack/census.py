@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -263,6 +262,9 @@ def enumerate_racks(n: int, jobs: int = 1) -> list[RackTable]:
         return [RackTable(0, ())]
     shards = _canonical_first_columns(n)
     if jobs > 1:
+        # Imported here: it loads multiprocessing and threading, about 2 MB
+        # of resident memory that a serial search never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shard_results = list(pool.map(_search_shard, [n] * len(shards), shards))
     else:

@@ -4,11 +4,19 @@
 and ``brute_force_colorings`` its exhaustive oracle.  A coloring gives each
 arc a color so that color(out) = W(color(in)) >^sign color(over) at every
 crossing.  Each relation reads rows[a] = T[W(a)], with T the rack table for
-sign +1 and the inverse table for sign -1, so its output is rows[a][o]:
-the rows are composed once per (cusp word, sign) and structure and cached
-on the structure (``FourLegRack.word_rows``), so every presentation one
-structure colors shares them, and no lookup re-applies a cusp word letter
-by letter.
+sign +1 and the inverse table for sign -1, so its output is rows[a][o].
+W is composed once per cusp word and structure and cached on the structure
+(``FourLegRack.word_perm``), so no lookup re-applies a cusp word letter by
+letter.
+
+So the count of a presentation with crossings depends only on the rack
+table, the presentation and the tuple (W_1, ..., W_k) of its relations'
+composed words.  It is memoized on the rack table under (presentation,
+(W_1, ..., W_k)) (``RackTable.generic_counts``), and the structures of one
+rack whose words compose alike share one search.  Many do: ur commutes
+with the kink, so the word (ur, dl) composes to dl o ur = kink^-1 on every
+structure of a rack.  A miss builds each relation's rows in one pass from
+(W_i, sign_i) and runs the search below.
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 
 from .fourleg import FourLegRack, _structure, make_fourleg
 from .perms import Perm, compose, cycle_string, cycle_type, power
-from .racks import permutation_rack
+from .racks import RackTable, permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
 
 
@@ -78,11 +86,15 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
-    Each step of ``pres.schedule`` is bound to its relation's rows T[W(a)],
-    composed once per (cusp word, sign) and structure (``fl.word_rows``).
-    Each search level colors its branch arc and runs its steps: a force step
-    writes its output arc, a check step compares it (see the module
-    docstring).  Its oracles are ``brute_force_colorings`` and, in the
+    With crossings, the count is memoized on the rack table
+    (``RackTable.generic_counts``) under (pres, (W_1, ..., W_k)), W_i the
+    composed cusp word of relation i (``fl.word_perm``).  The key is exact:
+    the structure enters the search only through the rows T^sign_i[W_i(a)]
+    of relation i, the table T and the signs are fixed by the rack table
+    and the presentation, and the arcs and the schedule by the
+    presentation, so structures whose words compose alike share one
+    search.  A miss builds each relation's rows from (W_i, sign_i) and runs
+    ``_search``.  Its oracles are ``brute_force_colorings`` and, in the
     tests, a counter that rescans every relation after each assignment.
     """
     n = fl.rack.n
@@ -95,7 +107,30 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
                 v = m[v]
             total += v == x
         return total
-    rows = [fl.word_rows(rel.word, rel.sign) for rel in pres.relations]
+    word_perm = fl.word_perm
+    perms = tuple([word_perm(rel.word) for rel in pres.relations])
+    memo = fl.rack.generic_counts
+    count = memo.get((pres, perms))
+    if count is None:
+        rows = [_word_rows(fl.rack, w, rel.sign)
+                for rel, w in zip(pres.relations, perms)]
+        count = memo[pres, perms] = _search(pres, rows, n)
+    return count
+
+
+def _word_rows(rack: RackTable, w: Perm, sign: int) -> list[tuple[int, ...]]:
+    """Rows with ``rows[a][o] = W(a) >^sign o``, W the composed cusp word
+    ``w``: the rack's rows (sign +1) or ``RackTable.inv_rows`` (sign -1)
+    read at W(a)."""
+    table = rack.rows if sign == 1 else rack.inv_rows
+    return [table[v] for v in w]
+
+
+def _search(pres: Presentation, rows, n: int) -> int:
+    """Colorings of ``pres`` by n colors whose relation i reads ``rows[i]``:
+    each level of ``pres.schedule`` colors its branch arc and runs its
+    steps, a force step writing its output arc and a check step comparing
+    it (see the module docstring)."""
     levels = [(level.arc, [(rows[i], a, o, b, forces)
                            for i, a, o, b, forces in level.steps])
               for level in pres.schedule]
@@ -161,15 +196,16 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     kink map is sigma and ul, ur commute with it: dr o dl =
     ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.  sigma is found once per
     rack table (``RackTable.permutation``), g once per structure
-    (``fl.ur_ul``), and the count is memoized per rack table under
-    (g, rot, tb - rot) (``RackTable.fast_counts``); a rack that is not a
-    permutation rack raises on every call.
+    (``fl.word_perm(("ul", "ur"))``, the cache the generic counter reads
+    too), and the count is memoized per rack table under (g, rot, tb - rot)
+    (``RackTable.fast_counts``); a rack that is not a permutation rack
+    raises on every call.
     """
     rack = fl.rack
     sigma = rack.permutation
     if sigma is None:
         raise ValueError("not a permutation rack")
-    g = fl.ur_ul
+    g = fl.word_perm(("ul", "ur"))
     key = (g, inv.rot, inv.tb - inv.rot)
     count = rack.fast_counts.get(key)
     if count is None:

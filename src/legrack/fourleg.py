@@ -19,6 +19,7 @@ from .perms import (
     burnside_pair_count,
     compose,
     conjugate,
+    identity,
     inverse,
     validate_perm,
 )
@@ -39,32 +40,26 @@ class FourLegRack:
     structure: FourLegStructure
 
     @cached_property
-    def _word_rows(self) -> dict[tuple[tuple[str, ...], int],
-                                 list[tuple[int, ...]]]:
+    def _word_perms(self) -> dict[tuple[str, ...], Perm]:
         return {}
 
-    @cached_property
-    def ur_ul(self) -> Perm:
-        """ur o ul, a key of the rack's ``RackTable.fast_counts`` memo."""
-        return compose(self.structure.ur, self.structure.ul)
+    def word_perm(self, word: tuple[str, ...]) -> Perm:
+        """W, the cusp word ``word`` applied earliest letter first, as one
+        permutation: W(a) = m_k(...m_1(a)) for ``word`` = (m_1, ..., m_k).
 
-    def word_rows(self, word: tuple[str, ...], sign: int):
-        """Rows with ``rows[a][o] = W(a) >^sign o``, W the cusp word ``word``
-        applied earliest letter first.
-
-        Composed once per (word, sign) from the last letter back and cached
-        on the structure, so every presentation it colors shares them; the
-        table is the rack's rows for sign +1 and ``RackTable.inv_rows`` for
-        sign -1.
+        Composed once per word and cached on the structure, so every
+        presentation it colors and both coloring counters share it:
+        ``word_perm(("ul", "ur"))`` is the g = ur o ul of
+        ``coloring.perm_fast_count``.
         """
-        key = (word, sign)
-        rows = self._word_rows.get(key)
-        if rows is None:
-            rows = self.rack.rows if sign == 1 else self.rack.inv_rows
-            for letter in reversed(word):
-                rows = [rows[v] for v in getattr(self.structure, letter)]
-            self._word_rows[key] = rows
-        return rows
+        w = self._word_perms.get(word)
+        if w is None:
+            w = identity(self.rack.n)
+            for letter in word:
+                m = getattr(self.structure, letter)
+                w = tuple([m[v] for v in w])
+            self._word_perms[word] = w
+        return w
 
 
 @dataclass(frozen=True)

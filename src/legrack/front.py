@@ -200,6 +200,15 @@ class Presentation:
     # Cusp word of the single closed arc when there are no crossings.
     closure_word: tuple[str, ...] = ()
 
+    def __hash__(self) -> int:
+        # A key of ``RackTable.generic_counts`` on every coloring count:
+        # hashed by value once, not field by field on every lookup.
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.generators, self.relations, self.closure_word))
+
     @cached_property
     def schedule(self) -> tuple[ScheduleLevel, ...]:
         """The forcing a coloring search runs, one level per branch arc.

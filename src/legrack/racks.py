@@ -78,6 +78,14 @@ class RackTable:
         return {}
 
     @cached_property
+    def generic_counts(self) -> dict[tuple[object, tuple[Perm, ...]], int]:
+        """Memo of ``coloring.count_colorings`` on presentations with
+        crossings, keyed by (presentation, (W_1, ..., W_k)), the composed
+        cusp-word permutation of each relation, and shared by all the
+        rack's structures."""
+        return {}
+
+    @cached_property
     def column_types(self) -> tuple[tuple[int, ...], ...]:
         """Cycle type of each column, computed once per table."""
         return tuple(cycle_type(c) for c in self.columns)

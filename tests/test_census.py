@@ -307,9 +307,15 @@ def test_census_accepts_precomputed_racks():
 def test_dedupe_is_idempotent_and_absorbs_relabelings():
     reps = enumerate_racks(3)
     assert [r.rows for r in dedupe_racks(reps)] == [r.rows for r in reps]
-    # feeding a relabeled copy alongside the originals adds no class
-    d3 = dihedral_quandle(3).rows
-    swap = (1, 0, 2)
-    relabeled = validate_rack([[swap[d3[swap[x]][swap[y]]] for y in range(3)]
-                               for x in range(3)])
-    assert len(dedupe_racks(list(reps) + [relabeled])) == len(reps)
+    # feeding a relabeled copy alongside the originals adds no class; the
+    # relabelling is not an automorphism of D5, so the copy is a table that
+    # the originals do not contain
+    d5 = dihedral_quandle(5).rows
+    relabel = (2, 4, 0, 3, 1)
+    back = inverse(relabel)
+    relabeled = validate_rack([[relabel[d5[back[x]][back[y]]]
+                                for y in range(5)] for x in range(5)])
+    assert relabeled.rows != d5
+    reps5 = enumerate_racks(5)
+    assert relabeled.rows not in {r.rows for r in reps5}
+    assert len(dedupe_racks(list(reps5) + [relabeled])) == len(reps5)

@@ -8,6 +8,7 @@ from legrack.coloring import (
     VerifyReport,
     _maps,
     _relation_output,
+    _word_rows,
     apply_word,
     brute_force_colorings,
     count_colorings,
@@ -156,7 +157,7 @@ def assert_rows_match_relation_output(fl, fronts):
     maps = _maps(fl)
     for pres in fronts:
         for rel in pres.relations:
-            rows = fl.word_rows(rel.word, rel.sign)
+            rows = _word_rows(fl.rack, fl.word_perm(rel.word), rel.sign)
             assert list(rows) == [
                 tuple(_relation_output(rel, maps, fl.rack, a, o)
                       for o in range(fl.rack.n))
@@ -165,12 +166,13 @@ def assert_rows_match_relation_output(fl, fronts):
 
 def test_compiled_rows_match_relation_output():
     """The row-level tests (this one and its warm-cache twin) are the guard
-    on cusp-word letter order.
+    on cusp-word letter order: they check the rows the counter builds from
+    ``FourLegRack.word_perm`` against the relation read letter by letter.
 
     The stabilized trefoil has four-letter cusp words on crossing arcs, and
     composing a word in the wrong order changes these rows.  No count-level
     test catches it: with the composition reversed in
-    ``FourLegRack.word_rows`` every count test passes, and no count changes
+    ``FourLegRack.word_perm`` every count test passes, and no count changes
     under word reversal for one-arc words of length <= 4 or two-arc
     presentations with a three-letter word, over the structure classes of
     order <= 4 whose maps do not all commute.
@@ -186,8 +188,9 @@ def reversed_words(pres):
 
 
 def test_compiled_rows_match_relation_output_with_warm_cache():
-    # the rows are cached per structure, so a cache warmed by presentations
-    # whose words are the reverses of these must not hand back their rows
+    # the composed words are cached per structure, so a cache warmed by
+    # presentations whose words are the reverses of these must not hand
+    # back their permutations
     fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
     for fl in structure_classes(3) + structure_classes(4):
         for pres in fronts:
@@ -197,7 +200,8 @@ def test_compiled_rows_match_relation_output_with_warm_cache():
 
 def test_row_cache_keeps_the_signs_of_one_word_apart():
     # two one-arc presentations with the same cusp word and opposite signs,
-    # colored one after the other by a structure whose cache starts empty
+    # colored one after the other on a rack table whose memo starts empty:
+    # they share W, so only the presentation in the key keeps them apart
     word = ("ur", "dl", "ul")
     plus, minus = (Presentation(1, (Relation(0, 0, 0, word, sign, 1),))
                    for sign in (1, -1))
@@ -207,7 +211,8 @@ def test_row_cache_keeps_the_signs_of_one_word_apart():
             want = {p: brute_force_colorings(p, fl) for p in (plus, minus)}
             signs_differ |= want[plus] != want[minus]
             for order in ((plus, minus), (minus, plus)):
-                cold = FourLegRack(fl.rack, fl.structure)
+                cold = FourLegRack(RackTable(fl.rack.n, fl.rack.rows),
+                                   fl.structure)
                 for pres in order:
                     assert count_colorings(pres, cold) == want[pres]
     assert signs_differ
@@ -376,7 +381,9 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
         rack = permutation_rack(sigma)
         center = rack.gl_center.sorted_elements()
         pairs = [(ul, ur) for ul in center for ur in center]
-        products = {compose(ur, ul) for ul, ur in pairs}
+        products = {make_fourleg(rack, ul, ur).word_perm(("ul", "ur"))
+                    for ul, ur in pairs}
+        assert products == {compose(ur, ul) for ul, ur in pairs}
         assert len(products) == len(center) < len(pairs)
         for order in (pairs, pairs[::-1]):
             warm = RackTable(rack.n, rack.rows)
@@ -387,6 +394,65 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
                     assert perm_fast_count(fl, inv) == fixed_points(loop), \
                         (sigma, ul, ur, inv)
             assert len(warm.fast_counts) == len(products) * len(keys)
+
+
+def test_generic_memo_is_shared_by_the_structures_of_a_rack():
+    """A rack table's generic memo, warmed by every structure on it in
+    either order, hands each structure the count a fresh table gives it and
+    the brute-force count (taken once per key), and holds one count per
+    distinct (presentation, W-tuple) key."""
+    fronts = [p for p in map(fundamental_presentation, oracle_fronts().values())
+              if p.relations]
+    racks: dict[int, tuple[RackTable, list]] = {}
+    for sigma in ((0, 1, 2), (1, 2, 0), (1, 0, 2, 3), (1, 2, 0, 3),
+                  (0, 1, 2, 3)):
+        rack = permutation_rack(sigma)
+        center = rack.gl_center.sorted_elements()
+        racks[id(rack)] = rack, [make_fourleg(rack, ul, ur).structure
+                                 for ul in center for ur in center]
+    for n in range(5):
+        for fl in structure_classes(n):
+            racks.setdefault(id(fl.rack), (fl.rack, []))[1].append(
+                fl.structure)
+    shared = False
+    for rack, structures in racks.values():
+        brute: dict = {}
+        for order in (structures, structures[::-1]):
+            warm = RackTable(rack.n, rack.rows)
+            keys = set()
+            for s in order:
+                fl = FourLegRack(warm, s)
+                fresh = FourLegRack(RackTable(rack.n, rack.rows), s)
+                for pres in fronts:
+                    count = count_colorings(pres, fl)
+                    assert count == count_colorings(pres, fresh), \
+                        (rack.rows, s, pres)
+                    key = pres, tuple(fl.word_perm(rel.word)
+                                      for rel in pres.relations)
+                    keys.add(key)
+                    if rack.n ** pres.generators <= 10 ** 4:
+                        if key not in brute:
+                            brute[key] = brute_force_colorings(pres, fl)
+                        assert count == brute[key], (rack.rows, s, pres)
+            assert len(warm.generic_counts) == len(keys)
+            shared |= len(keys) < len(structures) * len(fronts)
+    assert shared
+
+
+def test_presentation_hash_is_by_value_and_keys_the_memo():
+    # presentations built apart from one code share one memo entry; one
+    # word reversed is another presentation, with an entry of its own
+    a, b = (fundamental_presentation(left_trefoil()) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    first = a.relations[0]
+    assert first.word != first.word[::-1]
+    flipped = replace(a, relations=(replace(first, word=first.word[::-1]),
+                                    *a.relations[1:]))
+    assert flipped != a
+    fl = three_cycle_fourleg(ul=(1, 2, 0))
+    for pres in (a, b, flipped):
+        assert count_colorings(pres, fl) == brute_force_colorings(pres, fl)
+    assert len(fl.rack.generic_counts) == 2
 
 
 def test_perm_fast_count_matches_generic_counter():

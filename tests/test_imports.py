@@ -1,5 +1,6 @@
 """No module of the package or of its tests imports a name it never uses,
-and the package holds no public code that only its own tests call.
+the package holds no public code that only its own tests call, and no
+package module binds a mutable container at module level.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree: every name an import binds must be read somewhere in that module.
@@ -84,3 +85,72 @@ def test_no_public_code_only_tests_call():
                     and node.name not in read):
                 unread.add(node.name)
     assert unread == TEST_ONLY_ALLOWED
+
+
+# A module-level dict, list or set would be a cache that outlives the
+# objects it describes: perfbench clears only ``lru_cache``s between passes,
+# so such a memo would time a warm program.  Memos live on instances.
+# ``_CUSP_OPERATOR`` is a constant table that nothing writes.
+MODULE_CONTAINERS_ALLOWED = {"_CUSP_OPERATOR"}
+_CONTAINER_NODES = (ast.Dict, ast.List, ast.Set,
+                    ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter", "deque"}
+
+
+def module_containers(source: str) -> list[str]:
+    """Names bound at module level (outside any function or class) to a
+    dict, list or set display, comprehension or constructor call."""
+    found = []
+
+    def is_container(value) -> bool:
+        if isinstance(value, _CONTAINER_NODES):
+            return True
+        if isinstance(value, ast.Call):
+            f = value.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            return name in _CONTAINER_CALLS
+        return False
+
+    def walk(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                if node.value is not None and is_container(node.value):
+                    found.extend(n.id for t in targets for n in ast.walk(t)
+                                 if isinstance(n, ast.Name))
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                walk(getattr(node, field, []))
+
+    walk(ast.parse(source).body)
+    return sorted(found)
+
+
+def test_module_container_check_sees_planted_memos():
+    source = ("import collections\n"
+              "_MEMO = {}\n"
+              "SEEN: list[int] = []\n"
+              "if True:\n    _BY_KEY = collections.defaultdict(list)\n"
+              "NAMES = ('a', 'b')\n"
+              "def f():\n    local = {}\n    return local\n"
+              "class C:\n    field = set()\n")
+    assert module_containers(source) == ["SEEN", "_BY_KEY", "_MEMO"]
+    coloring = Path(legrack.__file__).parent / "coloring.py"
+    planted = coloring.read_text(encoding="utf-8") + "\n_MEMO = {}\n"
+    assert module_containers(planted) == ["_MEMO"]
+
+
+def test_no_module_level_containers():
+    found = {f"legrack/{p.name}": module_containers(
+        p.read_text(encoding="utf-8"))
+        for p in sorted(Path(legrack.__file__).parent.glob("*.py"))}
+    assert "legrack/__init__.py" in found
+    assert found["legrack/front.py"] == ["_CUSP_OPERATOR"]
+    bad = {name: [n for n in names if n not in MODULE_CONTAINERS_ALLOWED]
+           for name, names in found.items()}
+    assert {name: names for name, names in bad.items() if names} == {}
