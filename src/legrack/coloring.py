@@ -4,19 +4,31 @@
 and ``brute_force_colorings`` its exhaustive oracle.  A coloring gives each
 arc a color so that color(out) = W(color(in)) >^sign color(over) at every
 crossing.  Each relation reads rows[a] = T[W(a)], with T the rack table for
-sign +1 and the inverse table for sign -1, so its output is rows[a][o].
-W is composed once per cusp word and structure and cached on the structure
-(``FourLegRack.word_perm``), so no lookup re-applies a cusp word letter by
-letter.
+sign +1 and the inverse table for sign -1, so its output is rows[a][o], W
+the relation's cusp word composed into one permutation
+(``FourLegRack.word_perm``).  A front without crossings has one arc, and
+its colorings are the colors its closure word W fixes.
 
-So the count of a presentation with crossings depends only on the rack
-table, the presentation and the tuple (W_1, ..., W_k) of its relations'
-composed words.  It is memoized on the rack table under (presentation,
-(W_1, ..., W_k)) (``RackTable.generic_counts``), and the structures of one
-rack whose words compose alike share one search.  Many do: ur commutes
-with the kink, so the word (ur, dl) composes to dl o ur = kink^-1 on every
-structure of a rack.  A miss builds each relation's rows in one pass from
-(W_i, sign_i) and runs the search below.
+So the count depends only on the rack table, the presentation and the
+permutations W of its cusp words, and a shorter list of permutations fixes
+those.  The counter is run only on structures that satisfy Kimura's axioms 1-2, as
+every structure ``fourleg._structure`` builds does: dl o ur = ur o dl =
+dr o ul = ul o dr = kink^-1, and the kink commutes with all four maps.  So
+each cusp word W is kink^-c o R, R the word with adjacent (ur, dl),
+(dl, ur), (ul, dr) and (dr, ul) pairs cancelled (``cancel_cusp_pairs``)
+and c the number of pairs cancelled.  On one rack table the kink is fixed,
+and c is fixed by the presentation, so the permutations of the
+presentation's distinct nonempty reduced words
+(``Presentation.reduced_words``, cached on it) fix every W, and W fixes
+them back.  The count is memoized on the rack table under (presentation,
+those permutations) (``RackTable.generic_counts``), read as one tuple
+cached per structure (``FourLegRack.reduced_perms``), and the structures
+of one rack whose reduced words compose alike share one count.  On the
+built-in fixtures every word reduces to (), (ur, ul) or (dr, dl): the
+unknot's (ur, dl) reduces to (), so all the structures of a rack share its
+count.  A miss reads the original words: with crossings it builds each
+relation's rows in one pass from (W_i, sign_i) and runs the search below,
+and without them it counts the fixed points of W.
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -31,8 +43,7 @@ cycle, arc i -> arc i+1, so once every over-arc and one arc are colored
 forcing colors every arc: the search branches on the over-arcs first (each
 level the one that forces the most arcs) and on at most one more arc.  A
 hand-built presentation need not be one cycle, so the branch arcs then
-fall back to any arc still uncolored.  Without crossings the counter counts
-the colors the closure word fixes, applying its maps in turn to each.
+fall back to any arc still uncolored.
 
 For the permutation rack of sigma (x > y = sigma(x) for every y) a crossing
 moves the under strand's color by sigma^+-1 whatever color the over strand
@@ -83,38 +94,46 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
     return (rack.rows if rel.sign == 1 else rack.inv_rows)[v][o]
 
 
+def fixed_points(p: Perm) -> int:
+    return sum(1 for i, v in enumerate(p) if i == v)
+
+
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
-    With crossings, the count is memoized on the rack table
-    (``RackTable.generic_counts``) under (pres, (W_1, ..., W_k)), W_i the
-    composed cusp word of relation i (``fl.word_perm``).  The key is exact:
-    the structure enters the search only through the rows T^sign_i[W_i(a)]
-    of relation i, the table T and the signs are fixed by the rack table
-    and the presentation, and the arcs and the schedule by the
-    presentation, so structures whose words compose alike share one
-    search.  A miss builds each relation's rows from (W_i, sign_i) and runs
-    ``_search``.  Its oracles are ``brute_force_colorings`` and, in the
-    tests, a counter that rescans every relation after each assignment.
+    Precondition: ``fl`` satisfies Kimura's axioms 1-2 for its rack
+    table's kink, as every structure ``fourleg._structure`` builds does
+    (``make_fourleg``, ``enumerate_structures``, ``permutation_structures``).
+
+    The count is memoized on the rack table (``RackTable.generic_counts``)
+    under (pres, (R_1, ..., R_j)), the permutations of the presentation's
+    reduced words (``pres.reduced_words``), read as one tuple cached on the
+    structure (``fl.reduced_perms``).  The key is exact: each cusp word W
+    is kink^-c o R with R its reduced word and c fixed by the presentation,
+    the kink is fixed by the rack table, the structure enters the search
+    only through W_i of relation i, and the table, the signs, the arcs and
+    the schedule are fixed by the rack table and the presentation.  A miss
+    reads the original words (``fl.word_perm``): with crossings it builds
+    each relation's rows from (W_i, sign_i) and runs ``_search``, and
+    without them it counts the fixed points of the closure word.  Its
+    oracles are ``brute_force_colorings`` and, in the tests, a counter
+    that rescans every relation after each assignment.
     """
-    n = fl.rack.n
-    if not pres.relations:
-        maps = [getattr(fl.structure, letter) for letter in pres.closure_word]
-        total = 0
-        for x in range(n):
-            v = x
-            for m in maps:
-                v = m[v]
-            total += v == x
-        return total
-    word_perm = fl.word_perm
-    perms = tuple([word_perm(rel.word) for rel in pres.relations])
+    words = pres.reduced_words
+    perms = fl.reduced_perms.get(words)
+    if perms is None:
+        perms = fl.reduced_perms[words] = tuple([fl.word_perm(r)
+                                                 for r in words])
     memo = fl.rack.generic_counts
     count = memo.get((pres, perms))
     if count is None:
-        rows = [_word_rows(fl.rack, w, rel.sign)
-                for rel, w in zip(pres.relations, perms)]
-        count = memo[pres, perms] = _search(pres, rows, n)
+        if pres.relations:
+            rows = [_word_rows(fl.rack, fl.word_perm(rel.word), rel.sign)
+                    for rel in pres.relations]
+            count = _search(pres, rows, fl.rack.n)
+        else:
+            count = fixed_points(fl.word_perm(pres.closure_word))
+        memo[pres, perms] = count
     return count
 
 
@@ -181,10 +200,6 @@ def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
     return make_fourleg(permutation_rack(sigma), ul, ur)
 
 
-def fixed_points(p: Perm) -> int:
-    return sum(1 for i, v in enumerate(p) if i == v)
-
-
 def perm_fast_count(fl: FourLegRack, inv) -> int:
     """Coloring count of any front with classical invariants ``inv`` by the
     permutation 4-Legendrian rack ``fl``: the number of fixed points of
@@ -196,16 +211,15 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     kink map is sigma and ul, ur commute with it: dr o dl =
     ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.  sigma is found once per
     rack table (``RackTable.permutation``), g once per structure
-    (``fl.word_perm(("ul", "ur"))``, the cache the generic counter reads
-    too), and the count is memoized per rack table under (g, rot, tb - rot)
-    (``RackTable.fast_counts``); a rack that is not a permutation rack
-    raises on every call.
+    (``FourLegRack.ur_ul``), and the count is memoized per rack table under
+    (g, rot, tb - rot) (``RackTable.fast_counts``); a rack that is not a
+    permutation rack raises on every call.
     """
     rack = fl.rack
     sigma = rack.permutation
     if sigma is None:
         raise ValueError("not a permutation rack")
-    g = fl.word_perm(("ul", "ur"))
+    g = fl.ur_ul
     key = (g, inv.rot, inv.tb - inv.rot)
     count = rack.fast_counts.get(key)
     if count is None:

@@ -8,6 +8,13 @@ dr = ul^-1 o kink^-1.  Every structure is built by ``_structure``, the only
 place this formula is written: ``make_fourleg`` checks one pair against
 U_X first, while ``enumerate_structures`` and
 ``coloring.permutation_structures`` walk U_X itself.
+
+ul and ur are automorphisms, which commute with the kink, so all four maps
+commute with it, and dl o ur = ur o dl = dr o ul = ul o dr = kink^-1
+(Kimura's axioms 1-2).  So in a cusp word, read earliest letter first, an
+adjacent (ur, dl), (dl, ur), (ul, dr) or (dr, ul) composes to kink^-1:
+``cancel_cusp_pairs`` cancels such pairs, and a word W composes to
+kink^-c o R, R the word left and c the number of pairs cancelled.
 """
 from __future__ import annotations
 
@@ -36,6 +43,18 @@ class FourLegStructure:
 
 @dataclass(frozen=True)
 class FourLegRack:
+    """A 4-Legendrian structure on a rack table, with what the coloring
+    counters read of it, each cached on it: a cusp word composed into one
+    permutation (``word_perm``), g = ur o ul (``ur_ul``) and, per tuple of
+    reduced words, the tuple of their permutations (``reduced_perms``).
+
+    The counters' memos sit on the rack table and are shared by all its
+    structures, and the generic counter's key holds only the reduced
+    words' permutations.  So every structure on one table must satisfy
+    axioms 1-2 for that table's kink, as every structure ``_structure``
+    builds does.
+    """
+
     rack: RackTable
     structure: FourLegStructure
 
@@ -43,14 +62,26 @@ class FourLegRack:
     def _word_perms(self) -> dict[tuple[str, ...], Perm]:
         return {}
 
+    @cached_property
+    def ur_ul(self) -> Perm:
+        """g = ur o ul, the product ``coloring.perm_fast_count`` keys on."""
+        return self.word_perm(("ul", "ur"))
+
+    @cached_property
+    def reduced_perms(self) -> dict[tuple[tuple[str, ...], ...],
+                                    tuple[Perm, ...]]:
+        """``coloring.count_colorings``'s cache of the structure's half of
+        its memo key: for the reduced words of a presentation
+        (``Presentation.reduced_words``), the tuple of their
+        permutations."""
+        return {}
+
     def word_perm(self, word: tuple[str, ...]) -> Perm:
         """W, the cusp word ``word`` applied earliest letter first, as one
         permutation: W(a) = m_k(...m_1(a)) for ``word`` = (m_1, ..., m_k).
 
         Composed once per word and cached on the structure, so every
-        presentation it colors and both coloring counters share it:
-        ``word_perm(("ul", "ur"))`` is the g = ur o ul of
-        ``coloring.perm_fast_count``.
+        presentation it colors and both coloring counters share it.
         """
         w = self._word_perms.get(word)
         if w is None:
@@ -60,6 +91,27 @@ class FourLegRack:
                 w = tuple([m[v] for v in w])
             self._word_perms[word] = w
         return w
+
+
+# The adjacent letter pairs that compose to kink^-1 (Kimura's axioms 1-2).
+_CANCELLING_PAIRS = (("ur", "dl"), ("dl", "ur"), ("ul", "dr"), ("dr", "ul"))
+
+
+def cancel_cusp_pairs(word: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+    """(R, c): ``word`` with its adjacent cancelling pairs removed by a
+    stack, and the number c of pairs removed.
+
+    On every structure W = kink^-c o R, W and R the permutations of
+    ``word`` and R: each pair removed composes to kink^-1, which commutes
+    with every map.  R has no adjacent cancelling pair left.
+    """
+    stack: list[str] = []
+    for letter in word:
+        if stack and (stack[-1], letter) in _CANCELLING_PAIRS:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack), (len(word) - len(stack)) // 2
 
 
 @dataclass(frozen=True)

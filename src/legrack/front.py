@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .fourleg import cancel_cusp_pairs
+
 
 class FrontError(ValueError):
     """Front-code validation or parse failure."""
@@ -208,6 +210,20 @@ class Presentation:
     @cached_property
     def _hash(self) -> int:
         return hash((self.generators, self.relations, self.closure_word))
+
+    @cached_property
+    def reduced_words(self) -> tuple[tuple[str, ...], ...]:
+        """The distinct nonempty words its cusp words reduce to, sorted: each
+        relation's word, or the closure word when there are no crossings,
+        with adjacent cancelling pairs removed (``cancel_cusp_pairs``).
+
+        On one rack table the permutations of these words fix those of all
+        its cusp words, since the kink and each word's number of cancelled
+        pairs are fixed; ``coloring.count_colorings`` keys its memo on them.
+        """
+        words = [rel.word for rel in self.relations] or [self.closure_word]
+        return tuple(sorted({r for r, _ in map(cancel_cusp_pairs, words)
+                             if r}))
 
     @cached_property
     def schedule(self) -> tuple[ScheduleLevel, ...]:

@@ -79,10 +79,12 @@ class RackTable:
 
     @cached_property
     def generic_counts(self) -> dict[tuple[object, tuple[Perm, ...]], int]:
-        """Memo of ``coloring.count_colorings`` on presentations with
-        crossings, keyed by (presentation, (W_1, ..., W_k)), the composed
-        cusp-word permutation of each relation, and shared by all the
-        rack's structures."""
+        """Memo of ``coloring.count_colorings``, keyed by (presentation,
+        (R_1, ..., R_j)), the permutations of the presentation's distinct
+        nonempty reduced cusp words (``Presentation.reduced_words``), and
+        shared by all the rack's structures.  The key is exact for
+        structures that satisfy Kimura's axioms 1-2: each cusp word W is
+        kink^-c o R, and this table fixes the kink."""
         return {}
 
     @cached_property

@@ -263,6 +263,41 @@ def test_known_families_are_represented():
                    for rep in reps4) == 1
 
 
+def connected(rack):
+    """Whether Inn(X) acts transitively: one union-find over the columns,
+    joining x with b_y(x) for every column b_y."""
+    parent = list(range(rack.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for column in rack.columns:
+        for x, y in enumerate(column):
+            parent[find(x)] = find(y)
+    return len({find(x) for x in range(rack.n)}) == 1
+
+
+def test_class_counts_agree_with_published_values(rack_classes):
+    # Values from outside the program.  A permutation rack (every column
+    # the same sigma) is fixed up to isomorphism by the cycle type of
+    # sigma, so there are p(n) of them, p the partition numbers.  The
+    # connected quandles of order <= 6 are Vendramin's ("On the
+    # classification of quandles of low order", J. Knot Theory
+    # Ramifications 2012).
+    partitions = (1, 2, 3, 5, 7, 11)
+    connected_quandles = (1, 0, 1, 1, 3, 2)
+    for n in range(1, 7):
+        racks = rack_classes[n]
+        assert sum(r.permutation is not None for r in racks) == \
+            partitions[n - 1], n
+        assert sum(r.flags.is_quandle and connected(r) for r in racks) == \
+            connected_quandles[n - 1], n
+    assert connected(dihedral_quandle(3)) and not connected(dihedral_quandle(4))
+
+
 CENSUS_TABLE = {
     # order: (racks, involutory, quandles, kei)
     0: (1, 1, 1, 1),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from legrack.coloring import (
 )
 from legrack.fourleg import (
     FourLegRack,
+    cancel_cusp_pairs,
     classify_structures,
     enumerate_structures,
     make_fourleg,
@@ -292,17 +294,84 @@ def test_apply_word_order():
             maps["dl"][maps["ur"][x]]
 
 
+LETTER_ORDER_WORD = ("ul", "ur", "ur", "dr", "dl")
+
+
 def test_closure_word_letter_order():
     # on T_5 with these maps, reversing this closure word changes its count
     # from 5 to 0, so applying a closure word's maps in the wrong order
     # fails here (the fixtures' closure words do not show it)
-    word = ("ul", "ur", "ur", "dr", "dl")
+    word = LETTER_ORDER_WORD
     fl = make_fourleg(trivial_quandle(5), (0, 2, 3, 4, 1), (1, 2, 4, 0, 3))
     forward, backward = (Presentation(1, (), w) for w in (word, word[::-1]))
     assert count_colorings(forward, fl) == \
         brute_force_colorings(forward, fl) == 5
     assert count_colorings(backward, fl) == \
         brute_force_colorings(backward, fl) == 0
+
+
+# The adjacent letter pairs that compose to kink^-1, by Kimura's axioms 1-2:
+# dl o ur = ur o dl = dr o ul = ul o dr = kink^-1.
+CANCELLING = {("ur", "dl"), ("dl", "ur"), ("ul", "dr"), ("dr", "ul")}
+
+
+def test_cancelled_pairs_compose_to_kink_inverse():
+    """Every cusp word W of length <= 5 composes, on every structure class
+    of order <= 4, to kink^-c o R, (R, c) = cancel_cusp_pairs(W), and R has
+    no adjacent cancelling pair left: the identity that makes the reduced
+    words an exact key of the generic memo."""
+    words = [w for k in range(6)
+             for w in itertools.product(("ul", "ur", "dl", "dr"), repeat=k)]
+    assert len(words) == 1365
+    reductions = {w: cancel_cusp_pairs(w) for w in words}
+    for w, (r, c) in reductions.items():
+        assert len(w) == len(r) + 2 * c
+        assert not CANCELLING & set(zip(r, r[1:])), (w, r)
+    assert cancel_cusp_pairs(("ur", "dl", "dr", "dl", "ur", "ul")) == ((), 3)
+    structures = [fl for n in range(5) for fl in structure_classes(n)]
+    assert len(structures) == 292
+    reduced = {r for r, _ in reductions.values()}
+    for fl in structures:
+        kink_inv = [power(inverse(fl.rack.flags.kink), c) for c in range(3)]
+        perms = {r: fl.word_perm(r) for r in reduced}
+        for w, (r, c) in reductions.items():
+            assert compose(kink_inv[c], perms[r]) == fl.word_perm(w), \
+                (fl.rack.rows, fl.structure, w)
+
+
+def test_crossingless_memo_matches_brute_force():
+    """Fronts without crossings share the generic memo: on warm tables (one
+    per rack, colored by all its structures in either order) and on fresh
+    ones, every count of every structure of order <= 4 equals the
+    brute-force count, and the warm memo holds one count per distinct
+    (presentation, closure-word permutation)."""
+    fronts = [p for p in map(fundamental_presentation,
+                             builtin_fixtures().values())
+              if not p.relations]
+    assert len(fronts) == 8
+    fronts += [Presentation(1, (), w)
+               for w in (LETTER_ORDER_WORD, LETTER_ORDER_WORD[::-1])]
+    shared = False
+    for n in range(5):
+        for rack in enumerate_racks(n):
+            structures = enumerate_structures(rack)
+            brute = {(pres, s): brute_force_colorings(pres,
+                                                      FourLegRack(rack, s))
+                     for pres in fronts for s in structures}
+            for order in (structures, structures[::-1]):
+                warm = RackTable(rack.n, rack.rows)
+                keys = set()
+                for s in order:
+                    fl = FourLegRack(warm, s)
+                    for pres in fronts:
+                        fresh = FourLegRack(RackTable(rack.n, rack.rows), s)
+                        assert count_colorings(pres, fl) == \
+                            count_colorings(pres, fresh) == \
+                            brute[pres, s], (rack.rows, s, pres)
+                        keys.add((pres, fl.word_perm(pres.closure_word)))
+                assert len(warm.generic_counts) == len(keys)
+                shared |= len(keys) < len(structures) * len(fronts)
+    assert shared
 
 
 @pytest.mark.parametrize("name", sorted(builtin_fixtures()))
@@ -381,8 +450,7 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
         rack = permutation_rack(sigma)
         center = rack.gl_center.sorted_elements()
         pairs = [(ul, ur) for ul in center for ur in center]
-        products = {make_fourleg(rack, ul, ur).word_perm(("ul", "ur"))
-                    for ul, ur in pairs}
+        products = {make_fourleg(rack, ul, ur).ur_ul for ul, ur in pairs}
         assert products == {compose(ur, ul) for ul, ur in pairs}
         assert len(products) == len(center) < len(pairs)
         for order in (pairs, pairs[::-1]):
