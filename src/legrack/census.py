@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fourleg import count_structure_classes
-from .perms import Perm, compose, conjugate, cycle_type, inverse
+from .perms import Perm, compose, conjugate, cycle_type, cycles, inverse
 from .racks import RackTable, find_isomorphism, rack_flags
 
 MAX_ENUM_ORDER = 6
@@ -218,13 +218,10 @@ def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
 def _invariant_key(rack: RackTable):
     flags = rack_flags(rack)
     col_types = rack.column_types
-    kink_len = {x: 0 for x in range(rack.n)}
-    for x in range(rack.n):
-        length, i = 1, flags.kink[x]
-        while i != x:
-            length += 1
-            i = flags.kink[i]
-        kink_len[x] = length
+    kink_len = [1] * rack.n
+    for cyc in cycles(flags.kink):
+        for x in cyc:
+            kink_len[x] = len(cyc)
     profile = tuple(sorted(
         (col_types[x],
          kink_len[x],
@@ -286,8 +283,7 @@ def _in_family(flags, family: str) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
-def census_counts(n: int, racks: list[RackTable] | None = None,
-                  jobs: int = 1) -> list[CensusRow]:
+def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
     """Structure-class counts per family (racks, involutory, quandles, kei).
 
     A rack X contributes its number of 4-Legendrian structures up to
@@ -297,9 +293,8 @@ def census_counts(n: int, racks: list[RackTable] | None = None,
     Aut, which is valid because U_X = C_Aut(Inn) is normal in Aut(X)
     (``count_structure_classes``).
     """
-    if racks is None:
-        racks = enumerate_racks(n, jobs=jobs)
-    per_rack = [(rack_flags(r), count_structure_classes(r)) for r in racks]
+    per_rack = [(rack_flags(r), count_structure_classes(r))
+                for r in enumerate_racks(n, jobs=jobs)]
     rows = []
     for family in FAMILY_NAMES:
         members = [(f, c) for f, c in per_rack if _in_family(f, family)]

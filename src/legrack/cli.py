@@ -10,9 +10,10 @@ import argparse
 import os
 import sys
 from datetime import datetime, timezone
+from math import factorial
 
 from . import __version__
-from .census import MAX_ENUM_ORDER, census_counts, enumerate_racks
+from .census import MAX_ENUM_ORDER, census_counts
 from .coloring import count_colorings, verify_indistinguishability
 from .fourleg import classify_structures, make_fourleg
 from .front import (
@@ -43,6 +44,17 @@ def _census_order(text: str) -> int:
     return int(text)
 
 
+def _verify_order(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_ENUM_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"expected an order of at most {MAX_ENUM_ORDER}, got {text!r}: "
+            f"the trivial rack of order {MAX_ENUM_ORDER + 1} alone has "
+            f"{factorial(MAX_ENUM_ORDER + 1) ** 2:,} structures, too many "
+            f"to sweep and report")
+    return value
+
+
 def _emit(lines, args) -> None:
     text = "".join(line + "\n" for line in lines)
     if args.output:
@@ -63,8 +75,7 @@ def _cmd_census(args) -> int:
     lines = _header(args, f"census --max-order {args.max_order}")
     lines.append("order,family,rack_classes,structure_classes")
     for order in range(args.max_order + 1):
-        racks = enumerate_racks(order, jobs=args.jobs)
-        for row in census_counts(order, racks=racks):
+        for row in census_counts(order, jobs=args.jobs):
             lines.append(f"{row.order},{row.family},{row.rack_count},"
                          f"{row.structure_count}")
     _emit(lines, args)
@@ -198,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="indistinguishability report over a front set")
     p.add_argument("--fronts", required=True)
-    p.add_argument("--max-order", type=_positive_int, default=3)
+    p.add_argument("--max-order", type=_verify_order, default=3)
     common(p, header=True)
     p.set_defaults(func=_cmd_verify)
 

@@ -11,12 +11,12 @@ its colorings are the colors its closure word W fixes.
 
 So the count depends only on the rack table, the presentation and the
 permutations W of its cusp words, and a shorter list of permutations fixes
-those.  The counter is run only on structures that satisfy Kimura's axioms 1-2, as
-every structure ``fourleg._structure`` builds does: dl o ur = ur o dl =
-dr o ul = ul o dr = kink^-1, and the kink commutes with all four maps.  So
-each cusp word W is kink^-c o R, R the word with adjacent (ur, dl),
-(dl, ur), (ul, dr) and (dr, ul) pairs cancelled (``cancel_cusp_pairs``)
-and c the number of pairs cancelled.  On one rack table the kink is fixed,
+those.  The counter is run only on structures that satisfy Kimura's axioms
+1-2, as every one ``fourleg`` builds does: dl o ur = ur o dl = dr o ul =
+ul o dr = kink^-1, and the kink commutes with all four maps.  So each cusp
+word W is kink^-c o R, R the word with adjacent (ur, dl), (dl, ur),
+(ul, dr) and (dr, ul) pairs cancelled (``cancel_cusp_pairs``) and c the
+number of pairs cancelled.  On one rack table the kink is fixed,
 and c is fixed by the presentation, so the permutations of the
 presentation's distinct nonempty reduced words
 (``Presentation.reduced_words``, cached on it) fix every W, and W fixes
@@ -57,21 +57,21 @@ of up cusps is sigma^-2 times an inverse down pair.  The kink map is sigma,
 so dr o dl = ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2 with g = ur o ul,
 and the closed form is g^-rot o sigma^(tb-rot).  Conjugate maps have equally
 many fixed points, so ``perm_fast_count`` counts the colorings of any front
-from (tb, rot) alone, memoized on the rack table (next to sigma) under
-(g, rot, tb - rot).  For a fixed ul, ur -> ur o ul is a bijection of U_X, so
-the |U_X|^2 structures of one rack share |U_X| products g.
+from (tb, rot) alone, memoized on the rack table under (g, rot, tb - rot).
+For a fixed ul, ur -> ur o ul is a bijection of U_X, so the |U_X|^2
+structures of one rack share |U_X| products g.
 
 Permutation racks get their structures the way every rack does: U_X is the
 rack's ``gl_center`` (here the centralizer of sigma), ``permutation_fourleg``
 is ``make_fourleg`` on the permutation rack, and ``permutation_structures``
-builds each structure with the constructor ``make_fourleg`` uses.
+walks each rack's structures with ``enumerate_structures``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .fourleg import FourLegRack, _structure, make_fourleg
+from .fourleg import FourLegRack, enumerate_structures, make_fourleg
 from .perms import Perm, compose, cycle_string, cycle_type, power
 from .racks import RackTable, permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
@@ -102,8 +102,8 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
     Precondition: ``fl`` satisfies Kimura's axioms 1-2 for its rack
-    table's kink, as every structure ``fourleg._structure`` builds does
-    (``make_fourleg``, ``enumerate_structures``, ``permutation_structures``).
+    table's kink, as every structure ``make_fourleg`` and
+    ``enumerate_structures`` build does.
 
     The count is memoized on the rack table (``RackTable.generic_counts``)
     under (pres, (R_1, ..., R_j)), the permutations of the presentation's
@@ -209,20 +209,22 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     docstring), and conjugate permutations have equally many fixed points,
     so the count depends only on (tb, rot).  The two forms agree because the
     kink map is sigma and ul, ur commute with it: dr o dl =
-    ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.  sigma is found once per
-    rack table (``RackTable.permutation``), g once per structure
-    (``FourLegRack.ur_ul``), and the count is memoized per rack table under
-    (g, rot, tb - rot) (``RackTable.fast_counts``); a rack that is not a
-    permutation rack raises on every call.
+    ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.  sigma is read as the
+    kink (``RackTable.flags``), g once per structure (``FourLegRack.ur_ul``),
+    and the count is memoized per rack table under (g, rot, tb - rot)
+    (``RackTable.fast_counts``).  A miss first checks that every column is
+    sigma: all columns equal the kink exactly when x > y = kink(x), and R1
+    makes each column a bijection.  So a rack that is not a permutation
+    rack never stores a count, and every call on it raises.
     """
     rack = fl.rack
-    sigma = rack.permutation
-    if sigma is None:
-        raise ValueError("not a permutation rack")
     g = fl.ur_ul
     key = (g, inv.rot, inv.tb - inv.rot)
     count = rack.fast_counts.get(key)
     if count is None:
+        sigma = rack.flags.kink
+        if any(c != sigma for c in rack.columns):
+            raise ValueError("not a permutation rack")
         count = rack.fast_counts[key] = fixed_points(
             compose(power(g, -inv.rot), power(sigma, inv.tb - inv.rot)))
     return count
@@ -262,9 +264,9 @@ def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
     and all 4-Legendrian structures on each, sigma and then (ul, ur) in
     lexicographic order.
 
-    The pairs are read from the rack's U_X (``RackTable.gl_center``, the
-    centralizer of sigma), and the structures of one sigma share a single
-    rack table.  One structure is built per step, never a list of them."""
+    The structures are those ``enumerate_structures`` yields from the
+    rack's U_X (here the centralizer of sigma), one per step, never a list
+    of them, and the structures of one sigma share a single rack table."""
     for n in range(1, max_order + 1):
         seen_types = set()
         for sigma in itertools.permutations(range(n)):
@@ -275,11 +277,8 @@ def permutation_structures(max_order: int, conjugacy_reps_only: bool = True):
                 seen_types.add(t)
             rack = permutation_rack(sigma)
             rack_id = f"perm{n}:{cycle_string(sigma)}"
-            kink = rack.flags.kink
-            commuting = rack.gl_center.sorted_elements()
-            for ul in commuting:
-                for ur in commuting:
-                    yield rack_id, FourLegRack(rack, _structure(kink, ul, ur))
+            for s in enumerate_structures(rack):
+                yield rack_id, FourLegRack(rack, s)
 
 
 def verify_indistinguishability(codes, max_order: int) -> VerifyReport:

@@ -4,10 +4,10 @@ A 4-Legendrian structure is an ordered pair (ul, ur) of GL-structures,
 i.e. elements of U_X, the centralizer of Inn(X) inside Aut(X), which
 ``RackTable.gl_center`` reads off the columns that generate Inn(X).  The
 two down maps follow from the pair: dl = ur^-1 o kink^-1 and
-dr = ul^-1 o kink^-1.  Every structure is built by ``_structure``, the only
-place this formula is written: ``make_fourleg`` checks one pair against
-U_X first, while ``enumerate_structures`` and
-``coloring.permutation_structures`` walk U_X itself.
+dr = ul^-1 o kink^-1, written once in ``_down_maps``.  ``make_fourleg``
+builds one structure after checking its pair against U_X;
+``enumerate_structures`` is the one walk of U_X x U_X, which
+``coloring.permutation_structures`` reuses.
 
 ul and ur are automorphisms, which commute with the kink, so all four maps
 commute with it, and dl o ur = ur o dl = dr o ul = ul o dr = kink^-1
@@ -18,6 +18,7 @@ kink^-c o R, R the word left and c the number of pairs cancelled.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,8 +52,8 @@ class FourLegRack:
     The counters' memos sit on the rack table and are shared by all its
     structures, and the generic counter's key holds only the reduced
     words' permutations.  So every structure on one table must satisfy
-    axioms 1-2 for that table's kink, as every structure ``_structure``
-    builds does.
+    axioms 1-2 for that table's kink, as every structure ``make_fourleg``
+    and ``enumerate_structures`` build does.
     """
 
     rack: RackTable
@@ -123,12 +124,11 @@ class StructureClass:
     orbit_size: int
 
 
-def _structure(kink: Perm, ul: Perm, ur: Perm) -> FourLegStructure:
-    """(ul, ur, dl, dr) with (dl, dr) = (ur^-1 kink^-1, ul^-1 kink^-1); the
-    maps are not checked."""
+def _down_maps(kink: Perm, elems) -> list[Perm]:
+    """u^-1 o kink^-1 for each u of ``elems``, the kink inverted once: the
+    down map dl of a structure whose ur is u, and dr of one whose ul is u."""
     kink_inv = inverse(kink)
-    return FourLegStructure(ul, ur, compose(inverse(ur), kink_inv),
-                            compose(inverse(ul), kink_inv))
+    return [compose(inverse(u), kink_inv) for u in elems]
 
 
 def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
@@ -141,14 +141,18 @@ def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
     if ul not in center or ur not in center:
         raise ValueError("ul and ur must be GL-structures: automorphisms "
                          "that commute with every column (elements of U_X)")
-    return FourLegRack(rack, _structure(rack_flags(rack).kink, ul, ur))
+    dl, dr = _down_maps(rack_flags(rack).kink, (ur, ul))
+    return FourLegRack(rack, FourLegStructure(ul, ur, dl, dr))
 
 
-def enumerate_structures(rack: RackTable) -> list[FourLegStructure]:
-    """All |U_X|^2 structures, lexicographically ordered by (ul, ur)."""
+def enumerate_structures(rack: RackTable) -> Iterator[FourLegStructure]:
+    """Yield all |U_X|^2 structures, one per step, lexicographically ordered
+    by (ul, ur); they share one down-map tuple per element of U_X."""
     elems = rack.gl_center.sorted_elements()
-    kink = rack_flags(rack).kink
-    return [_structure(kink, ul, ur) for ul in elems for ur in elems]
+    downs = _down_maps(rack_flags(rack).kink, elems)
+    for ul, dr in zip(elems, downs):
+        for ur, dl in zip(elems, downs):
+            yield FourLegStructure(ul, ur, dl, dr)
 
 
 def classify_structures(rack: RackTable) -> list[StructureClass]:

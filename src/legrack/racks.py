@@ -59,22 +59,10 @@ class RackTable:
         return tuple(zip(*(inverse(c) for c in self.columns)))
 
     @cached_property
-    def permutation(self) -> Perm | None:
-        """sigma if this is the permutation rack of sigma (every column is
-        the same permutation sigma), else None; checked once per table."""
-        columns = self.columns
-        sigma = columns[0] if columns else ()
-        if any(c != sigma for c in columns):
-            return None
-        try:
-            return validate_perm(sigma)
-        except ValueError:
-            return None
-
-    @cached_property
     def fast_counts(self) -> dict[tuple[Perm, int, int], int]:
-        """Memo of ``coloring.perm_fast_count`` for a permutation rack, keyed
-        by (ur o ul, rot, tb - rot) and shared by all its structures."""
+        """Memo of ``coloring.perm_fast_count``, keyed by
+        (ur o ul, rot, tb - rot) and shared by all the rack's structures;
+        only a permutation rack ever stores a count in it."""
         return {}
 
     @cached_property

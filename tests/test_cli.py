@@ -109,6 +109,24 @@ def test_verify_rejects_orders_below_one(capsys, fixtures_dir, order):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [str(MAX_ENUM_ORDER + 1), "8", "1000000"])
+def test_verify_rejects_orders_above_the_enumeration_bound(
+        capsys, monkeypatch, fixtures_dir, order):
+    # rejected while the arguments are parsed, before any rack is built
+    def unreachable(*args):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(legrack.cli, "verify_indistinguishability",
+                        unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fronts", fixtures_dir, "--max-order", order])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --max-order: expected an order of at most "
+            f"{MAX_ENUM_ORDER}, got {order!r}") in err
+    assert "25,401,600 structures" in err
+
+
 def test_bad_jobs_environment_fails_census_alone(capsys, monkeypatch,
                                                  unknot_file):
     monkeypatch.setenv("LEGRACK_JOBS", "abc")

@@ -354,7 +354,7 @@ def test_crossingless_memo_matches_brute_force():
     shared = False
     for n in range(5):
         for rack in enumerate_racks(n):
-            structures = enumerate_structures(rack)
+            structures = list(enumerate_structures(rack))
             brute = {(pres, s): brute_force_colorings(pres,
                                                       FourLegRack(rack, s))
                      for pres in fronts for s in structures}
@@ -545,18 +545,14 @@ def test_perm_fast_count_rejects_non_permutation_rack():
 
 def test_fast_path_caches():
     inv = classical_invariants(standard_unknot())
-    for sigma in ((), (0,), (1, 2, 0), (1, 0, 2, 3)):
-        rack = permutation_rack(sigma)
-        assert rack.permutation is rack.permutation
-        assert rack.permutation == sigma
     others = [r for r in enumerate_racks(4) if len(set(r.columns)) > 1]
     assert others
     for rack in [dihedral_quandle(3), *others]:
-        assert rack.permutation is None
         fl = make_fourleg(rack, identity(rack.n), identity(rack.n))
         for _ in range(2):   # the memo must not skip the check
             with pytest.raises(ValueError, match="permutation rack"):
                 perm_fast_count(fl, inv)
+        assert not rack.fast_counts
     # memoized counts, in either call order, equal counts of a fresh memo;
     # the memo lives on the rack table, so both sides get copies of it
     cases = list(_fast_path_cases())
@@ -582,19 +578,20 @@ def test_permutation_structures_enumeration():
 
 def test_permutation_structures_builds_one_structure_per_step(monkeypatch):
     # the sweep walks 20,427 structures; listing a rack's |U_X|^2 of them at
-    # once (14,400 at sigma = id, n = 5) would raise its peak memory
-    import legrack.coloring
+    # once (14,400 at sigma = id, n = 5) would raise its peak memory.  The
+    # first 40 steps cross the racks of orders 1 to 3.
+    import legrack.fourleg
 
     built = []
-    real = legrack.coloring._structure
+    real = legrack.fourleg.FourLegStructure
 
     def counting(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(legrack.coloring, "_structure", counting)
+    monkeypatch.setattr(legrack.fourleg, "FourLegStructure", counting)
     structures = permutation_structures(5, conjugacy_reps_only=False)
-    for k in range(1, 4):
+    for k in range(1, 41):
         next(structures)
         assert len(built) == k
 

@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-the package holds no public code that only its own tests call, and no
-package module binds a mutable container at module level.
+the package holds no public code that only its own tests call, no package
+module imports a private name of another, and no package module binds a
+mutable container at module level.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree: every name an import binds must be read somewhere in that module.
@@ -85,6 +86,45 @@ def test_no_public_code_only_tests_call():
                     and node.name not in read):
                 unread.add(node.name)
     assert unread == TEST_ONLY_ALLOWED
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names that ``source`` imports from a module of the
+    package, by a relative import or one from ``legrack``; dunders such as
+    ``__version__`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "legrack"):
+            found.extend(a.name for a in node.names
+                         if a.name.startswith("_")
+                         and not (a.name.startswith("__")
+                                  and a.name.endswith("__")))
+    return sorted(found)
+
+
+def test_private_import_check_sees_planted_imports():
+    source = ("from . import __version__\n"
+              "from .fourleg import _structure, make_fourleg\n"
+              "from os import _exit\n"
+              "from legrack.racks import _iso_search as search\n"
+              "def f():\n    from .census import _tables\n")
+    assert private_imports(source) == ["_iso_search", "_structure", "_tables"]
+    coloring = Path(legrack.__file__).parent / "coloring.py"
+    planted = coloring.read_text(encoding="utf-8").replace(
+        "from .fourleg import ", "from .fourleg import _down_maps, ", 1)
+    assert private_imports(planted) == ["_down_maps"]
+
+
+def test_no_private_cross_module_imports():
+    """A module's ``_``-names are its own: another module that needs one
+    should get a public name for it."""
+    found = {f"legrack/{p.name}": private_imports(
+        p.read_text(encoding="utf-8"))
+        for p in sorted(Path(legrack.__file__).parent.glob("*.py"))}
+    assert {"legrack/__init__.py", "legrack/cli.py",
+            "legrack/coloring.py"} <= found.keys()
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 # A module-level dict, list or set would be a cache that outlives the
