@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .perms import (
     PermGroup,
     burnside_pair_count,
-    centralizer,
     compose,
     cycle_string,
     identity,

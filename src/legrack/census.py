@@ -30,6 +30,15 @@ every column as it is assigned, forced columns included (where a forced
 column lands decides whether its rank fits), and a branch column is drawn
 only from the ranks between those of its assigned neighbours.
 
+Centralizer rule: if an assigned column b fixes the branch point y, then
+b_y commutes with b_b.  Proof: the axiom at z = b reads
+b_{b_b(y)} = b_b b_y b_b^-1, and b_b(y) = y.  So a branched column is drawn
+from the centralizer of the shortest such b_b (``_centralizers``), keeping
+the candidates that commute with the other fixers and lie in the rank
+window.  The candidates come in the same order as from the whole pool,
+and the ones dropped are exactly those the clash check on b_b(y) would
+fail, so the results and their order are unchanged.
+
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.
@@ -92,6 +101,31 @@ def _tables(n: int):
 
 
 @lru_cache(maxsize=None)
+def _centralizers(n: int) -> list[list[int]]:
+    """``cent[i]``: the indices of the permutations that commute with
+    permutation i, ascending.
+
+    S_n is scanned once per conjugacy class, for the centralizer C(p) of
+    its first member p; every other member g p g^-1 gets g C(p) g^-1.
+    The lists hold n! * p(n) entries in all, p the partition count.
+    """
+    perms, _, prod, inv, _ = _tables(n)
+    size = len(perms)
+    cent: list = [None] * size
+    for p in range(size):
+        if cent[p] is not None:
+            continue
+        prod_p = prod[p]
+        c_p = [q for q in range(size) if prod[q][p] == prod_p[q]]
+        for g in range(size):
+            prod_g, ig = prod[g], inv[g]
+            conj = prod[prod_g[p]][ig]
+            if cent[conj] is None:
+                cent[conj] = sorted(prod[prod_g[q]][ig] for q in c_p)
+    return cent
+
+
+@lru_cache(maxsize=None)
 def _canonical_first_columns(n: int) -> tuple[int, ...]:
     """Perm indices minimal in their orbit under conjugation by Stab(0)."""
     perms, index, _, _, _ = _tables(n)
@@ -111,12 +145,14 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     that column is the identity, only those whose column ranks do not
     decrease."""
     perms, _, prod, inv, rank = _tables(n)
+    cent = _centralizers(n)
     base_rank = rank[first_col]
     pool = [i for i in range(len(perms)) if rank[i] >= base_rank]
     ordered = first_col == 0
     if ordered:
         pool.sort(key=rank.__getitem__)
         pool_rank = [rank[i] for i in pool]
+    top_rank = max(rank)
     cols = [-1] * n
     assigned: list[int] = []
     results: list[tuple[int, ...]] = []
@@ -187,14 +223,27 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         else:
             results.append(tuple(cols))
             return
-        branch = pool
+        lo, hi = base_rank, top_rank
         if ordered:
             # column 0 is assigned, so y >= 1; its rank lies between
             # those of its assigned neighbours
-            hi = min((rank[c] for c in cols[y + 1:] if c != -1),
-                     default=pool_rank[-1])
-            branch = pool[bisect_left(pool_rank, rank[cols[y - 1]]):
+            lo = rank[cols[y - 1]]
+            hi = min((rank[c] for c in cols[y + 1:] if c != -1), default=hi)
+        # b_b(y) = y makes b_y commute with b_b; the identity (index 0)
+        # commutes with everything
+        fixers = sorted({c for c in cols if c > 0 and perms[c][y] == y},
+                        key=lambda c: len(cent[c]))
+        if fixers:
+            rest = fixers[1:]
+            branch = [r for r in cent[fixers[0]] if lo <= rank[r] <= hi
+                      and all(prod[r][f] == prod[f][r] for f in rest)]
+            if ordered:
+                branch.sort(key=rank.__getitem__)
+        elif ordered:
+            branch = pool[bisect_left(pool_rank, lo):
                           bisect_right(pool_rank, hi)]
+        else:
+            branch = pool
         for r in branch:
             trail: list[int] = []
             if assign(y, r, trail):

@@ -56,12 +56,12 @@ def _verify_order(text: str) -> int:
 
 
 def _emit(lines, args) -> None:
-    text = "".join(line + "\n" for line in lines)
+    """Write ``lines``, any iterable, one at a time as they come."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _header(args, echo: str) -> list[str]:
@@ -141,20 +141,25 @@ def _cmd_verify(args) -> int:
     if not codes:
         raise FrontError(f"no .front files in {args.fronts}")
     report = verify_indistinguishability(codes, args.max_order)
-    lines = _header(args, f"verify --fronts {args.fronts} "
-                          f"--max-order {args.max_order}")
-    lines.append("code_name,tb,rot,rack_id,ul,ur,count")
+    _emit(_verify_lines(report, args), args)
+    return 0 if report.passed else 3
+
+
+def _verify_lines(report, args):
+    """The verify report, each row written as it is counted; the group and
+    violation lines follow once every row is out."""
+    yield from _header(args, f"verify --fronts {args.fronts} "
+                             f"--max-order {args.max_order}")
+    yield "code_name,tb,rot,rack_id,ul,ur,count"
     for row in report.rows:
-        lines.append(f"{row.code_name},{row.tb},{row.rot},{row.rack_id},"
-                     f"{row.ul},{row.ur},{row.count}")
+        yield (f"{row.code_name},{row.tb},{row.rot},{row.rack_id},"
+               f"{row.ul},{row.ur},{row.count}")
     for key, members in sorted(report.groups.items()):
         status = "PASS" if report.group_passed(key) else "FAIL"
-        lines.append(f"# group tb={key[0]} rot={key[1]} "
-                     f"[{' '.join(members)}]: {status}")
+        yield (f"# group tb={key[0]} rot={key[1]} "
+               f"[{' '.join(members)}]: {status}")
     for _, v in report.violations:
-        lines.append(f"# violation: {v}")
-    _emit(lines, args)
-    return 0 if report.passed else 3
+        yield f"# violation: {v}"
 
 
 def build_parser() -> argparse.ArgumentParser:

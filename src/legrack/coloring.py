@@ -69,6 +69,7 @@ walks each rack's structures with ``enumerate_structures``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .fourleg import FourLegRack, enumerate_structures, make_fourleg
@@ -245,10 +246,16 @@ class ColoringRow:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The verdict of ``verify_indistinguishability``.
+
+    ``rows`` is read once: each row is counted as it is read, and
+    ``violations`` (the (tb, rot) group key and witness of each, in the
+    order they were found) is complete only when ``rows`` is exhausted.
+    """
+
     groups: dict[tuple[int, int], tuple[str, ...]]
-    rows: tuple[ColoringRow, ...]
-    # (tb, rot) group key and witness, in the order they were found
-    violations: tuple[tuple[tuple[int, int], str], ...]
+    rows: Iterator[ColoringRow]
+    violations: list[tuple[tuple[int, int], str]]
 
     @property
     def passed(self) -> bool:
@@ -287,7 +294,9 @@ def verify_indistinguishability(codes, max_order: int) -> VerifyReport:
 
     ``codes`` maps names to FrontCode values.  Coloring counts by permutation
     racks depend only on (tb, rot), so any violation indicates an
-    implementation bug and is reported with a witness.
+    implementation bug and is reported with a witness.  The rows are
+    counted as the report's ``rows`` is read, one structure at a time, so
+    memory does not grow with the number of rows.
     """
     groups: dict[tuple[int, int], list[str]] = {}
     fronts = {}
@@ -295,24 +304,26 @@ def verify_indistinguishability(codes, max_order: int) -> VerifyReport:
         inv = classical_invariants(code)
         fronts[name] = inv, fundamental_presentation(code)
         groups.setdefault((inv.tb, inv.rot), []).append(name)
+    violations: list[tuple[tuple[int, int], str]] = []
 
-    rows = []
-    violations = []
-    for rack_id, fl in permutation_structures(max_order):
-        ul_str = cycle_string(fl.structure.ul)
-        ur_str = cycle_string(fl.structure.ur)
-        counts = {}
-        for name, (inv, pres) in fronts.items():
-            counts[name] = count_colorings(pres, fl)
-            rows.append(ColoringRow(name, inv.tb, inv.rot, rack_id,
-                                    ul_str, ur_str, counts[name]))
-        for key, members in groups.items():
-            if len({counts[m] for m in members}) > 1:
-                detail = ", ".join(f"{m}={counts[m]}" for m in members)
-                violations.append((key, f"(tb,rot)={key} rack={rack_id} "
-                                        f"ul={ul_str} ur={ur_str}: {detail}"))
+    def rows() -> Iterator[ColoringRow]:
+        for rack_id, fl in permutation_structures(max_order):
+            ul_str = cycle_string(fl.structure.ul)
+            ur_str = cycle_string(fl.structure.ur)
+            counts = {}
+            for name, (inv, pres) in fronts.items():
+                counts[name] = count_colorings(pres, fl)
+                yield ColoringRow(name, inv.tb, inv.rot, rack_id,
+                                  ul_str, ur_str, counts[name])
+            for key, members in groups.items():
+                if len({counts[m] for m in members}) > 1:
+                    detail = ", ".join(f"{m}={counts[m]}" for m in members)
+                    violations.append((key, f"(tb,rot)={key} rack={rack_id} "
+                                            f"ul={ul_str} ur={ur_str}: "
+                                            f"{detail}"))
+
     return VerifyReport(
         groups={k: tuple(v) for k, v in groups.items()},
-        rows=tuple(rows),
-        violations=tuple(violations),
+        rows=rows(),
+        violations=violations,
     )

@@ -171,18 +171,6 @@ def subgroup_closure(generators, degree: int | None = None) -> PermGroup:
     return PermGroup(degree, frozenset(elements))
 
 
-def centralizer(group: PermGroup, others) -> PermGroup:
-    """Elements of ``group`` commuting with every permutation in ``others``."""
-    others = [validate_perm(s) for s in others]
-    if any(len(s) != group.degree for s in others):
-        raise ValueError("degree mismatch between group and centralized set")
-    kept = frozenset(
-        g for g in group.elements
-        if all(compose(g, s) == compose(s, g) for s in others)
-    )
-    return PermGroup(group.degree, kept)
-
-
 def burnside_pair_count(group: PermGroup, subset=None) -> int:
     """Number of orbits of S x S under diagonal conjugation by G.
 

@@ -12,7 +12,6 @@ from math import gcd
 from .perms import (
     Perm,
     PermGroup,
-    centralizer,
     cycle_type,
     identity,
     inverse,
@@ -104,10 +103,16 @@ class RackTable:
 
         The columns generate Inn(X), so an automorphism commutes with all
         of Inn(X) exactly when it commutes with every column; Inn(X) itself
-        is never listed.  For the permutation rack of sigma every column is
-        sigma, and U_X is the centralizer of sigma.
+        is never listed.  An automorphism g carries column y to column g(y)
+        (g b_y g^-1 = b_g(y)), so g commutes with b_y exactly when
+        b_g(y) = b_y, and no permutations are composed.  For the
+        permutation rack of sigma every column is sigma, and U_X is the
+        centralizer of sigma.
         """
-        return centralizer(self.automorphisms, self.columns)
+        columns = self.columns
+        return PermGroup(self.n, frozenset(
+            g for g in self.automorphisms.elements
+            if all(columns[x] == c for x, c in zip(g, columns))))
 
 
 @dataclass(frozen=True)

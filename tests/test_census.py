@@ -6,6 +6,7 @@ import pytest
 from legrack.census import (
     FAMILY_NAMES,
     _canonical_first_columns,
+    _centralizers,
     _cols_to_table,
     _search_shard,
     _tables,
@@ -66,7 +67,8 @@ def test_enumeration_yields_valid_pairwise_nonisomorphic_tables():
 
 
 def test_enumeration_shard_independence():
-    for n in (4, 5):
+    # worker processes build their own product and centralizer tables
+    for n in (4, 5, 6):
         serial = enumerate_racks(n, jobs=1)
         parallel = enumerate_racks(n, jobs=2)
         assert [r.rows for r in serial] == [r.rows for r in parallel]
@@ -85,6 +87,30 @@ def test_product_table_matches_compose_and_inverse():
         for i in rows:
             assert [perms[j] for j in prod[i]] == \
                 [compose(perms[i], q) for q in perms]
+
+
+# p(n), the number of partitions of n: conjugacy classes of S_n
+PARTITIONS = (1, 1, 2, 3, 5, 7, 11)
+
+
+def test_centralizer_table_matches_brute_force():
+    for n in range(7):
+        perms, _, prod, _, rank = _tables(n)
+        cent = _centralizers(n)
+        assert len(cent) == len(perms)
+        # |C(p)| = n! / |class of p|, so each class adds n! entries
+        assert sum(len(c) for c in cent) == len(perms) * PARTITIONS[n]
+        # every permutation for n <= 5, the first of each class at n = 6
+        first = {}
+        for i in range(len(perms)):
+            first.setdefault(rank[i], i)
+        checked = range(len(perms)) if n <= 5 else sorted(first.values())
+        for i in checked:
+            p = perms[i]
+            assert cent[i] == [j for j, q in enumerate(perms)
+                               if compose(q, p) == compose(p, q)], (n, p)
+        assert all(c == sorted(c) and prod[i][j] == prod[j][i]
+                   for i, c in enumerate(cent) for j in c)
 
 
 def unrestricted_search_shard(n, first_col):
@@ -287,12 +313,11 @@ def test_class_counts_agree_with_published_values(rack_classes):
     # connected quandles of order <= 6 are Vendramin's ("On the
     # classification of quandles of low order", J. Knot Theory
     # Ramifications 2012).
-    partitions = (1, 2, 3, 5, 7, 11)
     connected_quandles = (1, 0, 1, 1, 3, 2)
     for n in range(1, 7):
         racks = rack_classes[n]
         assert sum(len(set(r.columns)) == 1 for r in racks) == \
-            partitions[n - 1], n
+            PARTITIONS[n], n
         assert sum(r.flags.is_quandle and connected(r) for r in racks) == \
             connected_quandles[n - 1], n
     assert connected(dihedral_quandle(3)) and not connected(dihedral_quandle(4))

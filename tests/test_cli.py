@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -263,6 +264,32 @@ def test_verify_fixtures_output_is_pinned(capsys, fixtures_dir):
     assert len(out.splitlines()) == 703
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "38438d96c0756fad1547966e2e07ce69a6c043c82b723b2b71bbcbc205d9af90"
+
+
+def _verify_peak_bytes(fronts, order, path):
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--fronts", fronts, "--max-order", order,
+                     "--no-header", "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_verify_does_not_hold_its_rows(fixtures_dir, tmp_path):
+    # order 4 writes many times the rows of order 3, and each row is
+    # written as it is counted, so the peak grows by the per-rack memos
+    # alone, not by the rows
+    _verify_peak_bytes(fixtures_dir, "2", tmp_path / "warm.csv")
+    peaks = {order: _verify_peak_bytes(fixtures_dir, order,
+                                       tmp_path / f"{order}.csv")
+             for order in ("3", "4")}
+    lines = {order: len((tmp_path / f"{order}.csv").read_text().splitlines())
+             for order in peaks}
+    assert lines["4"] > 5 * lines["3"]
+    assert peaks["4"] - peaks["3"] < 256 * 1024, peaks
 
 
 def test_verify_fail_marks_only_the_broken_group(capsys, monkeypatch,

@@ -11,7 +11,6 @@ from legrack.fourleg import (
 )
 from legrack.perms import (
     burnside_pair_count,
-    centralizer,
     compose,
     conjugate,
     identity,
@@ -26,7 +25,7 @@ from legrack.racks import (
     rack_flags,
     trivial_quandle,
 )
-from test_perms import diagonal_pair_orbits
+from test_perms import centralizer, diagonal_pair_orbits
 
 
 def n_cycle(n):
@@ -36,14 +35,14 @@ def n_cycle(n):
 def test_gl_center_is_computed_once_per_table(monkeypatch):
     import legrack.racks
 
-    calls = []
-    real = legrack.racks.centralizer
+    searches = []
+    real = legrack.racks._iso_search
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(src, dst, first_only):
+        searches.append(first_only)
+        return real(src, dst, first_only)
 
-    monkeypatch.setattr(legrack.racks, "centralizer", counting)
+    monkeypatch.setattr(legrack.racks, "_iso_search", counting)
     rack = trivial_quandle(3)
     center = rack.gl_center
     for ul in center.sorted_elements():
@@ -53,7 +52,8 @@ def test_gl_center_is_computed_once_per_table(monkeypatch):
     classify_structures(rack)
     count_structure_classes(rack)
     assert rack.gl_center is center
-    assert len(calls) == 1
+    # one Aut(X) search, and no other isomorphism search
+    assert searches == [False]
     assert center.elements == symmetric_group(3).elements
 
 
@@ -82,6 +82,14 @@ def test_gl_center_centralizes_the_inner_group(rack_classes):
         for rack in rack_classes[n]:
             assert rack.gl_center.elements == centralizer(
                 automorphism_group(rack), inner_group(rack).elements).elements
+
+
+def test_gl_center_matches_composing_oracle(rack_classes):
+    # the column test b_g(y) = b_y against composing g with every column
+    for n in range(7):
+        for rack in rack_classes[n]:
+            assert rack.gl_center.elements == centralizer(
+                automorphism_group(rack), rack.columns).elements, rack.rows
 
 
 def test_enumerate_structures_counts_and_order():

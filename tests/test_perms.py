@@ -9,7 +9,6 @@ from legrack.perms import (
     Perm,
     PermGroup,
     burnside_pair_count,
-    centralizer,
     compose,
     conjugate,
     cycle_string,
@@ -21,6 +20,20 @@ from legrack.perms import (
     symmetric_group,
     validate_perm,
 )
+
+
+def centralizer(group: PermGroup, others) -> PermGroup:
+    """Elements of ``group`` commuting with every permutation in ``others``,
+    found by composing both ways: the oracle of ``RackTable.gl_center`` and
+    of the census centralizer table."""
+    others = [validate_perm(s) for s in others]
+    if any(len(s) != group.degree for s in others):
+        raise ValueError("degree mismatch between group and centralized set")
+    kept = frozenset(
+        g for g in group.elements
+        if all(compose(g, s) == compose(s, g) for s in others)
+    )
+    return PermGroup(group.degree, kept)
 
 
 @dataclass(frozen=True)
