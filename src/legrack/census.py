@@ -18,26 +18,25 @@ of that shape, and each such column 0 starts one shard of the search.
 Branched columns are drawn from the types allowed by column 0's; a forced
 column is a conjugate of an assigned one, so it meets that bound already.
 
-In the shard whose column 0 is the identity, the column cycle-type ranks
-must also not decrease from column 0 to column n-1.  Relabeling by any h
-with h(0) = 0 keeps column 0 the identity and moves column x, with its
-cycle type, to position h(x), so some such h sorts the ranks: every rack
-with an identity column has a sorted table in this shard.  The other shards
-get no such rule: there column 0 is fixed as the least of its conjugates
-under Stab(0), so only relabelings that commute with it remain, and those
-cannot in general sort the other columns.  The rank order is checked on
-every column as it is assigned, forced columns included (where a forced
-column lands decides whether its rank fits), and a branch column is drawn
-only from the ranks between those of its assigned neighbours.
+In every shard, with c its column 0 and S = {0} u Fix(c), the column
+cycle-type ranks at the positions of S must not decrease in index order.
+Proof: a relabeling h that moves only fixed points of c other than 0
+fixes 0 and commutes with c (their supports are disjoint), so it keeps the
+table in its shard and moves column x, with its cycle type, to position
+h(x); some such h sorts the ranks at those points, and column 0 has the
+least rank of all.  In the identity shard S is every position.  The rank
+order is checked on every column as it is assigned, forced columns included
+(where a forced column lands decides whether its rank fits), and a branch
+column in S is drawn only from the ranks between those of its assigned
+neighbours in S.
 
 Centralizer rule: if an assigned column b fixes the branch point y, then
 b_y commutes with b_b.  Proof: the axiom at z = b reads
 b_{b_b(y)} = b_b b_y b_b^-1, and b_b(y) = y.  So a branched column is drawn
 from the centralizer of the shortest such b_b (``_centralizers``), keeping
 the candidates that commute with the other fixers and lie in the rank
-window.  The candidates come in the same order as from the whole pool,
-and the ones dropped are exactly those the clash check on b_b(y) would
-fail, so the results and their order are unchanged.
+window.  The ones dropped are exactly those the clash check on b_b(y) would
+fail, so the rule loses no table.
 
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
@@ -69,8 +68,8 @@ class CensusRow:
 
 @lru_cache(maxsize=None)
 def _tables(n: int):
-    """Integer-indexed S_n arithmetic: perms, index map, products, inverses,
-    and a total rank on cycle types (identity type ranks lowest).
+    """Integer-indexed S_n arithmetic: perms, products, inverses, and a
+    total rank on cycle types (identity type ranks lowest).
 
     ``prod[p][q]`` is the index of p o q.  Row p is the permutation of the
     indices made by left multiplication by p, so row(p o g) is row(p)
@@ -97,7 +96,7 @@ def _tables(n: int):
     types = sorted({cycle_type(p) for p in perms})
     type_rank = {t: i for i, t in enumerate(types)}
     rank = [type_rank[cycle_type(p)] for p in perms]
-    return perms, index, prod, inv, rank
+    return perms, prod, inv, rank
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +108,7 @@ def _centralizers(n: int) -> list[list[int]]:
     its first member p; every other member g p g^-1 gets g C(p) g^-1.
     The lists hold n! * p(n) entries in all, p the partition count.
     """
-    perms, _, prod, inv, _ = _tables(n)
+    perms, prod, inv, _ = _tables(n)
     size = len(perms)
     cent: list = [None] * size
     for p in range(size):
@@ -128,7 +127,7 @@ def _centralizers(n: int) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _canonical_first_columns(n: int) -> tuple[int, ...]:
     """Perm indices minimal in their orbit under conjugation by Stab(0)."""
-    perms, index, _, _, _ = _tables(n)
+    perms = _tables(n)[0]
     stab0 = [h for h in perms if h[0] == 0]
     seen: set[Perm] = set()
     out = []
@@ -141,18 +140,17 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
 
 
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
-    """All column assignments with the given canonical first column; when
-    that column is the identity, only those whose column ranks do not
-    decrease."""
-    perms, _, prod, inv, rank = _tables(n)
+    """All column assignments with the given canonical first column whose
+    column ranks at column 0 and at its fixed points do not decrease."""
+    perms, prod, inv, rank = _tables(n)
     cent = _centralizers(n)
     base_rank = rank[first_col]
-    pool = [i for i in range(len(perms)) if rank[i] >= base_rank]
-    ordered = first_col == 0
-    if ordered:
-        pool.sort(key=rank.__getitem__)
-        pool_rank = [rank[i] for i in pool]
-    top_rank = max(rank)
+    pool = sorted((i for i in range(len(perms)) if rank[i] >= base_rank),
+                  key=rank.__getitem__)
+    pool_rank = [rank[i] for i in pool]
+    top_rank = pool_rank[-1]
+    # the positions of S = {0} u Fix(column 0)
+    ordered = [x == 0 or v == x for x, v in enumerate(perms[first_col])]
     cols = [-1] * n
     assigned: list[int] = []
     results: list[tuple[int, ...]] = []
@@ -167,10 +165,11 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                 # the checks below fail a new column that breaks any such
                 # constraint
                 continue
-            if ordered:
+            if ordered[t]:
                 k = rank[r]
                 for b in assigned:
-                    if rank[cols[b]] > k if b < t else rank[cols[b]] < k:
+                    if ordered[b] and (rank[cols[b]] > k if b < t
+                                       else rank[cols[b]] < k):
                         return False
             cols[t] = r
             trail.append(t)
@@ -224,11 +223,12 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
             results.append(tuple(cols))
             return
         lo, hi = base_rank, top_rank
-        if ordered:
+        if ordered[y]:
             # column 0 is assigned, so y >= 1; its rank lies between
-            # those of its assigned neighbours
-            lo = rank[cols[y - 1]]
-            hi = min((rank[c] for c in cols[y + 1:] if c != -1), default=hi)
+            # those of its assigned neighbours in S
+            lo = max(rank[cols[x]] for x in range(y) if ordered[x])
+            hi = min((rank[cols[x]] for x in range(y + 1, n)
+                      if ordered[x] and cols[x] != -1), default=hi)
         # b_b(y) = y makes b_y commute with b_b; the identity (index 0)
         # commutes with everything
         fixers = sorted({c for c in cols if c > 0 and perms[c][y] == y},
@@ -237,13 +237,9 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
             rest = fixers[1:]
             branch = [r for r in cent[fixers[0]] if lo <= rank[r] <= hi
                       and all(prod[r][f] == prod[f][r] for f in rest)]
-            if ordered:
-                branch.sort(key=rank.__getitem__)
-        elif ordered:
+        else:
             branch = pool[bisect_left(pool_rank, lo):
                           bisect_right(pool_rank, hi)]
-        else:
-            branch = pool
         for r in branch:
             trail: list[int] = []
             if assign(y, r, trail):
@@ -260,7 +256,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
 def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
     # The column tuples are shared with ``_tables``, so the raw tables of a
     # search hold no copies of them.
-    perms, _, _, _, _ = _tables(n)
+    perms = _tables(n)[0]
     return RackTable.from_columns([perms[i] for i in col_ids])
 
 

@@ -80,7 +80,7 @@ def _sha256(value) -> str:
 
 def test_product_table_matches_compose_and_inverse():
     for n in range(7):
-        perms, _, prod, inv, _ = _tables(n)
+        perms, prod, inv, _ = _tables(n)
         assert len(prod) == len(perms)
         assert [perms[i] for i in inv] == [inverse(p) for p in perms]
         rows = range(len(perms)) if n <= 5 else range(0, len(perms), 7)
@@ -95,7 +95,7 @@ PARTITIONS = (1, 1, 2, 3, 5, 7, 11)
 
 def test_centralizer_table_matches_brute_force():
     for n in range(7):
-        perms, _, prod, _, rank = _tables(n)
+        perms, prod, _, rank = _tables(n)
         cent = _centralizers(n)
         assert len(cent) == len(perms)
         # |C(p)| = n! / |class of p|, so each class adds n! entries
@@ -115,8 +115,9 @@ def test_centralizer_table_matches_brute_force():
 
 def unrestricted_search_shard(n, first_col):
     """The column search with no rank ordering in any shard: the oracle of
-    ``_search_shard``, which keeps only the rank-sorted tables of shard 0."""
-    perms, _, prod, inv, rank = _tables(n)
+    ``_search_shard``, which keeps only the tables whose ranks at column 0
+    and at its fixed points do not decrease."""
+    perms, prod, inv, rank = _tables(n)
     base_rank = rank[first_col]
     pool = [i for i in range(len(perms)) if rank[i] >= base_rank]
     cols = [-1] * n
@@ -220,11 +221,11 @@ ORACLE_RAW_SHARDS_SHA256 = \
     "fedf16caac3d174d0a4ba62b2fefdc69100e7d600fefb1aaaeb86e8aeb0734ce"
 ORACLE_REPRESENTATIVES_SHA256 = \
     "dbffe42d2146bff5aaf4068c96e7ccf770b58acb31999144275721e86aa107d7"
-RAW_TABLE_COUNTS = [1, 2, 7, 28, 201, 1940]
+RAW_TABLE_COUNTS = [1, 2, 7, 28, 190, 1586]
 RAW_SHARDS_SHA256 = \
-    "6e9b59dc55371a5eb0d6457f520413aa3d68ca36c2ce5c0a32fe1774d352eaf9"
+    "e82cde4548236cb305279f1bcabd6caeb44b92c6464b27d6c0c246c5590c2e59"
 REPRESENTATIVES_SHA256 = \
-    "f34516a709cded225bb2b816e15a8e15466b6c34cf0ec00354851030b3bb53de"
+    "9475fef7ad45b51a2762ce60be42dfaa83e943e89568f481d0b98ba4470f1cc0"
 
 
 def test_oracle_search_is_pinned(oracle_raw, oracle_classes):
@@ -241,22 +242,47 @@ def test_search_shards_are_pinned(search_raw):
     assert _sha256(search_raw) == RAW_SHARDS_SHA256
 
 
-def _ranks_sorted(n, cols):
-    rank = _tables(n)[4]
-    return all(rank[a] <= rank[b] for a, b in zip(cols, cols[1:]))
+def _ranks_sorted_at_fixed_points(n, cols):
+    perms, _, _, rank = _tables(n)
+    first = perms[cols[0]]
+    ranks = [rank[cols[x]] for x in range(n) if x == 0 or first[x] == x]
+    return ranks == sorted(ranks)
 
 
-def test_search_is_the_oracle_with_sorted_identity_shard(search_raw,
-                                                         oracle_raw):
-    # shard 0 (column 0 the identity) keeps exactly the oracle's tables
-    # whose column ranks do not decrease; every other shard is unchanged
+def test_search_is_the_oracle_sorted_at_fixed_points(search_raw, oracle_raw):
+    # each shard keeps exactly the oracle's tables whose column ranks at
+    # column 0 and at its fixed points do not decrease
     for n, (shards, oracle_shards) in enumerate(zip(search_raw, oracle_raw),
                                                 start=1):
-        assert _canonical_first_columns(n)[0] == 0
-        assert all(_ranks_sorted(n, cols) for cols in shards[0])
-        assert sorted(shards[0]) == [cols for cols in sorted(oracle_shards[0])
-                                     if _ranks_sorted(n, cols)]
-        assert shards[1:] == oracle_shards[1:]
+        for shard, oracle_shard in zip(shards, oracle_shards, strict=True):
+            assert sorted(shard) == [
+                cols for cols in sorted(oracle_shard)
+                if _ranks_sorted_at_fixed_points(n, cols)]
+
+
+def test_fixed_point_relabelings_keep_each_oracle_shard(oracle_raw):
+    # the premise of the rule: every h that moves only points of
+    # Fix(c) minus {0}, c the shard's column 0, commutes with c and
+    # permutes the oracle tables of that shard
+    for n, oracle_shards in enumerate(oracle_raw[:5], start=1):
+        perms, prod, inv, _ = _tables(n)
+        index = {p: i for i, p in enumerate(perms)}
+        for c, shard in zip(_canonical_first_columns(n), oracle_shards,
+                            strict=True):
+            movable = [x for x in range(1, n) if perms[c][x] == x]
+            for image in itertools.permutations(movable):
+                h = list(range(n))
+                for x, hx in zip(movable, image):
+                    h[x] = hx
+                hi = index[tuple(h)]
+                assert prod[hi][c] == prod[c][hi]
+                relabeled = set()
+                for cols in shard:
+                    new = [0] * n
+                    for x in range(n):
+                        new[h[x]] = prod[prod[hi][cols[x]]][inv[hi]]
+                    relabeled.add(tuple(new))
+                assert relabeled == set(shard), (n, c, h)
 
 
 def test_class_representatives_are_pinned(rack_classes):
