@@ -4,12 +4,31 @@ families.
 
 A rack on {0..n-1} is exactly a choice of column permutations b_0..b_{n-1}
 with b_{b_z(y)} = b_z b_y b_z^-1 for all y, z.  The search backtracks over
-columns with that conjugation constraint propagated in both directions, so
-most columns are forced rather than branched.  Each column a new one forces
-is checked against the assigned columns before it is queued: a clash fails
-the branch at once, and an agreement queues nothing.  The forced closure is
-unique, so the order in which constraints are checked changes neither the
-results nor their order.
+columns, and each new column t forces others by two forward rules: for
+every assigned b (t included), b_{b_b(t)} = b_b b_t b_b^-1 and
+b_{b_t(b)} = b_t b_b b_t^-1.  A forced column whose target is assigned is
+compared with it on the spot: a clash fails the branch, an agreement queues
+nothing.  An unassigned target is queued; when popped it is assigned, or
+compared if the queue has assigned it meanwhile.
+
+Soundness: the constraint at (z, y) is made by one of the two rules when
+the later of z and y is assigned, and is then compared at once or at the
+pop of its queued entry.  A call that succeeds has emptied its queue, so
+every constraint between assigned columns holds, and a complete assignment
+is a rack.
+
+Backward rules would force nothing more.  They force b_s from b_b and b_t
+where b_b(s) = t, or from b_t and b_{b_t(s)}; either way s lies on the
+cycle of b_b (or b_t) through an assigned column.  Forward forcing walks
+that whole cycle, so where it succeeds it has assigned s, and by soundness
+to the value the constraint at (b, s) (or (t, s)) demands, which is the
+backward value.  Where it fails, so would a search with both rule sets: a
+success there leaves an assignment that meets every constraint between its
+columns and the rank order below, and forward forcing, which only derives
+values that assignment holds, can clash with neither.  So the closure,
+the verdict of every call and the search tree are unchanged, and the order
+in which constraints are checked changes neither the results nor their
+order.
 
 Symmetry breaking: column 0 is required to have the minimal cycle type
 among all columns and to be the canonical representative of its orbit under
@@ -50,7 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fourleg import count_structure_classes
-from .perms import Perm, compose, conjugate, cycle_type, cycles, inverse
+from .perms import compose, cycle_type, cycles, inverse
 from .racks import RackTable, find_isomorphism, rack_flags
 
 MAX_ENUM_ORDER = 6
@@ -126,17 +145,18 @@ def _centralizers(n: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _canonical_first_columns(n: int) -> tuple[int, ...]:
-    """Perm indices minimal in their orbit under conjugation by Stab(0)."""
-    perms = _tables(n)[0]
-    stab0 = [h for h in perms if h[0] == 0]
-    seen: set[Perm] = set()
-    out = []
-    for i, p in enumerate(perms):
-        if p in seen:
-            continue
-        out.append(i)
-        seen.update(conjugate(h, p) for h in stab0)
-    return tuple(out)
+    """Perm indices minimal in their orbit under conjugation by Stab(0).
+
+    Conjugation by h relabels the cycles of p, and h(0) = 0 keeps the one
+    through 0 there, so two permutations share an orbit exactly when they
+    share a cycle type and the length of the cycle through 0.  The indices
+    are those of ``_tables``, whose perms are in lexicographic order.
+    """
+    first: dict = {}
+    for i, p in enumerate(itertools.permutations(range(n))):
+        # ``cycles`` omits fixed points and lists the cycle led by 0 first
+        first.setdefault((cycle_type(p), len(cycles(p)[0]) if p[0] else 1), i)
+    return tuple(first.values())
 
 
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
@@ -160,10 +180,8 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         while queue:
             t, r = queue.pop()
             if cols[t] != -1:
-                # assigned already, and to r: the entry was queued by a
-                # constraint whose other two columns were assigned, and
-                # the checks below fail a new column that breaks any such
-                # constraint
+                if cols[t] != r:
+                    return False
                 continue
             if ordered[t]:
                 k = rank[r]
@@ -179,9 +197,8 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
             ir = inv[r]
             for b in assigned:
                 cb = cols[b]
-                icb = inv[cb]
                 # target b_b(t) is conj(b_b, b_t)
-                s, v = perms[cb][t], prod[prod[cb][r]][icb]
+                s, v = perms[cb][t], prod[prod[cb][r]][inv[cb]]
                 cur = cols[s]
                 if cur == -1:
                     queue.append((s, v))
@@ -194,20 +211,6 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                     queue.append((s, v))
                 elif cur != v:
                     return False
-                # backward: the column mapped onto t by b_b is forced
-                s, v = perms[icb][t], prod[prod[icb][r]][cb]
-                cur = cols[s]
-                if cur == -1:
-                    queue.append((s, v))
-                elif cur != v:
-                    return False
-            # backward through the new column: if b_t maps y onto an
-            # assigned column s, then b_y = b_t^-1 b_s b_t is forced
-            prod_ir = prod[ir]
-            for y in range(n):
-                s = cols[pr[y]]
-                if s != -1 and cols[y] == -1:
-                    queue.append((y, prod[prod_ir[s]][r]))
         return True
 
     def undo(trail: list[int]) -> None:

@@ -14,7 +14,7 @@ from legrack.census import (
     dedupe_racks,
     enumerate_racks,
 )
-from legrack.perms import compose, inverse
+from legrack.perms import compose, conjugate, inverse
 from legrack.racks import (
     RackError,
     RackTable,
@@ -111,6 +111,27 @@ def test_centralizer_table_matches_brute_force():
                                if compose(q, p) == compose(p, q)], (n, p)
         assert all(c == sorted(c) and prod[i][j] == prod[j][i]
                    for i, c in enumerate(cent) for j in c)
+
+
+def orbit_walk_first_columns(n):
+    """Perm indices minimal in their orbit under conjugation by Stab(0),
+    found by listing each orbit: the oracle of ``_canonical_first_columns``,
+    which keys the orbits by cycle type and cycle length through 0."""
+    perms = sorted(itertools.permutations(range(n)))
+    stab0 = [h for h in perms if h[0] == 0]
+    seen = set()
+    out = []
+    for i, p in enumerate(perms):
+        if p in seen:
+            continue
+        out.append(i)
+        seen.update(conjugate(h, p) for h in stab0)
+    return tuple(out)
+
+
+def test_first_columns_match_orbit_walk():
+    for n in range(1, 8):
+        assert _canonical_first_columns(n) == orbit_walk_first_columns(n), n
 
 
 def unrestricted_search_shard(n, first_col):
@@ -240,6 +261,15 @@ def test_search_shards_are_pinned(search_raw):
     assert [sum(len(shard) for shard in r) for r in search_raw] == \
         RAW_TABLE_COUNTS
     assert _sha256(search_raw) == RAW_SHARDS_SHA256
+
+
+def test_every_raw_table_is_a_rack(search_raw):
+    # checked by the rack axioms themselves, with none of the search's
+    # propagation code, unlike the oracle
+    for n, shards in enumerate(search_raw, start=1):
+        for shard in shards:
+            for cols in shard:
+                validate_rack(_cols_to_table(n, cols))
 
 
 def _ranks_sorted_at_fixed_points(n, cols):
