@@ -28,7 +28,6 @@ from .fourleg import (
     FourLegStructure,
     check_kimura_axioms,
     classify_structures,
-    count_structure_classes,
     enumerate_structures,
     make_fourleg,
 )

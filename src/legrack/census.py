@@ -60,6 +60,21 @@ fail, so the rule loses no table.
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.
+
+Dedupe and counts: the raw tables are bucketed by an invariant key, the
+kink's flags and cycle type plus the sorted ``RackTable.element_colors``,
+and tested for isomorphism only within a bucket.  The colors are
+invariants: an isomorphism phi has phi b_y phi^-1 = b_phi(y),
+phi kink = kink phi, and row phi(x) equal to phi (row x) phi^-1, so column
+cycle type, kink cycle length and row value multiplicities at x are those
+at phi(x).  So the isomorphism search, which maps x only to elements of
+the same color, cuts only branches holding no isomorphism and still finds
+the lexicographically least one.  A rack's structure classes, the orbits
+of U_X x U_X under diagonal conjugation by Aut(X), are counted by Burnside
+as (1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is normal in Aut(X): for h in
+Aut, h b_y h^-1 = b_h(y), so h Inn h^-1 = Inn and h U_X h^-1 centralizes
+Inn as well.  Then C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per
+conjugacy class of Aut, weighted by its size (``_structure_class_count``).
 """
 from __future__ import annotations
 
@@ -68,9 +83,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fourleg import count_structure_classes
 from .perms import compose, cycle_type, cycles, inverse
-from .racks import RackTable, find_isomorphism, rack_flags
+from .racks import (
+    RackTable,
+    automorphism_group,
+    find_isomorphism,
+    rack_flags,
+)
 
 MAX_ENUM_ORDER = 6
 
@@ -87,8 +106,9 @@ class CensusRow:
 
 @lru_cache(maxsize=None)
 def _tables(n: int):
-    """Integer-indexed S_n arithmetic: perms, products, inverses, and a
-    total rank on cycle types (identity type ranks lowest).
+    """Integer-indexed S_n arithmetic: perms, products, inverses, a total
+    rank on cycle types (identity type ranks lowest), the cycle type of
+    each perm and the index of each perm.
 
     ``prod[p][q]`` is the index of p o q.  Row p is the permutation of the
     indices made by left multiplication by p, so row(p o g) is row(p)
@@ -112,10 +132,10 @@ def _tables(n: int):
             if prod[row[0]] is None:
                 prod[row[0]] = row
                 frontier.append(row[0])
-    types = sorted({cycle_type(p) for p in perms})
-    type_rank = {t: i for i, t in enumerate(types)}
-    rank = [type_rank[cycle_type(p)] for p in perms]
-    return perms, prod, inv, rank
+    types = [cycle_type(p) for p in perms]
+    type_rank = {t: i for i, t in enumerate(sorted(set(types)))}
+    rank = [type_rank[t] for t in types]
+    return perms, prod, inv, rank, types, index
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +147,7 @@ def _centralizers(n: int) -> list[list[int]]:
     its first member p; every other member g p g^-1 gets g C(p) g^-1.
     The lists hold n! * p(n) entries in all, p the partition count.
     """
-    perms, prod, inv, _ = _tables(n)
+    perms, prod, inv, *_ = _tables(n)
     size = len(perms)
     cent: list = [None] * size
     for p in range(size):
@@ -162,7 +182,7 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     """All column assignments with the given canonical first column whose
     column ranks at column 0 and at its fixed points do not decrease."""
-    perms, prod, inv, rank = _tables(n)
+    perms, prod, inv, rank, *_ = _tables(n)
     cent = _centralizers(n)
     base_rank = rank[first_col]
     pool = sorted((i for i in range(len(perms)) if rank[i] >= base_rank),
@@ -257,28 +277,19 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
 
 
 def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
-    # The column tuples are shared with ``_tables``, so the raw tables of a
-    # search hold no copies of them.
-    perms = _tables(n)[0]
-    return RackTable.from_columns([perms[i] for i in col_ids])
+    # The column tuples and their cycle types are shared with ``_tables``,
+    # so the raw tables of a search hold no copies of them and no column's
+    # cycle type is computed again.
+    perms, _, _, _, types, _ = _tables(n)
+    table = RackTable.from_columns([perms[i] for i in col_ids])
+    table.__dict__["column_types"] = tuple(types[i] for i in col_ids)
+    return table
 
 
 def _invariant_key(rack: RackTable):
     flags = rack_flags(rack)
-    col_types = rack.column_types
-    kink_len = [1] * rack.n
-    for cyc in cycles(flags.kink):
-        for x in cyc:
-            kink_len[x] = len(cyc)
-    profile = tuple(sorted(
-        (col_types[x],
-         kink_len[x],
-         tuple(sorted((rack.rows[x].count(v) for v in set(rack.rows[x])),
-                      reverse=True)))
-        for x in range(rack.n)
-    ))
     return (flags.is_quandle, flags.is_involutory,
-            cycle_type(flags.kink), profile)
+            cycle_type(flags.kink), tuple(sorted(rack.element_colors)))
 
 
 def dedupe_racks(racks) -> list[RackTable]:
@@ -331,17 +342,34 @@ def _in_family(flags, family: str) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _structure_class_count(rack: RackTable) -> int:
+    """The number of orbits of U_X x U_X under diagonal conjugation by
+    Aut(X), (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, summed once per conjugacy
+    class of Aut (see the module docstring) over the indices of ``_tables``:
+    h g h^-1 is ``prod[prod[h][g]][inv[h]]``."""
+    _, prod, inv, _, _, index = _tables(rack.n)
+    aut = [index[g] for g in automorphism_group(rack).elements]
+    center = [index[u] for u in rack.gl_center.elements]
+    seen: set[int] = set()
+    total = 0
+    for g in aut:
+        if g in seen:
+            continue
+        klass = {prod[prod[h][g]][inv[h]] for h in aut}
+        seen |= klass
+        prod_g = prod[g]
+        c = sum(1 for u in center if prod[u][g] == prod_g[u])
+        total += len(klass) * c * c
+    return total // len(aut)
+
+
 def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
     """Structure-class counts per family (racks, involutory, quandles, kei).
 
     A rack X contributes its number of 4-Legendrian structures up to
-    isomorphism, the orbits of U_X x U_X under diagonal conjugation by
-    Aut(X).  They are counted, not listed, by Burnside:
-    (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, summed once per conjugacy class of
-    Aut, which is valid because U_X = C_Aut(Inn) is normal in Aut(X)
-    (``count_structure_classes``).
+    isomorphism, counted by ``_structure_class_count``.
     """
-    per_rack = [(rack_flags(r), count_structure_classes(r))
+    per_rack = [(rack_flags(r), _structure_class_count(r))
                 for r in enumerate_racks(n, jobs=jobs)]
     rows = []
     for family in FAMILY_NAMES:

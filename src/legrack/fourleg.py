@@ -24,7 +24,6 @@ from functools import cached_property
 
 from .perms import (
     Perm,
-    burnside_pair_count,
     compose,
     conjugate,
     identity,
@@ -159,8 +158,9 @@ def classify_structures(rack: RackTable) -> list[StructureClass]:
     """Orbit representatives of U_X x U_X under diagonal conjugation by Aut(X).
 
     Returned sorted by canonical (lexicographically least) representative,
-    each with the size of its orbit.  U_X is normal in Aut(X) (see
-    ``count_structure_classes``), so Aut acts on it by conjugation.
+    each with the size of its orbit.  U_X is normal in Aut(X): for h in
+    Aut, h b_y h^-1 = b_{h(y)}, so h Inn h^-1 = Inn and h U_X h^-1
+    centralizes Inn as well.  So Aut acts on U_X by conjugation.
 
     Listing rule: walk U_X in sorted order, skipping every ``a`` already in
     the conjugacy class of an earlier one.  One pass over Aut gives the class
@@ -201,18 +201,6 @@ def classify_structures(rack: RackTable) -> list[StructureClass]:
             covered_b |= orbit
             classes.append(StructureClass(a, b, len(klass) * len(orbit)))
     return classes
-
-
-def count_structure_classes(rack: RackTable) -> int:
-    """Number of classes ``classify_structures`` lists, counted by Burnside.
-
-    The classes are the orbits of U_X x U_X under diagonal conjugation by
-    Aut(X), so the count is (1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is
-    normal in Aut(X): for h in Aut, h b_y h^-1 = b_{h(y)}, so h Inn h^-1 =
-    Inn and h U_X h^-1 centralizes Inn as well.  Hence the sum runs once
-    per conjugacy class of Aut (``burnside_pair_count``).
-    """
-    return burnside_pair_count(automorphism_group(rack), rack.gl_center)
 
 
 # --- Kimura's eight-axiom characterization ----------------------------------

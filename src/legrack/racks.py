@@ -13,6 +13,7 @@ from .perms import (
     Perm,
     PermGroup,
     cycle_type,
+    cycles,
     identity,
     inverse,
     subgroup_closure,
@@ -78,6 +79,21 @@ class RackTable:
     def column_types(self) -> tuple[tuple[int, ...], ...]:
         """Cycle type of each column, computed once per table."""
         return tuple(cycle_type(c) for c in self.columns)
+
+    @cached_property
+    def element_colors(self) -> tuple[tuple, ...]:
+        """Per element x: the cycle type of column x, the length of x's
+        cycle under the kink and the value multiplicities of row x, in
+        descending order.  An isomorphism phi carries each of the three at
+        x to the same at phi(x), so the colors are isomorphism invariants
+        that ``_iso_search`` matches on."""
+        kink_len = [1] * self.n
+        for cyc in cycles(self.flags.kink):
+            for x in cyc:
+                kink_len[x] = len(cyc)
+        return tuple(
+            (ct, kl, tuple(sorted(map(row.count, set(row)), reverse=True)))
+            for ct, kl, row in zip(self.column_types, kink_len, self.rows))
 
     @cached_property
     def flags(self) -> RackFlags:
@@ -198,16 +214,21 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
     """Backtracking search for table isomorphisms src -> dst with propagation.
 
     Assigning phi(x)=v forces phi(src[x][y]) = dst[v][phi(y)] for every
-    already-assigned y (and symmetrically), which prunes hard.
+    already-assigned y (and symmetrically), which prunes hard; a forced
+    pair whose source is assigned is compared on the spot, any other is
+    queued.  x may only go to a v of the same ``element_colors`` entry:
+    every isomorphism keeps the colors, so this cuts only branches that
+    cannot succeed, and the isomorphisms are still found in lexicographic
+    order (the smallest unassigned x branches, over v ascending).
     """
     n = src.n
     if dst.n != n:
         return []
     if n == 0:
         return [()]
-    src_types = src.column_types
-    dst_types = dst.column_types
-    if sorted(src_types) != sorted(dst_types):
+    src_colors = src.element_colors
+    dst_colors = dst.element_colors
+    if sorted(src_colors) != sorted(dst_colors):
         return []
     srows, drows = src.rows, dst.rows
     fwd = [-1] * n
@@ -222,7 +243,7 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
                 if fwd[x] != v:
                     return False
                 continue
-            if bwd[v] != -1 or src_types[x] != dst_types[v]:
+            if bwd[v] != -1 or src_colors[x] != dst_colors[v]:
                 return False
             fwd[x] = v
             bwd[v] = x
@@ -232,8 +253,18 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
                 fy = fwd[y]
                 if fy == -1:
                     continue
-                queue.append((sx[y], dv[fy]))
-                queue.append((srows[y][x], drows[fy][v]))
+                s, w = sx[y], dv[fy]
+                fs = fwd[s]
+                if fs == -1:
+                    queue.append((s, w))
+                elif fs != w:
+                    return False
+                s, w = srows[y][x], drows[fy][v]
+                fs = fwd[s]
+                if fs == -1:
+                    queue.append((s, w))
+                elif fs != w:
+                    return False
         return True
 
     def extend() -> bool:
@@ -244,7 +275,7 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
             found.append(tuple(fwd))
             return first_only
         for v in range(n):
-            if bwd[v] != -1 or src_types[x] != dst_types[v]:
+            if bwd[v] != -1 or src_colors[x] != dst_colors[v]:
                 continue
             trail: list[int] = []
             if assign(x, v, trail) and extend():

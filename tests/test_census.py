@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from legrack.census import (
     dedupe_racks,
     enumerate_racks,
 )
-from legrack.perms import compose, conjugate, inverse
+from legrack.perms import compose, conjugate, cycle_type, inverse
 from legrack.racks import (
     RackError,
     RackTable,
@@ -80,8 +81,10 @@ def _sha256(value) -> str:
 
 def test_product_table_matches_compose_and_inverse():
     for n in range(7):
-        perms, prod, inv, _ = _tables(n)
+        perms, prod, inv, _, types, index = _tables(n)
         assert len(prod) == len(perms)
+        assert types == [cycle_type(p) for p in perms]
+        assert index == {p: i for i, p in enumerate(perms)}
         assert [perms[i] for i in inv] == [inverse(p) for p in perms]
         rows = range(len(perms)) if n <= 5 else range(0, len(perms), 7)
         for i in rows:
@@ -95,7 +98,7 @@ PARTITIONS = (1, 1, 2, 3, 5, 7, 11)
 
 def test_centralizer_table_matches_brute_force():
     for n in range(7):
-        perms, prod, _, rank = _tables(n)
+        perms, prod, _, rank, *_ = _tables(n)
         cent = _centralizers(n)
         assert len(cent) == len(perms)
         # |C(p)| = n! / |class of p|, so each class adds n! entries
@@ -138,7 +141,7 @@ def unrestricted_search_shard(n, first_col):
     """The column search with no rank ordering in any shard: the oracle of
     ``_search_shard``, which keeps only the tables whose ranks at column 0
     and at its fixed points do not decrease."""
-    perms, prod, inv, rank = _tables(n)
+    perms, prod, inv, rank, *_ = _tables(n)
     base_rank = rank[first_col]
     pool = [i for i in range(len(perms)) if rank[i] >= base_rank]
     cols = [-1] * n
@@ -273,7 +276,7 @@ def test_every_raw_table_is_a_rack(search_raw):
 
 
 def _ranks_sorted_at_fixed_points(n, cols):
-    perms, _, _, rank = _tables(n)
+    perms, _, _, rank, *_ = _tables(n)
     first = perms[cols[0]]
     ranks = [rank[cols[x]] for x in range(n) if x == 0 or first[x] == x]
     return ranks == sorted(ranks)
@@ -295,8 +298,7 @@ def test_fixed_point_relabelings_keep_each_oracle_shard(oracle_raw):
     # Fix(c) minus {0}, c the shard's column 0, commutes with c and
     # permutes the oracle tables of that shard
     for n, oracle_shards in enumerate(oracle_raw[:5], start=1):
-        perms, prod, inv, _ = _tables(n)
-        index = {p: i for i, p in enumerate(perms)}
+        perms, prod, inv, _, _, index = _tables(n)
         for c, shard in zip(_canonical_first_columns(n), oracle_shards,
                             strict=True):
             movable = [x for x in range(1, n) if perms[c][x] == x]
@@ -430,3 +432,60 @@ def test_dedupe_is_idempotent_and_absorbs_relabelings():
     reps5 = enumerate_racks(5)
     assert relabeled.rows not in {r.rows for r in reps5}
     assert len(dedupe_racks(list(reps5) + [relabeled])) == len(reps5)
+
+
+def relabeled(rack, phi):
+    """The table phi carries ``rack`` to: phi is an isomorphism onto it."""
+    n = rack.n
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[phi[x]][phi[y]] = phi[rack.rows[x][y]]
+    return validate_rack(rows)
+
+
+def test_element_colors_move_with_a_relabeling(rack_classes):
+    # the colors are isomorphism invariants, so the colored isomorphism
+    # search and the dedupe key lose no isomorphism; and dedupe keeps, per
+    # class, whichever of the representative and its copy sorts first
+    # (a copy can be the lexicographically smaller table)
+    rng = random.Random(19)
+    for n in range(7):
+        reps = rack_classes[n]
+        copies = []
+        for rack in reps:
+            phi = list(range(n))
+            rng.shuffle(phi)
+            copy = relabeled(rack, phi)
+            assert all(copy.element_colors[phi[x]] == rack.element_colors[x]
+                       for x in range(n)), (rack.rows, phi)
+            copies.append(copy)
+        kept = dedupe_racks(list(reps) + copies)
+        assert sorted(r.rows for r in kept) == sorted(
+            min(a.rows, b.rows) for a, b in zip(reps, copies)), n
+
+
+# ``_iso_search`` calls made by ``enumerate_racks(n)`` for n = 1..6: one per
+# pair of tables that share a dedupe key and are compared.  A weaker key
+# puts more tables in a bucket and shows here first.
+ISO_SEARCH_CALLS = [0, 0, 1, 9, 118, 1271]
+
+
+def test_dedupe_makes_few_isomorphism_searches(monkeypatch):
+    import legrack.racks
+
+    calls = []
+    real = legrack.racks._iso_search
+
+    def counting(src, dst, first_only):
+        calls.append(first_only)
+        return real(src, dst, first_only)
+
+    monkeypatch.setattr(legrack.racks, "_iso_search", counting)
+    counts = []
+    for n in range(1, 7):
+        calls.clear()
+        enumerate_racks(n)
+        counts.append(len(calls))
+    assert all(c <= bound for c, bound in zip(counts, ISO_SEARCH_CALLS)), \
+        counts

@@ -1,11 +1,10 @@
 import pytest
 
-from legrack.census import enumerate_racks
+from legrack.census import _structure_class_count, enumerate_racks
 from legrack.fourleg import (
     FourLegStructure,
     check_kimura_axioms,
     classify_structures,
-    count_structure_classes,
     enumerate_structures,
     make_fourleg,
 )
@@ -32,6 +31,14 @@ def n_cycle(n):
     return tuple((i + 1) % n for i in range(n))
 
 
+def count_structure_classes(rack):
+    """Number of classes ``classify_structures`` lists, counted by Burnside
+    over permutation tuples: the oracle of the census's count over S_n
+    indices.  ``burnside_pair_count`` also checks that U_X is closed under
+    conjugation by Aut(X)."""
+    return burnside_pair_count(automorphism_group(rack), rack.gl_center)
+
+
 def test_gl_center_is_computed_once_per_table(monkeypatch):
     import legrack.racks
 
@@ -50,7 +57,7 @@ def test_gl_center_is_computed_once_per_table(monkeypatch):
             make_fourleg(rack, ul, ur)
     assert len(list(enumerate_structures(rack))) == 36
     classify_structures(rack)
-    count_structure_classes(rack)
+    _structure_class_count(rack)
     assert rack.gl_center is center
     # one Aut(X) search, and no other isomorphism search
     assert searches == [False]
@@ -141,8 +148,12 @@ def test_classify_matches_burnside_for_trivial_quandles():
 
 @pytest.mark.parametrize("n", range(7))
 def test_count_structure_classes_matches_classify(n, rack_classes):
+    # the census's Burnside over S_n indices, the same sum over
+    # permutation tuples, and the listing of the classes
     for rack in rack_classes[n]:
-        assert count_structure_classes(rack) == len(classify_structures(rack))
+        count = _structure_class_count(rack)
+        assert count == count_structure_classes(rack) == \
+            len(classify_structures(rack)), rack.rows
 
 
 def test_classify_representatives_sorted_with_orbit_sizes():

@@ -2,8 +2,13 @@ import itertools
 
 import pytest
 
-from legrack.census import enumerate_racks
-from legrack.perms import compose, cycle_type, identity, inverse
+from legrack.census import (
+    _canonical_first_columns,
+    _cols_to_table,
+    _search_shard,
+    enumerate_racks,
+)
+from legrack.perms import compose, cycle_type, identity, inverse, power
 from legrack.racks import (
     RackError,
     RackTable,
@@ -101,6 +106,14 @@ def test_flags_and_column_types_are_cached_and_match_direct_computation():
             assert rack.column_types == tuple(cycle_type(c)
                                               for c in rack.columns)
             assert rack.inv_rows is rack.inv_rows
+            assert rack.element_colors is rack.element_colors
+            assert rack.element_colors == tuple(
+                (cycle_type(rack.columns[x]),
+                 min(k for k in range(1, n + 1)
+                     if power(flags.kink, k)[x] == x),
+                 tuple(sorted((row.count(v) for v in set(row)),
+                              reverse=True)))
+                for x, row in enumerate(rack.rows))
             assert all(rack.rows[rack.inv_rows[x][y]][y] == x
                        for x in range(n) for y in range(n))
 
@@ -123,15 +136,43 @@ def test_automorphism_groups():
         assert sigma in aut
 
 
-def test_automorphism_group_matches_brute_force():
-    for rack in [dihedral_quandle(4), permutation_rack((1, 0, 3, 2)),
-                 alexander_quandle(5, 2)]:
+def test_automorphism_group_matches_brute_force(rack_classes):
+    racks = [dihedral_quandle(4), permutation_rack((1, 0, 3, 2)),
+             alexander_quandle(5, 2)]
+    racks += [rack for n in range(6) for rack in rack_classes[n]]
+    for rack in racks:
         brute = {
             phi for phi in itertools.permutations(range(rack.n))
             if all(phi[rack.rows[x][y]] == rack.rows[phi[x]][phi[y]]
                    for x in range(rack.n) for y in range(rack.n))
         }
-        assert automorphism_group(rack).elements == brute
+        assert automorphism_group(rack).elements == brute, rack.rows
+
+
+def test_find_isomorphism_is_the_least_one(rack_classes):
+    # every raw table of the column search of order <= 5 against every
+    # representative: the colored search finds an isomorphism exactly when
+    # one exists, and the lexicographically least one.  The brute force
+    # carries the table along each phi of S_n, in lexicographic order, and
+    # looks the image up among the representatives.
+    for n in range(1, 6):
+        reps = rack_classes[n]
+        by_rows = {rep.rows: i for i, rep in enumerate(reps)}
+        for first_col in _canonical_first_columns(n):
+            for cols in _search_shard(n, first_col):
+                raw = _cols_to_table(n, cols)
+                least = [None] * len(reps)
+                for phi in itertools.permutations(range(n)):
+                    image = [[0] * n for _ in range(n)]
+                    for x in range(n):
+                        for y in range(n):
+                            image[phi[x]][phi[y]] = phi[raw.rows[x][y]]
+                    i = by_rows.get(tuple(map(tuple, image)))
+                    if i is not None and least[i] is None:
+                        least[i] = phi
+                assert sum(phi is not None for phi in least) == 1, raw.rows
+                assert [find_isomorphism(raw, rep) for rep in reps] == \
+                    least, raw.rows
 
 
 def test_automorphism_group_is_searched_once_per_table():
