@@ -57,6 +57,15 @@ the candidates that commute with the other fixers and lie in the rank
 window.  The ones dropped are exactly those the clash check on b_b(y) would
 fail, so the rule loses no table.
 
+Pre-check: before ``assign(y, r)``, a branch candidate r is compared by the
+forward rule b_t(b) at t = y, for every assigned b and for b = y: column
+r(b) must be unassigned or equal r b_b r^-1, and column r(y) unassigned or
+equal r.  Against the same ``cols``, these are comparisons that the first
+pop of ``assign(y, r)`` makes.  The pre-check cannot see cols[y] = r, so it
+makes a subset of them, and it drops only candidates that ``assign`` would
+reject.  So the search tree, the raw tables and their order are unchanged;
+``assign`` keeps all three of its comparisons, which soundness needs.
+
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.
@@ -263,11 +272,25 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         else:
             branch = pool[bisect_left(pool_rank, lo):
                           bisect_right(pool_rank, hi)]
+        # the pre-check: the rule b_y(b) for every assigned b and b = y,
+        # each a comparison the first pop of assign(y, r) would make
+        assigned_cols = [(b, cols[b]) for b in assigned]
         for r in branch:
-            trail: list[int] = []
-            if assign(y, r, trail):
-                extend()
-            undo(trail)
+            pr = perms[r]
+            cur = cols[pr[y]]
+            if cur != -1 and cur != r:
+                continue
+            prod_r = prod[r]
+            ir = inv[r]
+            for b, cb in assigned_cols:
+                cur = cols[pr[b]]
+                if cur != -1 and cur != prod[prod_r[cb]][ir]:
+                    break
+            else:
+                trail: list[int] = []
+                if assign(y, r, trail):
+                    extend()
+                undo(trail)
 
     trail: list[int] = []
     if assign(0, first_col, trail):
@@ -293,7 +316,13 @@ def _invariant_key(rack: RackTable):
 
 
 def dedupe_racks(racks) -> list[RackTable]:
-    """One representative per isomorphism class, deterministic order."""
+    """One representative per isomorphism class, deterministic order.
+
+    Each class is represented by the least table (by key, then rows) among
+    those it was fed, not by a canonical form: the representative depends
+    on the input set, and a relabeled copy fed with it can win.  So a
+    certificate or pin on representatives must fix its input set.
+    """
     buckets: dict = {}
     candidates = sorted(((_invariant_key(r), r) for r in racks),
                         key=lambda kr: (kr[0], kr[1].rows))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -273,6 +274,58 @@ def test_every_raw_table_is_a_rack(search_raw):
         for shard in shards:
             for cols in shard:
                 validate_rack(_cols_to_table(n, cols))
+
+
+# Three order-7 shards, by position in ``_canonical_first_columns(7)``: their
+# first columns and raw table counts.  A lost comparison shows at order 7
+# before it shows at any lower order: without the b_b(t) comparison of
+# ``assign`` each of these shards yields 2 non-racks (444 tables in the
+# first).
+ORDER7_SHARDS = {2: (3, 442), 5: (27, 40), 13: (723, 40)}
+
+
+def test_order7_shards_yield_only_racks():
+    # the S_7 tables take about 200 MB, so they are dropped afterwards
+    try:
+        shards = _canonical_first_columns(7)
+        for pos, (first_col, count) in ORDER7_SHARDS.items():
+            assert shards[pos] == first_col
+            raw = _search_shard(7, first_col)
+            assert len(raw) == count, pos
+            for cols in raw:
+                validate_rack(_cols_to_table(7, cols))
+    finally:
+        _tables.cache_clear()
+        _centralizers.cache_clear()
+
+
+# Calls of ``_search_shard``'s nested ``assign`` for n = 1..6.  The
+# pre-check in ``extend`` drops most failing candidates before the call;
+# without it the search makes [1, 4, 22, 175, 2898, 81072] calls.
+ASSIGN_CALLS = [1, 3, 14, 70, 675, 9793]
+
+
+def test_search_makes_few_assign_calls():
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (event == "call" and code.co_name == "assign"
+                and code.co_filename == _search_shard.__code__.co_filename):
+            calls += 1
+
+    counts = []
+    for n in range(1, 7):
+        calls = 0
+        sys.setprofile(profile)
+        try:
+            for first_col in _canonical_first_columns(n):
+                _search_shard(n, first_col)
+        finally:
+            sys.setprofile(None)
+        counts.append(calls)
+    assert all(c <= bound for c, bound in zip(counts, ASSIGN_CALLS)), counts
 
 
 def _ranks_sorted_at_fixed_points(n, cols):
