@@ -66,6 +66,26 @@ makes a subset of them, and it drops only candidates that ``assign`` would
 reject.  So the search tree, the raw tables and their order are unchanged;
 ``assign`` keeps all three of its comparisons, which soundness needs.
 
+Swap rule: a complete assignment X is dropped if some allowed swap h gives
+a table h.X, (h.X)[x][y] = h(X[h(x)][h(y)]), whose rows are
+lexicographically less than those of X.  The allowed swaps are the
+transpositions (p q) with p, q != 0 that commute with c: a 2-cycle of c,
+or two fixed points of c whose columns in X have the same rank.  Proof
+that it loses no class: h fixes 0 and commutes with c, so h.X has column
+0 h c h^-1 = c and lies in the same shard; a 2-cycle swap fixes S
+pointwise and a fixed-point swap exchanges two equal ranks, so the ranks
+at S stay sorted and h.X meets the rank order too.  So the rows-least
+table of each isomorphism class within a shard's output is never dropped.
+Nor do the representatives move: ``dedupe_racks`` keeps the least table
+(by key, then rows) it is fed, and every table of a class shares its key,
+so that table is rows-least in its class within its own shard and is
+still fed.  The rule compares rows, not column indices, for that reason.
+It only filters the leaves, so the search tree and its ``assign`` calls
+are unchanged, and it runs in ``_search_shard``, so the ``jobs`` workers
+apply it too.  It is the isomorph rejection of Read ("Every one a winner",
+Ann. Discrete Math. 1978) and McKay ("Isomorph-free exhaustive
+generation", J. Algorithms 1998), restricted to a shard's transpositions.
+
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.
@@ -91,6 +111,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .perms import compose, cycle_type, cycles, inverse
 from .racks import (
@@ -190,7 +211,8 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
 
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     """All column assignments with the given canonical first column whose
-    column ranks at column 0 and at its fixed points do not decrease."""
+    column ranks at column 0 and at its fixed points do not decrease, less
+    those the swap rule drops."""
     perms, prod, inv, rank, *_ = _tables(n)
     cent = _centralizers(n)
     base_rank = rank[first_col]
@@ -199,7 +221,17 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     pool_rank = [rank[i] for i in pool]
     top_rank = pool_rank[-1]
     # the positions of S = {0} u Fix(column 0)
-    ordered = [x == 0 or v == x for x, v in enumerate(perms[first_col])]
+    c = perms[first_col]
+    ordered = [x == 0 or v == x for x, v in enumerate(c)]
+    # the swap rule's transpositions (p q), p, q != 0, that commute with c:
+    # its 2-cycles, and pairs of its fixed points, which are allowed only
+    # where their columns share a rank (memoized on the ranks at Fix(c))
+    fixed = [x for x in range(1, n) if c[x] == x]
+    cycle_swaps = [_transposition(n, p, c[p]) for p in range(1, n)
+                   if p < c[p] and c[c[p]] == p]
+    fixed_swaps = [(i, j, _transposition(n, fixed[i], fixed[j]))
+                   for i, j in itertools.combinations(range(len(fixed)), 2)]
+    swap_memo: dict = {}
     cols = [-1] * n
     assigned: list[int] = []
     results: list[tuple[int, ...]] = []
@@ -247,12 +279,32 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
             cols[t] = -1
             assigned.pop()
 
+    def swap_minimal(swaps) -> bool:
+        # whether no h gives rows of h.X, (h.X)[x][y] = h(X[h(x)][h(y)]),
+        # lexicographically less than those of X; X[x][y] = b_y(x), and row
+        # x of h.X is row h(x) of X with its entries permuted and relabeled
+        rows = list(zip(*[perms[r] for r in cols]))
+        for h, permute, relabel in swaps:
+            for hx, row in zip(h, rows):
+                image = tuple(map(relabel, permute(rows[hx])))
+                if image != row:
+                    if image < row:
+                        return False
+                    break
+        return True
+
     def extend() -> None:
         for y in range(n):
             if cols[y] == -1:
                 break
         else:
-            results.append(tuple(cols))
+            key = tuple(rank[cols[x]] for x in fixed)
+            swaps = swap_memo.get(key)
+            if swaps is None:
+                swaps = swap_memo[key] = cycle_swaps + [
+                    swap for i, j, swap in fixed_swaps if key[i] == key[j]]
+            if swap_minimal(swaps):
+                results.append(tuple(cols))
             return
         lo, hi = base_rank, top_rank
         if ordered[y]:
@@ -297,6 +349,14 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         extend()
     undo(trail)
     return results
+
+
+def _transposition(n: int, p: int, q: int):
+    """The transposition h = (p q) of {0..n-1}, with the maps that permute
+    a row's entries by h and relabel a value by h."""
+    h = list(range(n))
+    h[p], h[q] = q, p
+    return h, itemgetter(*h), h.__getitem__
 
 
 def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
@@ -350,6 +410,10 @@ def enumerate_racks(n: int, jobs: int = 1) -> list[RackTable]:
         # Imported here: it loads multiprocessing and threading, about 2 MB
         # of resident memory that a serial search never uses.
         from concurrent.futures import ProcessPoolExecutor
+        # built before the fork, so the workers inherit them; the counts
+        # need them in this process anyway
+        _tables(n)
+        _centralizers(n)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shard_results = list(pool.map(_search_shard, [n] * len(shards), shards))
     else:
