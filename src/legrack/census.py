@@ -104,6 +104,25 @@ as (1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is normal in Aut(X): for h in
 Aut, h b_y h^-1 = b_h(y), so h Inn h^-1 = Inn and h U_X h^-1 centralizes
 Inn as well.  Then C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per
 conjugacy class of Aut, weighted by its size (``_structure_class_count``).
+
+Aut(X) and U_X are read off the index tables with no isomorphism search
+(``_aut_indices``).  A permutation phi is an automorphism exactly when
+phi(b_z(x)) = b_phi(z)(phi(x)) for all x and z, that is when
+phi b_z = b_phi(z) phi for every column z.  Fix a column b_y.  An
+automorphism maps y to some v of y's color and so conjugates b_y to
+b_v.  The phi with phi b_y phi^-1 = b_v form one left coset of the
+centralizer C(b_y).  Proof: ``_centralizers`` records ``trans[i]``, a g
+with g p g^-1 = i for the first member p of i's conjugacy class; b_y and
+b_v share a color, so a cycle type and that p, and conjugation by
+phi_0 = trans[b_v] trans[b_y]^-1 carries b_y to p and then p to b_v.
+A phi conjugates b_y to b_v exactly when phi_0^-1 phi commutes with b_y,
+that is when phi lies in phi_0 C(b_y).  The cosets of distinct columns
+b_v are disjoint.  So Aut(X) is the members of these cosets, over the
+distinct columns of y's color, that meet phi b_z = b_phi(z) phi at every
+z; y is the element whose |C(b_y)| times the number of those columns is
+least.  U_X is the automorphisms with b_phi(z) = b_z for every z (see
+``RackTable.gl_center``).  ``RackTable.automorphisms`` and ``gl_center``,
+which serve racks of any order, are the oracle of this computation.
 """
 from __future__ import annotations
 
@@ -113,13 +132,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .perms import compose, cycle_type, cycles, inverse
-from .racks import (
-    RackTable,
-    automorphism_group,
-    find_isomorphism,
-    rack_flags,
-)
+from .perms import compose, cycle_type, inverse
+from .racks import RackTable, find_isomorphism, rack_flags
 
 MAX_ENUM_ORDER = 6
 
@@ -145,20 +159,23 @@ def _tables(n: int):
     composed with row(g).  The rows are filled by a breadth-first walk from
     the identity (index 0) over an n-cycle and a transposition, which
     generate S_n; the entry of row(p o g) at the identity is its own index.
+    Each row is a tuple, composed by an ``itemgetter`` over row(g).
     """
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     inv = [index[inverse(p)] for p in perms]
     gens = ([tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
             if n >= 2 else [])
-    gen_rows = [[index[compose(g, q)] for q in perms] for g in gens]
+    # n! >= 2 here, so each getter returns a tuple
+    gen_rows = [itemgetter(*[index[compose(g, q)] for q in perms])
+                for g in gens]
     prod: list = [None] * len(perms)
-    prod[0] = list(range(len(perms)))
+    prod[0] = tuple(range(len(perms)))
     frontier = [0]
     for p in frontier:
         row_p = prod[p]
         for row_g in gen_rows:
-            row = [row_p[x] for x in row_g]
+            row = row_g(row_p)
             if prod[row[0]] is None:
                 prod[row[0]] = row
                 frontier.append(row[0])
@@ -169,17 +186,20 @@ def _tables(n: int):
 
 
 @lru_cache(maxsize=None)
-def _centralizers(n: int) -> list[list[int]]:
+def _centralizers(n: int) -> tuple[list[list[int]], list[int]]:
     """``cent[i]``: the indices of the permutations that commute with
-    permutation i, ascending.
+    permutation i, ascending; ``trans[i]``: the index of a g with
+    g p g^-1 = i, p the first member of i's conjugacy class.
 
     S_n is scanned once per conjugacy class, for the centralizer C(p) of
-    its first member p; every other member g p g^-1 gets g C(p) g^-1.
-    The lists hold n! * p(n) entries in all, p the partition count.
+    its first member p; every other member g p g^-1 gets g C(p) g^-1, and
+    g is its ``trans``.  The lists hold n! * p(n) entries in all, p the
+    partition count.
     """
     perms, prod, inv, *_ = _tables(n)
     size = len(perms)
     cent: list = [None] * size
+    trans = [0] * size
     for p in range(size):
         if cent[p] is not None:
             continue
@@ -190,7 +210,8 @@ def _centralizers(n: int) -> list[list[int]]:
             conj = prod[prod_g[p]][ig]
             if cent[conj] is None:
                 cent[conj] = sorted(prod[prod_g[q]][ig] for q in c_p)
-    return cent
+                trans[conj] = g
+    return cent, trans
 
 
 @lru_cache(maxsize=None)
@@ -199,13 +220,17 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
 
     Conjugation by h relabels the cycles of p, and h(0) = 0 keeps the one
     through 0 there, so two permutations share an orbit exactly when they
-    share a cycle type and the length of the cycle through 0.  The indices
-    are those of ``_tables``, whose perms are in lexicographic order.
+    share a cycle type and the length of the cycle through 0.  The perms,
+    their indices and cycle types are those of ``_tables``.
     """
+    perms, _, _, _, types, _ = _tables(n)
     first: dict = {}
-    for i, p in enumerate(itertools.permutations(range(n))):
-        # ``cycles`` omits fixed points and lists the cycle led by 0 first
-        first.setdefault((cycle_type(p), len(cycles(p)[0]) if p[0] else 1), i)
+    for i, (p, t) in enumerate(zip(perms, types)):
+        # the length of the cycle through 0
+        length, x = 1, p[0]
+        while x:
+            length, x = length + 1, p[x]
+        first.setdefault((t, length), i)
     return tuple(first.values())
 
 
@@ -214,7 +239,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     column ranks at column 0 and at its fixed points do not decrease, less
     those the swap rule drops."""
     perms, prod, inv, rank, *_ = _tables(n)
-    cent = _centralizers(n)
+    cent, _ = _centralizers(n)
     base_rank = rank[first_col]
     pool = sorted((i for i in range(len(perms)) if rank[i] >= base_rank),
                   key=rank.__getitem__)
@@ -435,14 +460,50 @@ def _in_family(flags, family: str) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _aut_indices(rack: RackTable) -> tuple[list[int], list[int]]:
+    """Aut(X) and U_X as indices of ``_tables``, read off the centralizer
+    cosets of one column with no isomorphism search (see the module
+    docstring)."""
+    n = rack.n
+    if n == 0:
+        return [0], [0]
+    perms, prod, inv, _, _, index = _tables(n)
+    cent, trans = _centralizers(n)
+    cols = [index[c] for c in rack.columns]
+    col_rows = [prod[c] for c in cols]
+    colors = rack.element_colors
+    targets: dict = {}
+    for color, c in zip(colors, cols):
+        targets.setdefault(color, set()).add(c)
+    # the y that leaves the fewest candidates, |C(b_y)| per distinct column
+    # of y's color
+    y = min(range(n),
+            key=lambda x: len(cent[cols[x]]) * len(targets[colors[x]]))
+    c_y = cent[cols[y]]
+    back = inv[trans[cols[y]]]
+    aut = []
+    for b_v in targets[colors[y]]:
+        # the phi with phi b_y phi^-1 = b_v: trans[b_v] trans[b_y]^-1 C(b_y)
+        coset = prod[prod[trans[b_v]][back]]
+        for phi in map(coset.__getitem__, c_y):
+            # phi b_z = b_phi(z) phi for every z
+            prod_phi = prod[phi]
+            for c, px in zip(cols, perms[phi]):
+                if prod_phi[c] != col_rows[px][phi]:
+                    break
+            else:
+                aut.append(phi)
+    center = [phi for phi in aut if [cols[px] for px in perms[phi]] == cols]
+    return aut, center
+
+
 def _structure_class_count(rack: RackTable) -> int:
     """The number of orbits of U_X x U_X under diagonal conjugation by
     Aut(X), (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, summed once per conjugacy
-    class of Aut (see the module docstring) over the indices of ``_tables``:
-    h g h^-1 is ``prod[prod[h][g]][inv[h]]``."""
-    _, prod, inv, _, _, index = _tables(rack.n)
-    aut = [index[g] for g in automorphism_group(rack).elements]
-    center = [index[u] for u in rack.gl_center.elements]
+    class of Aut (see the module docstring) over the indices of ``_tables``
+    that ``_aut_indices`` gives: h g h^-1 is ``prod[prod[h][g]][inv[h]]``."""
+    _, prod, inv, *_ = _tables(rack.n)
+    aut, center = _aut_indices(rack)
     seen: set[int] = set()
     total = 0
     for g in aut:

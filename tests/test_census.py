@@ -7,6 +7,7 @@ import pytest
 
 from legrack.census import (
     FAMILY_NAMES,
+    _aut_indices,
     _canonical_first_columns,
     _centralizers,
     _cols_to_table,
@@ -20,6 +21,7 @@ from legrack.perms import compose, conjugate, cycle_type, inverse
 from legrack.racks import (
     RackError,
     RackTable,
+    automorphism_group,
     dihedral_quandle,
     find_isomorphism,
     permutation_rack,
@@ -100,8 +102,8 @@ PARTITIONS = (1, 1, 2, 3, 5, 7, 11)
 def test_centralizer_table_matches_brute_force():
     for n in range(7):
         perms, prod, _, rank, *_ = _tables(n)
-        cent = _centralizers(n)
-        assert len(cent) == len(perms)
+        cent, trans = _centralizers(n)
+        assert len(cent) == len(trans) == len(perms)
         # |C(p)| = n! / |class of p|, so each class adds n! entries
         assert sum(len(c) for c in cent) == len(perms) * PARTITIONS[n]
         # every permutation for n <= 5, the first of each class at n = 6
@@ -115,6 +117,9 @@ def test_centralizer_table_matches_brute_force():
                                if compose(q, p) == compose(p, q)], (n, p)
         assert all(c == sorted(c) and prod[i][j] == prod[j][i]
                    for i, c in enumerate(cent) for j in c)
+        # trans[i] conjugates the first member of i's class to i
+        assert all(conjugate(perms[trans[i]], perms[first[rank[i]]]) == p
+                   for i, p in enumerate(perms)), n
 
 
 def orbit_walk_first_columns(n):
@@ -454,10 +459,16 @@ def test_class_counts_agree_with_published_values(rack_classes):
     # sigma, so there are p(n) of them, p the partition numbers.  The
     # connected quandles of order <= 6 are Vendramin's ("On the
     # classification of quandles of low order", J. Knot Theory
-    # Ramifications 2012).
+    # Ramifications 2012).  The racks and the quandles of each order, up to
+    # isomorphism, are OEIS A181771 and A181769.
+    racks_per_order = (1, 2, 6, 19, 74, 353)
+    quandles_per_order = (1, 1, 3, 7, 22, 73)
     connected_quandles = (1, 0, 1, 1, 3, 2)
     for n in range(1, 7):
         racks = rack_classes[n]
+        assert len(racks) == racks_per_order[n - 1], n
+        assert sum(r.flags.is_quandle for r in racks) == \
+            quandles_per_order[n - 1], n
         assert sum(len(set(r.columns)) == 1 for r in racks) == \
             PARTITIONS[n], n
         assert sum(r.flags.is_quandle and connected(r) for r in racks) == \
@@ -482,6 +493,46 @@ def test_structure_census_small_orders(n):
     assert [r.family for r in rows] == list(FAMILY_NAMES)
     assert tuple(r.structure_count for r in rows) == CENSUS_TABLE[n]
     assert all(r.order == n for r in rows)
+
+
+def test_aut_indices_match_the_search(rack_classes):
+    # the centralizer cosets of one column against the isomorphism search
+    # and the column filter of ``RackTable.gl_center``, for every class of
+    # order <= 6
+    for n in range(7):
+        perms = _tables(n)[0]
+        for rack in rack_classes[n]:
+            aut, center = _aut_indices(rack)
+            assert len(aut) == len(set(aut)), rack.rows
+            assert {perms[g] for g in aut} == \
+                automorphism_group(rack).elements, rack.rows
+            assert {perms[u] for u in center} == \
+                rack.gl_center.elements, rack.rows
+
+
+@pytest.fixture
+def iso_search_calls(monkeypatch):
+    """The ``first_only`` argument of every ``_iso_search`` call the test
+    makes, in order."""
+    import legrack.racks
+
+    calls = []
+    real = legrack.racks._iso_search
+
+    def counting(src, dst, first_only):
+        calls.append(first_only)
+        return real(src, dst, first_only)
+
+    monkeypatch.setattr(legrack.racks, "_iso_search", counting)
+    return calls
+
+
+def test_census_counts_make_no_automorphism_search(iso_search_calls):
+    # Aut(X) and U_X come from ``_aut_indices``; the dedupe's searches
+    # (first_only=True) are bounded by ``ISO_SEARCH_CALLS``
+    for n in range(1, 7):
+        census_counts(n)
+    assert iso_search_calls and False not in iso_search_calls
 
 
 def test_family_containments():
@@ -557,21 +608,11 @@ def test_element_colors_move_with_a_relabeling(rack_classes):
 ISO_SEARCH_CALLS = [0, 0, 1, 4, 30, 169]
 
 
-def test_dedupe_makes_few_isomorphism_searches(monkeypatch):
-    import legrack.racks
-
-    calls = []
-    real = legrack.racks._iso_search
-
-    def counting(src, dst, first_only):
-        calls.append(first_only)
-        return real(src, dst, first_only)
-
-    monkeypatch.setattr(legrack.racks, "_iso_search", counting)
+def test_dedupe_makes_few_isomorphism_searches(iso_search_calls):
     counts = []
     for n in range(1, 7):
-        calls.clear()
+        iso_search_calls.clear()
         enumerate_racks(n)
-        counts.append(len(calls))
+        counts.append(len(iso_search_calls))
     assert all(c <= bound for c, bound in zip(counts, ISO_SEARCH_CALLS)), \
         counts
