@@ -81,8 +81,7 @@ Nor do the representatives move: ``dedupe_racks`` keeps the least table
 so that table is rows-least in its class within its own shard and is
 still fed.  The rule compares rows, not column indices, for that reason.
 It only filters the leaves, so the search tree and its ``assign`` calls
-are unchanged, and it runs in ``_search_shard``, so the ``jobs`` workers
-apply it too.  It is the isomorph rejection of Read ("Every one a winner",
+are unchanged.  It is the isomorph rejection of Read ("Every one a winner",
 Ann. Discrete Math. 1978) and McKay ("Isomorph-free exhaustive
 generation", J. Algorithms 1998), restricted to a shard's transpositions.
 
@@ -421,7 +420,7 @@ def dedupe_racks(racks) -> list[RackTable]:
     return reps
 
 
-def enumerate_racks(n: int, jobs: int = 1) -> list[RackTable]:
+def enumerate_racks(n: int) -> list[RackTable]:
     """One RackTable per isomorphism class of racks of order ``n``."""
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -431,18 +430,7 @@ def enumerate_racks(n: int, jobs: int = 1) -> list[RackTable]:
     if n == 0:
         return [RackTable(0, ())]
     shards = _canonical_first_columns(n)
-    if jobs > 1:
-        # Imported here: it loads multiprocessing and threading, about 2 MB
-        # of resident memory that a serial search never uses.
-        from concurrent.futures import ProcessPoolExecutor
-        # built before the fork, so the workers inherit them; the counts
-        # need them in this process anyway
-        _tables(n)
-        _centralizers(n)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shard_results = list(pool.map(_search_shard, [n] * len(shards), shards))
-    else:
-        shard_results = [_search_shard(n, fc) for fc in shards]
+    shard_results = [_search_shard(n, fc) for fc in shards]
     tables = [_cols_to_table(n, cols)
               for result in shard_results for cols in result]
     return dedupe_racks(tables)
@@ -521,10 +509,12 @@ def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
     """Structure-class counts per family (racks, involutory, quandles, kei).
 
     A rack X contributes its number of 4-Legendrian structures up to
-    isomorphism, counted by ``_structure_class_count``.
+    isomorphism, counted by ``_structure_class_count``.  The census runs
+    in one process; ``jobs`` is accepted for existing callers and has no
+    effect.
     """
     per_rack = [(rack_flags(r), _structure_class_count(r))
-                for r in enumerate_racks(n, jobs=jobs)]
+                for r in enumerate_racks(n)]
     rows = []
     for family in FAMILY_NAMES:
         members = [(f, c) for f, c in per_rack if _in_family(f, family)]

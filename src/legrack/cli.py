@@ -26,17 +26,6 @@ from .perms import cycle_string, parse_cycles
 from .racks import RackError, load_rack
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _census_order(text: str) -> int:
     if text not in map(str, range(MAX_ENUM_ORDER + 1)):
         raise argparse.ArgumentTypeError(
@@ -45,7 +34,13 @@ def _census_order(text: str) -> int:
 
 
 def _verify_order(text: str) -> int:
-    value = _positive_int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
     if value > MAX_ENUM_ORDER:
         raise argparse.ArgumentTypeError(
             f"expected an order of at most {MAX_ENUM_ORDER}, got {text!r}: "
@@ -75,7 +70,7 @@ def _cmd_census(args) -> int:
     lines = _header(args, f"census --max-order {args.max_order}")
     lines.append("order,family,rack_classes,structure_classes")
     for order in range(args.max_order + 1):
-        for row in census_counts(order, jobs=args.jobs):
+        for row in census_counts(order):
             lines.append(f"{row.order},{row.family},{row.rack_count},"
                          f"{row.structure_count}")
     _emit(lines, args)
@@ -179,11 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="per-order, per-family census CSV")
     p.add_argument("--max-order", type=_census_order, required=True)
-    # A string default goes through ``type`` only when ``census`` is parsed,
-    # so a bad $LEGRACK_JOBS is a usage error of this command alone.
-    p.add_argument("--jobs", type=_positive_int,
-                   default=os.environ.get("LEGRACK_JOBS", "1"),
-                   help="parallelism degree (default $LEGRACK_JOBS or 1)")
+    p.add_argument("--jobs", type=int, choices=[1], default=1,
+                   help="accepted for existing scripts; the census runs in "
+                        "one process, so only 1 is valid")
     common(p, header=True)
     p.set_defaults(func=_cmd_census)
 

@@ -78,18 +78,31 @@ def test_jobs_and_no_header_only_on_commands_that_read_them(capsys):
         return True
 
     assert all(accepts(command, []) for command in required)
-    assert {c for c in required if accepts(c, ["--jobs", "2"])} == {"census"}
+    assert {c for c in required if accepts(c, ["--jobs", "1"])} == {"census"}
     assert {c for c in required if accepts(c, ["--no-header"])} == \
         {"census", "classify", "verify"}
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+@pytest.mark.parametrize("jobs", ["2", "0", "-3", "two"])
 def test_census_rejects_jobs_that_are_not_positive(capsys, jobs):
+    # the census runs in one process: any value but 1 is a usage error,
+    # not a request to run serially anyway
     with pytest.raises(SystemExit) as exc:
         main(["census", "--max-order", "1", "--jobs", jobs])
     assert exc.value.code == 2
-    assert "argument --jobs: expected a positive integer" in \
-        capsys.readouterr().err
+    assert "argument --jobs: invalid" in capsys.readouterr().err
+
+
+def test_census_takes_the_benchmark_argv(capsys, tmp_path):
+    # the argv shape perfbench's census workload builds; ``--jobs 1`` must
+    # stay accepted and change no byte of the report
+    with_jobs, without = tmp_path / "jobs.csv", tmp_path / "plain.csv"
+    assert main(["census", "--max-order", "1", "--no-header", "--jobs", "1",
+                 "--output", str(with_jobs)]) == 0
+    assert main(["census", "--max-order", "1", "--no-header",
+                 "--output", str(without)]) == 0
+    assert capsys.readouterr().out == ""
+    assert with_jobs.read_bytes() == without.read_bytes() != b""
 
 
 @pytest.mark.parametrize("order", [str(MAX_ENUM_ORDER + 1), "-1", "-2", "six"])
@@ -128,25 +141,6 @@ def test_verify_rejects_orders_above_the_enumeration_bound(
     assert "25,401,600 structures" in err
 
 
-def test_bad_jobs_environment_fails_census_alone(capsys, monkeypatch,
-                                                 unknot_file):
-    monkeypatch.setenv("LEGRACK_JOBS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    assert run(capsys, ["invariants", "--front", unknot_file])[0] == 0
-    code, out, _ = run(capsys, ["census", "--max-order", "1", "--jobs", "1",
-                                "--no-header"])
-    assert code == 0 and out
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--max-order", "1"])
-    assert exc.value.code == 2
-    assert "expected a positive integer, got 'abc'" in capsys.readouterr().err
-    monkeypatch.setenv("LEGRACK_JOBS", "2")
-    assert build_parser().parse_args(
-        ["census", "--max-order", "1"]).jobs == 2
-
-
 def test_census_csv(capsys):
     code, out, _ = run(capsys, ["census", "--max-order", "2", "--no-header"])
     assert code == 0
@@ -170,8 +164,7 @@ def test_census_header_and_output_file(capsys, tmp_path):
 
 def test_census_no_header_is_deterministic(capsys):
     _, first, _ = run(capsys, ["census", "--max-order", "3", "--no-header"])
-    _, second, _ = run(capsys, ["census", "--max-order", "3", "--no-header",
-                                "--jobs", "2"])
+    _, second, _ = run(capsys, ["census", "--max-order", "3", "--no-header"])
     assert first == second
 
 

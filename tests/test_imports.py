@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
 the package holds no public code that only its own tests call, no package
-module imports a private name of another, and no package module binds a
-mutable container at module level.
+module imports a private name of another, no package module binds a
+mutable container at module level, and the package imports nothing from
+outside the standard library.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree: every name an import binds must be read somewhere in that module.
@@ -10,6 +11,7 @@ and so is ``tests/test_acceptance.py``, the acceptance gate, which is kept
 byte for byte and imports ``pytest`` without using it.
 """
 import ast
+import sys
 from pathlib import Path
 
 import legrack
@@ -194,3 +196,43 @@ def test_no_module_level_containers():
     bad = {name: [n for n in names if n not in MODULE_CONTAINERS_ALLOWED]
            for name, names in found.items()}
     assert {name: names for name, names in bad.items() if names} == {}
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level modules that ``source`` imports by an absolute import, at
+    any depth, other than ``__future__``, ``legrack`` and the standard
+    library (``sys.stdlib_module_names``, Python >= 3.10)."""
+    allowed = {"__future__", "legrack"} | sys.stdlib_module_names
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return sorted(found - allowed)
+
+
+def test_stdlib_check_sees_planted_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy as np\n"
+              "from . import racks\n"
+              "from .census import enumerate_racks\n"
+              "from legrack.perms import compose\n"
+              "from scipy.linalg import expm\n"
+              "def f():\n    import yaml\n")
+    assert non_stdlib_imports(source) == ["numpy", "scipy", "yaml"]
+    coloring = Path(legrack.__file__).parent / "coloring.py"
+    planted = coloring.read_text(encoding="utf-8").replace(
+        "from .fourleg import ", "import sympy\nfrom .fourleg import ", 1)
+    assert non_stdlib_imports(planted) == ["sympy"]
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependencies (``dependencies = []`` in
+    ``pyproject.toml``)."""
+    found = {f"legrack/{p.name}": non_stdlib_imports(
+        p.read_text(encoding="utf-8"))
+        for p in sorted(Path(legrack.__file__).parent.glob("*.py"))}
+    assert {"legrack/__init__.py", "legrack/cli.py",
+            "legrack/census.py"} <= found.keys()
+    assert {name: names for name, names in found.items() if names} == {}
