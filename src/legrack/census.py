@@ -85,6 +85,40 @@ are unchanged.  It is the isomorph rejection of Read ("Every one a winner",
 Ann. Discrete Math. 1978) and McKay ("Isomorph-free exhaustive
 generation", J. Algorithms 1998), restricted to a shard's transpositions.
 
+Isolated-point split: the identity shard holds only the racks with two or
+more identity columns, so its column 1 is the identity as well; the racks
+with one are built from racks of order n - 1 (``_rack_classes``).  Proof:
+the set I of points whose column is the identity is invariant under every
+column, because b_{b_z(y)} = b_z id b_z^-1 = id for y in I.  In the
+identity shard the ranks are sorted at every position and the identity
+ranks lowest, so I = {0..m-1}; m >= 2 puts the identity at column 1, and
+the swap rule keeps it there, since a swap moving 1 exchanges two equal
+ranks.  A rack X with I = {p} is {p} u J: every column fixes p, so
+J = X - {p} is closed under the operation, with the columns of X
+restricted to J, and none of those is the identity, for a column that is
+the identity on J and fixes p is the identity.  Conversely, for a rack J
+with no identity column, a new point p with b_p = id, fixed by every
+column of J, gives a rack (the axiom at z = p reads b_y = b_y, at y = p
+id = b_z id b_z^-1) whose only identity column is p.  An isomorphism from
+X to X' maps I onto I', so p to p', and restricts to one from J to J';
+one from J to J' extends by p -> p'.  So {0} u J, over the classes J of
+order n - 1 with no identity column, gives each class with one identity
+column exactly once; at n = 1 the identity shard is empty and the trivial
+rack is {0} u the empty rack.  Racks with no identity column lie in the
+other shards, which are unchanged.  This is the isomorph rejection of
+McKay above, one level below the shards.
+
+Identity-prefix rule: in the identity shard, a branch candidate r for
+column y must map {0..m-1} into itself, m the number of leading identity
+columns among 0..y-1 (all assigned, y being the first unassigned
+position).  Proof: a complete assignment is a rack with sorted ranks, so
+its identity columns are {0..M-1} and every column maps that set into
+itself.  If m < y, column m is assigned and is not the identity, so
+M = m.  If m = y, a candidate other than the identity makes M = y, and
+the identity maps every set into itself.  So a dropped candidate has no
+complete assignment below it: the raw tables and their order are
+unchanged, and only ``assign`` calls fall.
+
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.
@@ -157,8 +191,9 @@ def _tables(n: int):
     indices made by left multiplication by p, so row(p o g) is row(p)
     composed with row(g).  The rows are filled by a breadth-first walk from
     the identity (index 0) over an n-cycle and a transposition, which
-    generate S_n; the entry of row(p o g) at the identity is its own index.
-    Each row is a tuple, composed by an ``itemgetter`` over row(g).
+    generate S_n.  Row(p o g) has index ``row_p[g]``, so it is composed
+    only when that row is still missing: n! - 1 compositions in all.  Each
+    row is a tuple, composed by an ``itemgetter`` over row(g).
     """
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
@@ -166,18 +201,19 @@ def _tables(n: int):
     gens = ([tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
             if n >= 2 else [])
     # n! >= 2 here, so each getter returns a tuple
-    gen_rows = [itemgetter(*[index[compose(g, q)] for q in perms])
+    gen_rows = [(index[g],
+                 itemgetter(*[index[compose(g, q)] for q in perms]))
                 for g in gens]
     prod: list = [None] * len(perms)
     prod[0] = tuple(range(len(perms)))
     frontier = [0]
     for p in frontier:
         row_p = prod[p]
-        for row_g in gen_rows:
-            row = row_g(row_p)
-            if prod[row[0]] is None:
-                prod[row[0]] = row
-                frontier.append(row[0])
+        for g, row_g in gen_rows:
+            q = row_p[g]
+            if prod[q] is None:
+                prod[q] = row_g(row_p)
+                frontier.append(q)
     types = [cycle_type(p) for p in perms]
     type_rank = {t: i for i, t in enumerate(sorted(set(types)))}
     rank = [type_rank[t] for t in types]
@@ -236,7 +272,8 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     """All column assignments with the given canonical first column whose
     column ranks at column 0 and at its fixed points do not decrease, less
-    those the swap rule drops."""
+    those the swap rule drops.  In the identity shard (first column 0)
+    column 1 is the identity as well."""
     perms, prod, inv, rank, *_ = _tables(n)
     cent, _ = _centralizers(n)
     base_rank = rank[first_col]
@@ -348,6 +385,12 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         else:
             branch = pool[bisect_left(pool_rank, lo):
                           bisect_right(pool_rank, hi)]
+        if first_col == 0:
+            # the identity-prefix rule: the identity columns are {0..m-1},
+            # or {0..y-1} if b_y is not the identity, and every column maps
+            # them into themselves
+            m = next((x for x in range(y) if cols[x]), y)
+            branch = [r for r in branch if max(perms[r][:m]) < m]
         # the pre-check: the rule b_y(b) for every assigned b and b = y,
         # each a comparison the first pop of assign(y, r) would make
         assigned_cols = [(b, cols[b]) for b in assigned]
@@ -369,7 +412,13 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                 undo(trail)
 
     trail: list[int] = []
-    if assign(0, first_col, trail):
+    if first_col == 0:
+        # the identity shard holds the racks with two or more identity
+        # columns (``_rack_classes`` builds those with one)
+        start = n >= 2 and assign(0, 0, trail) and assign(1, 0, trail)
+    else:
+        start = assign(0, first_col, trail)
+    if start:
         extend()
     undo(trail)
     return results
@@ -420,6 +469,27 @@ def dedupe_racks(racks) -> list[RackTable]:
     return reps
 
 
+@lru_cache(maxsize=None)
+def _rack_classes(n: int) -> tuple[RackTable, ...]:
+    """One RackTable per isomorphism class of racks of order ``n``, deduped
+    from the shard tables and, by the isolated-point split, {0} u J for
+    every class J of order n - 1 with no identity column."""
+    if n == 0:
+        return (RackTable(0, ()),)
+    *_, index = _tables(n)
+    tables = [_cols_to_table(n, cols) for fc in _canonical_first_columns(n)
+              for cols in _search_shard(n, fc)]
+    identity = tuple(range(n - 1))
+    for rack in _rack_classes(n - 1):
+        if identity not in rack.columns:
+            # {0} u J: column 0 is the identity (index 0), and J's columns,
+            # moved up by one, fix 0
+            shifted = [(0,) + tuple(v + 1 for v in c) for c in rack.columns]
+            tables.append(_cols_to_table(
+                n, (0,) + tuple(index[c] for c in shifted)))
+    return tuple(dedupe_racks(tables))
+
+
 def enumerate_racks(n: int) -> list[RackTable]:
     """One RackTable per isomorphism class of racks of order ``n``."""
     if n < 0:
@@ -427,13 +497,7 @@ def enumerate_racks(n: int) -> list[RackTable]:
     if n > MAX_ENUM_ORDER:
         raise NotImplementedError(
             f"rack enumeration is supported for orders <= {MAX_ENUM_ORDER}")
-    if n == 0:
-        return [RackTable(0, ())]
-    shards = _canonical_first_columns(n)
-    shard_results = [_search_shard(n, fc) for fc in shards]
-    tables = [_cols_to_table(n, cols)
-              for result in shard_results for cols in result]
-    return dedupe_racks(tables)
+    return list(_rack_classes(n))
 
 
 def _in_family(flags, family: str) -> bool:

@@ -11,6 +11,7 @@ from legrack.census import (
     _canonical_first_columns,
     _centralizers,
     _cols_to_table,
+    _rack_classes,
     _search_shard,
     _tables,
     census_counts,
@@ -235,19 +236,20 @@ def oracle_classes(oracle_raw):
 # representatives of the oracle and of the search, for n = 1..6 (the
 # representatives for n = 0..6).  Any change to the branching, the pruning
 # or the symmetry breaking shows in the raw pins before it can show in the
-# class counts.  The search generates a subset of the oracle's tables, so
-# the lexicographically least table of some classes is no longer among
-# them and the two representative hashes differ.
+# class counts.  The search generates a subset of the oracle's tables, and
+# ``enumerate_racks`` builds the racks with one identity column from
+# smaller racks, so the lexicographically least table of some classes is
+# no longer among them and the two representative hashes differ.
 ORACLE_RAW_TABLE_COUNTS = [1, 2, 8, 44, 446, 6941]
 ORACLE_RAW_SHARDS_SHA256 = \
     "fedf16caac3d174d0a4ba62b2fefdc69100e7d600fefb1aaaeb86e8aeb0734ce"
 ORACLE_REPRESENTATIVES_SHA256 = \
     "dbffe42d2146bff5aaf4068c96e7ccf770b58acb31999144275721e86aa107d7"
-RAW_TABLE_COUNTS = [1, 2, 7, 23, 102, 500]
+RAW_TABLE_COUNTS = [0, 2, 6, 20, 92, 457]
 RAW_SHARDS_SHA256 = \
-    "fe13bcba916fa079d6526e965297335d3ff10011c16fd91f40abde600fe3dde8"
+    "196a2b56bd973618d41e2953ab8f9b936c228cdc3ce8dc787f5ec128aa21a87f"
 REPRESENTATIVES_SHA256 = \
-    "9475fef7ad45b51a2762ce60be42dfaa83e943e89568f481d0b98ba4470f1cc0"
+    "23e85d5264d4354ea27abb158c9f702f1f8f9fbc6b9dd9820d90ec05131e56f9"
 
 
 def test_oracle_search_is_pinned(oracle_raw, oracle_classes):
@@ -273,11 +275,13 @@ def test_every_raw_table_is_a_rack(search_raw):
                 validate_rack(_cols_to_table(n, cols))
 
 
-# Three order-7 shards, by position in ``_canonical_first_columns(7)``: their
+# Four order-7 shards, by position in ``_canonical_first_columns(7)``: their
 # first columns and raw table counts.  A lost comparison shows at order 7
 # before it shows at any lower order: without the b_b(t) comparison of
-# ``assign`` each of these shards yields 1 non-rack (204, 41 and 39 tables).
-ORDER7_SHARDS = {2: (3, 203), 5: (27, 40), 13: (723, 38)}
+# ``assign`` shards 2, 5 and 13 each yield 1 non-rack (204, 41 and 39
+# tables).  Shard 0 is the identity shard, the one the identity-prefix
+# rule prunes.
+ORDER7_SHARDS = {0: (0, 708), 2: (3, 203), 5: (27, 40), 13: (723, 38)}
 
 
 def test_order7_shards_yield_only_racks():
@@ -296,9 +300,9 @@ def test_order7_shards_yield_only_racks():
 
 
 # Calls of ``_search_shard``'s nested ``assign`` for n = 1..6.  The
-# pre-check in ``extend`` drops most failing candidates before the call;
-# without it the search makes [1, 4, 22, 175, 2898, 81072] calls.
-ASSIGN_CALLS = [1, 3, 14, 70, 675, 9793]
+# pre-check in ``extend`` drops most failing candidates before the call,
+# and in the identity shard so does the identity-prefix rule.
+ASSIGN_CALLS = [0, 3, 11, 40, 353, 3740]
 
 
 def test_search_makes_few_assign_calls():
@@ -353,15 +357,17 @@ def _swap_minimal(n, cols):
 
 def test_search_is_the_oracle_sorted_and_swap_minimal(search_raw, oracle_raw):
     # each shard keeps exactly the oracle's tables whose column ranks at
-    # column 0 and at its fixed points do not decrease and that no swap
-    # of the rule makes lexicographically smaller
+    # column 0 and at its fixed points do not decrease, that no swap of
+    # the rule makes lexicographically smaller and, in the identity shard,
+    # whose column 1 is the identity
     for n, (shards, oracle_shards) in enumerate(zip(search_raw, oracle_raw),
                                                 start=1):
         for shard, oracle_shard in zip(shards, oracle_shards, strict=True):
             assert sorted(shard) == [
                 cols for cols in sorted(oracle_shard)
                 if _ranks_sorted_at_fixed_points(n, cols)
-                and _swap_minimal(n, cols)]
+                and _swap_minimal(n, cols)
+                and (cols[0] != 0 or cols[1:2] == (0,))]
 
 
 def test_centralizer_relabelings_keep_each_oracle_shard(oracle_raw):
@@ -410,6 +416,35 @@ def test_representatives_match_oracle(rack_classes, oracle_classes):
         for rep in reps:
             assert sum(find_isomorphism(rep, other) is not None
                        for other in oracle) == 1, (n, rep.rows)
+
+
+def _identity_columns(rack):
+    identity = tuple(range(rack.n))
+    return [y for y, c in enumerate(rack.columns) if c == identity]
+
+
+def test_one_identity_column_is_a_point_plus_a_smaller_rack(oracle_classes):
+    # the isolated-point split that ``_rack_classes`` rests on: a class with
+    # exactly one identity column p has p fixed by every column, and the
+    # other points form a rack with no identity column; the classes of that
+    # shape match, order by order, the classes one smaller with no identity
+    # column
+    counts = []
+    for n in range(1, 7):
+        split = [r for r in oracle_classes[n]
+                 if len(_identity_columns(r)) == 1]
+        for rack in split:
+            [p] = _identity_columns(rack)
+            assert all(c[p] == p for c in rack.columns), rack.rows
+            rest = [x for x in range(n) if x != p]
+            label = {x: i for i, x in enumerate(rest)}
+            smaller = validate_rack([[label[rack.rows[x][y]] for y in rest]
+                                     for x in rest])
+            assert not _identity_columns(smaller), rack.rows
+        assert len(split) == sum(not _identity_columns(r)
+                                 for r in oracle_classes[n - 1]), n
+        counts.append(len(split))
+    assert counts == [1, 0, 1, 3, 10, 40]
 
 
 def test_enumeration_envelope():
@@ -521,7 +556,9 @@ def iso_search_calls(monkeypatch):
 
 def test_census_counts_make_no_automorphism_search(iso_search_calls):
     # Aut(X) and U_X come from ``_aut_indices``; the dedupe's searches
-    # (first_only=True) are bounded by ``ISO_SEARCH_CALLS``
+    # (first_only=True) are bounded by ``ISO_SEARCH_CALLS``.  The cleared
+    # cache makes the census enumerate again, so the dedupe searches.
+    _rack_classes.cache_clear()
     for n in range(1, 7):
         census_counts(n)
     assert iso_search_calls and False not in iso_search_calls
@@ -596,11 +633,13 @@ def test_element_colors_move_with_a_relabeling(rack_classes):
 # pair of tables that share a dedupe key and are compared.  A weaker key
 # puts more tables in a bucket, and a weaker swap rule in the search feeds
 # the dedupe more duplicates; either shows here first.  Without the swap
-# rule the dedupe makes [0, 0, 1, 9, 118, 1271] searches.
-ISO_SEARCH_CALLS = [0, 0, 1, 4, 30, 169]
+# rule the dedupe makes [0, 0, 1, 6, 87, 862] searches.
+ISO_SEARCH_CALLS = [0, 0, 1, 4, 30, 166]
 
 
 def test_dedupe_makes_few_isomorphism_searches(iso_search_calls):
+    # each order is enumerated afresh, once the orders below it are cached
+    _rack_classes.cache_clear()
     counts = []
     for n in range(1, 7):
         iso_search_calls.clear()
