@@ -22,13 +22,15 @@ presentation's distinct nonempty reduced words
 (``Presentation.reduced_words``, cached on it) fix every W, and W fixes
 them back.  The count is memoized on the rack table under (presentation,
 those permutations) (``RackTable.generic_counts``), read as one tuple
-cached per structure (``FourLegRack.reduced_perms``), and the structures
-of one rack whose reduced words compose alike share one count.  On the
-built-in fixtures every word reduces to (), (ur, ul) or (dr, dl): the
-unknot's (ur, dl) reduces to (), so all the structures of a rack share its
-count.  A miss reads the original words: with crossings it builds each
-relation's rows in one pass from (W_i, sign_i) and runs the search below,
-and without them it counts the fixed points of W.
+cached per structure (``FourLegRack.reduced_perms``, a plain dict made
+with the structure, since most structures are counted right after they
+are built), and the structures of one rack whose reduced words compose
+alike share one count.  On the built-in fixtures every word reduces to
+(), (ur, ul) or (dr, dl): the unknot's (ur, dl) reduces to (), so all the
+structures of a rack share its count.  A miss reads the original words:
+with crossings it builds each relation's rows in one pass from
+(W_i, sign_i) and runs the search below, and without them it counts the
+fixed points of W.
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -71,9 +73,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import eq
 
 from .fourleg import FourLegRack, enumerate_structures, make_fourleg
-from .perms import Perm, compose, cycle_string, cycle_type, power
+from .perms import Perm, cycle_string, cycle_type, power
 from .racks import RackTable, permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
 
@@ -96,7 +99,7 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
 
 
 def fixed_points(p: Perm) -> int:
-    return sum(1 for i, v in enumerate(p) if i == v)
+    return sum(map(eq, p, range(len(p))))
 
 
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
@@ -109,7 +112,8 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     The count is memoized on the rack table (``RackTable.generic_counts``)
     under (pres, (R_1, ..., R_j)), the permutations of the presentation's
     reduced words (``pres.reduced_words``), read as one tuple cached on the
-    structure (``fl.reduced_perms``).  The key is exact: each cusp word W
+    structure (``fl.reduced_perms``, a dict made with it, so a structure's
+    first count takes no lock).  The key is exact: each cusp word W
     is kink^-c o R with R its reduced word and c fixed by the presentation,
     the kink is fixed by the rack table, the structure enters the search
     only through W_i of relation i, and the table, the signs, the arcs and
@@ -216,7 +220,9 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     (``RackTable.fast_counts``).  A miss first checks that every column is
     sigma: all columns equal the kink exactly when x > y = kink(x), and R1
     makes each column a bijection.  So a rack that is not a permutation
-    rack never stores a count, and every call on it raises.
+    rack never stores a count, and every call on it raises.  It then
+    counts the fixed points without composing: g^-rot(sigma^(tb-rot)(x))
+    = x exactly when g^rot(x) = sigma^(tb-rot)(x).
     """
     rack = fl.rack
     g = fl.ur_ul
@@ -224,10 +230,10 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     count = rack.fast_counts.get(key)
     if count is None:
         sigma = rack.flags.kink
-        if any(c != sigma for c in rack.columns):
+        if rack.columns.count(sigma) != rack.n:
             raise ValueError("not a permutation rack")
-        count = rack.fast_counts[key] = fixed_points(
-            compose(power(g, -inv.rot), power(sigma, inv.tb - inv.rot)))
+        count = rack.fast_counts[key] = sum(map(
+            eq, power(g, inv.rot), power(sigma, inv.tb - inv.rot)))
     return count
 
 

@@ -19,7 +19,7 @@ kink^-c o R, R the word left and c the number of pairs cancelled.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .perms import (
@@ -48,6 +48,13 @@ class FourLegRack:
     permutation (``word_perm``), g = ur o ul (``ur_ul``) and, per tuple of
     reduced words, the tuple of their permutations (``reduced_perms``).
 
+    A sweep builds each structure once and counts it at once, so the
+    word and reduced-word caches are plain dicts made with the instance,
+    left out of its comparison, hash and repr.  In Python 3.11 each first
+    read of a ``functools.cached_property`` takes a class-wide lock, which
+    costs more than making a dict with the structure.  ``ur_ul`` stays a
+    cached property, so that the fast path reads g as an attribute.
+
     The counters' memos sit on the rack table and are shared by all its
     structures, and the generic counter's key holds only the reduced
     words' permutations.  So every structure on one table must satisfy
@@ -57,38 +64,39 @@ class FourLegRack:
 
     rack: RackTable
     structure: FourLegStructure
-
-    @cached_property
-    def _word_perms(self) -> dict[tuple[str, ...], Perm]:
-        return {}
+    _word_perms: dict[tuple[str, ...], Perm] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # ``coloring.count_colorings``'s cache of the structure's half of its
+    # memo key: for the reduced words of a presentation
+    # (``Presentation.reduced_words``), the tuple of their permutations.
+    reduced_perms: dict[tuple[tuple[str, ...], ...], tuple[Perm, ...]] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def ur_ul(self) -> Perm:
-        """g = ur o ul, the product ``coloring.perm_fast_count`` keys on."""
+        """g = ur o ul, the product ``coloring.perm_fast_count`` keys on,
+        read there as an attribute on every call after the first."""
         return self.word_perm(("ul", "ur"))
-
-    @cached_property
-    def reduced_perms(self) -> dict[tuple[tuple[str, ...], ...],
-                                    tuple[Perm, ...]]:
-        """``coloring.count_colorings``'s cache of the structure's half of
-        its memo key: for the reduced words of a presentation
-        (``Presentation.reduced_words``), the tuple of their
-        permutations."""
-        return {}
 
     def word_perm(self, word: tuple[str, ...]) -> Perm:
         """W, the cusp word ``word`` applied earliest letter first, as one
         permutation: W(a) = m_k(...m_1(a)) for ``word`` = (m_1, ..., m_k).
 
         Composed once per word and cached on the structure, so every
-        presentation it colors and both coloring counters share it.
+        presentation it colors and both coloring counters share it.  The
+        composition starts at m_1 itself and composes each later letter
+        in one pass; the empty word is the identity.
         """
         w = self._word_perms.get(word)
         if w is None:
-            w = identity(self.rack.n)
-            for letter in word:
-                m = getattr(self.structure, letter)
-                w = tuple([m[v] for v in w])
+            s = self.structure
+            if word:
+                w = getattr(s, word[0])
+                for letter in word[1:]:
+                    m = getattr(s, letter)
+                    w = tuple([m[v] for v in w])
+            else:
+                w = identity(self.rack.n)
             self._word_perms[word] = w
         return w
 

@@ -294,6 +294,48 @@ def test_apply_word_order():
             maps["dl"][maps["ur"][x]]
 
 
+def test_word_perm_matches_apply_word():
+    """``word_perm`` composes each cusp word of length <= 4, the empty word
+    (the identity) and the one-letter words included, as ``apply_word``
+    applies it letter by letter, on every structure class of order <= 3;
+    a second read returns the cached permutation."""
+    words = [w for k in range(5)
+             for w in itertools.product(("ul", "ur", "dl", "dr"), repeat=k)]
+    assert len(words) == 341
+    structures = [fl for n in range(4) for fl in structure_classes(n)]
+    assert len(structures) == 43
+    for fl in structures:
+        maps = _maps(fl)
+        for w in words:
+            perm = fl.word_perm(w)
+            assert perm == tuple(apply_word(w, maps, x)
+                                 for x in range(fl.rack.n)), \
+                (fl.rack.rows, fl.structure, w)
+            assert fl.word_perm(w) is perm
+
+
+def test_structure_caches_stay_out_of_equality_hash_and_repr():
+    """A ``FourLegRack`` whose caches the counters have filled equals a cold
+    one and hashes like it, its repr shows only the rack and the structure,
+    and every instance gets caches of its own."""
+    codes = builtin_fixtures().values()
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in codes]
+    warm = permutation_fourleg((1, 2, 0), (1, 2, 0), (2, 0, 1))
+    for inv, pres in fronts:
+        assert count_colorings(pres, warm) == perm_fast_count(warm, inv)
+    warm.word_perm(("ur", "dl"))
+    assert warm.reduced_perms and warm._word_perms
+    cold = FourLegRack(warm.rack, warm.structure)
+    assert not cold.reduced_perms and not cold._word_perms
+    assert cold == warm and hash(cold) == hash(warm)
+    assert len({cold, warm}) == 1
+    assert repr(warm) == repr(cold) == \
+        f"FourLegRack(rack={warm.rack!r}, structure={warm.structure!r})"
+    assert cold.reduced_perms is not warm.reduced_perms
+    assert cold._word_perms is not warm._word_perms
+
+
 LETTER_ORDER_WORD = ("ul", "ur", "ur", "dr", "dl")
 
 
