@@ -130,10 +130,11 @@ invariants: an isomorphism phi has phi b_y phi^-1 = b_phi(y),
 phi kink = kink phi, and row phi(x) equal to phi (row x) phi^-1, so column
 cycle type, kink cycle length and row value multiplicities at x are those
 at phi(x).  So the isomorphism search, which maps x only to elements of
-the same color, cuts only branches holding no isomorphism and still finds
-the lexicographically least one.  A rack's structure classes, the orbits
-of U_X x U_X under diagonal conjugation by Aut(X), are counted by Burnside
-as (1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is normal in Aut(X): for h in
+the same color, cuts only branches holding no isomorphism and still yields
+every isomorphism in lexicographic order, the least one first.  A
+rack's structure classes, the orbits of U_X x U_X under diagonal
+conjugation by Aut(X), are counted by Burnside as
+(1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is normal in Aut(X): for h in
 Aut, h b_y h^-1 = b_h(y), so h Inn h^-1 = Inn and h U_X h^-1 centralizes
 Inn as well.  Then C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per
 conjugacy class of Aut, weighted by its size (``_structure_class_count``).
@@ -273,7 +274,11 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     """All column assignments with the given canonical first column whose
     column ranks at column 0 and at its fixed points do not decrease, less
     those the swap rule drops.  In the identity shard (first column 0)
-    column 1 is the identity as well."""
+    column 1 is the identity as well.
+
+    ``assigned`` is the stack of assigned positions, in assignment order.
+    A branch is undone by stack height: the positions it assigned, forced
+    ones included, are those past the height the stack had before it."""
     perms, prod, inv, rank, *_ = _tables(n)
     cent, _ = _centralizers(n)
     base_rank = rank[first_col]
@@ -297,7 +302,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     assigned: list[int] = []
     results: list[tuple[int, ...]] = []
 
-    def assign(t: int, r: int, trail: list[int]) -> bool:
+    def assign(t: int, r: int) -> bool:
         queue = [(t, r)]
         while queue:
             t, r = queue.pop()
@@ -312,7 +317,6 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                                        else rank[cols[b]] < k):
                         return False
             cols[t] = r
-            trail.append(t)
             assigned.append(t)
             pr = perms[r]
             prod_r = prod[r]
@@ -335,11 +339,6 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                     return False
         return True
 
-    def undo(trail: list[int]) -> None:
-        for t in reversed(trail):
-            cols[t] = -1
-            assigned.pop()
-
     def swap_minimal(swaps) -> bool:
         # whether no h gives rows of h.X, (h.X)[x][y] = h(X[h(x)][h(y)]),
         # lexicographically less than those of X; X[x][y] = b_y(x), and row
@@ -355,10 +354,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         return True
 
     def extend() -> None:
-        for y in range(n):
-            if cols[y] == -1:
-                break
-        else:
+        if len(assigned) == n:
             key = tuple(rank[cols[x]] for x in fixed)
             swaps = swap_memo.get(key)
             if swaps is None:
@@ -367,6 +363,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
             if swap_minimal(swaps):
                 results.append(tuple(cols))
             return
+        y = cols.index(-1)
         lo, hi = base_rank, top_rank
         if ordered[y]:
             # column 0 is assigned, so y >= 1; its rank lies between
@@ -406,21 +403,21 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                 if cur != -1 and cur != prod[prod_r[cb]][ir]:
                     break
             else:
-                trail: list[int] = []
-                if assign(y, r, trail):
+                k = len(assigned)
+                if assign(y, r):
                     extend()
-                undo(trail)
+                for t in assigned[k:]:
+                    cols[t] = -1
+                del assigned[k:]
 
-    trail: list[int] = []
     if first_col == 0:
         # the identity shard holds the racks with two or more identity
         # columns (``_rack_classes`` builds those with one)
-        start = n >= 2 and assign(0, 0, trail) and assign(1, 0, trail)
+        start = n >= 2 and assign(0, 0) and assign(1, 0)
     else:
-        start = assign(0, first_col, trail)
+        start = assign(0, first_col)
     if start:
         extend()
-    undo(trail)
     return results
 
 

@@ -25,6 +25,11 @@ from .front import (
 from .perms import cycle_string, parse_cycles
 from .racks import RackError, load_rack
 
+# The largest order ``verify`` sweeps.  The limit is not rack enumeration:
+# the trivial rack of order 7 alone has 7!^2 = 25,401,600 structures, too
+# many to sweep and report.
+MAX_VERIFY_ORDER = 6
+
 
 def _census_order(text: str) -> int:
     if text not in map(str, range(MAX_ENUM_ORDER + 1)):
@@ -41,11 +46,11 @@ def _verify_order(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
-    if value > MAX_ENUM_ORDER:
+    if value > MAX_VERIFY_ORDER:
         raise argparse.ArgumentTypeError(
-            f"expected an order of at most {MAX_ENUM_ORDER}, got {text!r}: "
-            f"the trivial rack of order {MAX_ENUM_ORDER + 1} alone has "
-            f"{factorial(MAX_ENUM_ORDER + 1) ** 2:,} structures, too many "
+            f"expected an order of at most {MAX_VERIFY_ORDER}, got {text!r}: "
+            f"the trivial rack of order {MAX_VERIFY_ORDER + 1} alone has "
+            f"{factorial(MAX_VERIFY_ORDER + 1) ** 2:,} structures, too many "
             f"to sweep and report")
     return value
 

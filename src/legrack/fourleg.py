@@ -241,58 +241,33 @@ def check_kimura_axioms(rack: RackTable, s: FourLegStructure) -> KimuraReport:
         if len(m) != n or any(not (0 <= v < n) for v in m):
             raise ValueError("candidate maps must be functions on range(n)")
     failures: list[tuple[str, tuple]] = []
-    core_ok = True
 
-    # Axiom 1: dl ur = ur dl = dr ul = ul dr as functions.
-    quad = [tuple(dl[ur[x]] for x in range(n)),
-            tuple(ur[dl[x]] for x in range(n)),
-            tuple(dr[ul[x]] for x in range(n)),
-            tuple(ul[dr[x]] for x in range(n))]
-    for x in range(n):
-        vals = {f[x] for f in quad}
-        if len(vals) > 1:
-            failures.append(("mixed-commutation", (x,)))
-            core_ok = False
-            break
+    def holds(name: str, witnesses, rule) -> bool:
+        # records the first witness, in scan order, that breaks the rule
+        for w in witnesses:
+            if not rule(*w):
+                failures.append((name, w))
+                return False
+        return True
 
-    # Axiom 2: dr ul (x > x) = x.
-    for x in range(n):
-        if dr[ul[rows[x][x]]] != x:
-            failures.append(("kink-inversion", (x,)))
-            core_ok = False
-            break
-
+    points = [(x,) for x in range(n)]
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    core = [
+        # Axiom 1: dl ur = ur dl = dr ul = ul dr as functions.
+        holds("mixed-commutation", points,
+              lambda x: dl[ur[x]] == ur[dl[x]] == dr[ul[x]] == ul[dr[x]]),
+        # Axiom 2: dr ul (x > x) = x.
+        holds("kink-inversion", points, lambda x: dr[ul[rows[x][x]]] == x),
+    ]
     # Axioms 3-6: f(x > y) = f(x) > y for each of the four maps.
-    for name, f in (("dl", dl), ("ul", ul), ("dr", dr), ("ur", ur)):
-        ok = True
-        for x in range(n):
-            for y in range(n):
-                if f[rows[x][y]] != rows[f[x]][y]:
-                    failures.append((f"left-equivariance-{name}", (x, y)))
-                    core_ok = False
-                    ok = False
-                    break
-            if not ok:
-                break
-
-    d_form_ok = True
-    for x in range(n):
-        for y in range(n):
-            if rows[x][dl[y]] != rows[x][y] or rows[x][dr[y]] != rows[x][y]:
-                failures.append(("right-triviality-d", (x, y)))
-                d_form_ok = False
-                break
-        if not d_form_ok:
-            break
-
-    u_form_ok = True
-    for x in range(n):
-        for y in range(n):
-            if rows[x][ul[y]] != rows[x][y] or rows[x][ur[y]] != rows[x][y]:
-                failures.append(("right-triviality-u", (x, y)))
-                u_form_ok = False
-                break
-        if not u_form_ok:
-            break
-
-    return KimuraReport(core_ok, d_form_ok, u_form_ok, tuple(failures))
+    core += [holds(f"left-equivariance-{name}", pairs,
+                   lambda x, y, f=f: f[rows[x][y]] == rows[f[x]][y])
+             for name, f in (("dl", dl), ("ul", ul), ("dr", dr), ("ur", ur))]
+    # Axiom 7 (the d-form) and the presumed u-form in place of its repeat:
+    # x > f(y) = x > y for both maps f of the form.
+    d_form_ok, u_form_ok = [
+        holds(f"right-triviality-{form}", pairs,
+              lambda x, y, f=f, g=g:
+                  rows[x][f[y]] == rows[x][y] == rows[x][g[y]])
+        for form, f, g in (("d", dl, dr), ("u", ul, ur))]
+    return KimuraReport(all(core), d_form_ok, u_form_ok, tuple(failures))

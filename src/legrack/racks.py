@@ -110,7 +110,7 @@ class RackTable:
     def automorphisms(self) -> PermGroup:
         """Aut(X), searched once per table; see ``automorphism_group``."""
         return PermGroup(self.n,
-                         frozenset(_iso_search(self, self, first_only=False)))
+                         frozenset(_iso_search(self, self)))
 
     @cached_property
     def gl_center(self) -> PermGroup:
@@ -210,32 +210,33 @@ def permutation_rack(sigma) -> RackTable:
 
 # --- automorphisms and isomorphisms ----------------------------------------
 
-def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
-    """Backtracking search for table isomorphisms src -> dst with propagation.
+def _iso_search(src: RackTable, dst: RackTable):
+    """Yield the table isomorphisms src -> dst one at a time, in
+    lexicographic order, by a backtracking search with propagation.
 
     Assigning phi(x)=v forces phi(src[x][y]) = dst[v][phi(y)] for every
     already-assigned y (and symmetrically), which prunes hard; a forced
     pair whose source is assigned is compared on the spot, any other is
     queued.  x may only go to a v of the same ``element_colors`` entry:
     every isomorphism keeps the colors, so this cuts only branches that
-    cannot succeed, and the isomorphisms are still found in lexicographic
-    order (the smallest unassigned x branches, over v ascending).
+    cannot succeed.  The smallest unassigned x branches, over v ascending,
+    so the isomorphisms come in lexicographic order.  A branch is undone
+    by stack height: the elements it assigned are those past the length
+    ``assigned`` had before it.
     """
     n = src.n
     if dst.n != n:
-        return []
-    if n == 0:
-        return [()]
+        return
     src_colors = src.element_colors
     dst_colors = dst.element_colors
     if sorted(src_colors) != sorted(dst_colors):
-        return []
+        return
     srows, drows = src.rows, dst.rows
     fwd = [-1] * n
     bwd = [-1] * n
-    found: list[Perm] = []
+    assigned: list[int] = []
 
-    def assign(x: int, v: int, trail: list[int]) -> bool:
+    def assign(x: int, v: int) -> bool:
         queue = [(x, v)]
         while queue:
             x, v = queue.pop()
@@ -247,12 +248,10 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
                 return False
             fwd[x] = v
             bwd[v] = x
-            trail.append(x)
+            assigned.append(x)
             sx, dv = srows[x], drows[v]
-            for y in range(n):
+            for y in assigned:
                 fy = fwd[y]
-                if fy == -1:
-                    continue
                 s, w = sx[y], dv[fy]
                 fs = fwd[s]
                 if fs == -1:
@@ -267,32 +266,28 @@ def _iso_search(src: RackTable, dst: RackTable, first_only: bool):
                     return False
         return True
 
-    def extend() -> bool:
-        for x in range(n):
-            if fwd[x] == -1:
-                break
-        else:
-            found.append(tuple(fwd))
-            return first_only
+    def extend():
+        if len(assigned) == n:
+            yield tuple(fwd)
+            return
+        x = fwd.index(-1)
         for v in range(n):
             if bwd[v] != -1 or src_colors[x] != dst_colors[v]:
                 continue
-            trail: list[int] = []
-            if assign(x, v, trail) and extend():
-                return True
-            for i in trail:
+            k = len(assigned)
+            if assign(x, v):
+                yield from extend()
+            for i in assigned[k:]:
                 bwd[fwd[i]] = -1
                 fwd[i] = -1
-        return False
+            del assigned[k:]
 
-    extend()
-    return found
+    yield from extend()
 
 
 def find_isomorphism(a: RackTable, b: RackTable) -> Perm | None:
-    """A rack isomorphism a -> b, or None; deterministic first-found."""
-    result = _iso_search(a, b, first_only=True)
-    return result[0] if result else None
+    """The lexicographically least rack isomorphism a -> b, or None."""
+    return next(_iso_search(a, b), None)
 
 
 def automorphism_group(rack: RackTable) -> PermGroup:

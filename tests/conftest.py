@@ -1,8 +1,10 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run, and
-shares one rack enumeration of orders 0..6 among the tests."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run,
+shares one rack enumeration of orders 0..6 among the tests, and records
+the isomorphism searches a test makes."""
 
 import pytest
 
+import legrack.racks
 from legrack.census import enumerate_racks
 
 
@@ -10,6 +12,22 @@ from legrack.census import enumerate_racks
 def rack_classes():
     """``enumerate_racks(n)`` for n = 0..6, computed once per session."""
     return {n: tuple(enumerate_racks(n)) for n in range(7)}
+
+
+@pytest.fixture
+def iso_search_calls(monkeypatch):
+    """One entry per ``racks._iso_search`` call the test makes, in order:
+    True for an Aut(X) search (``src is dst``), False for a search between
+    two tables."""
+    calls = []
+    real = legrack.racks._iso_search
+
+    def recording(src, dst):
+        calls.append(src is dst)
+        return real(src, dst)
+
+    monkeypatch.setattr(legrack.racks, "_iso_search", recording)
+    return calls
 
 
 _acceptance_results: dict[str, str] = {}

@@ -537,31 +537,14 @@ def test_aut_indices_match_the_search(rack_classes):
                 rack.gl_center.elements, rack.rows
 
 
-@pytest.fixture
-def iso_search_calls(monkeypatch):
-    """The ``first_only`` argument of every ``_iso_search`` call the test
-    makes, in order."""
-    import legrack.racks
-
-    calls = []
-    real = legrack.racks._iso_search
-
-    def counting(src, dst, first_only):
-        calls.append(first_only)
-        return real(src, dst, first_only)
-
-    monkeypatch.setattr(legrack.racks, "_iso_search", counting)
-    return calls
-
-
 def test_census_counts_make_no_automorphism_search(iso_search_calls):
-    # Aut(X) and U_X come from ``_aut_indices``; the dedupe's searches
-    # (first_only=True) are bounded by ``ISO_SEARCH_CALLS``.  The cleared
-    # cache makes the census enumerate again, so the dedupe searches.
+    # Aut(X) and U_X come from ``_aut_indices``; the dedupe's searches,
+    # each between two tables, are bounded by ``ISO_SEARCH_CALLS``.  The
+    # cleared cache makes the census enumerate again, so the dedupe searches.
     _rack_classes.cache_clear()
     for n in range(1, 7):
         census_counts(n)
-    assert iso_search_calls and False not in iso_search_calls
+    assert iso_search_calls and True not in iso_search_calls
 
 
 def test_family_containments():

@@ -6,7 +6,7 @@ import pytest
 import legrack.coloring
 from legrack import __version__
 from legrack.census import MAX_ENUM_ORDER
-from legrack.cli import build_parser, main
+from legrack.cli import MAX_VERIFY_ORDER, build_parser, main
 from legrack.front import (
     builtin_fixtures,
     fundamental_presentation,
@@ -123,7 +123,7 @@ def test_verify_rejects_orders_below_one(capsys, fixtures_dir, order):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order", [str(MAX_ENUM_ORDER + 1), "8", "1000000"])
+@pytest.mark.parametrize("order", [str(MAX_VERIFY_ORDER + 1), "8", "1000000"])
 def test_verify_rejects_orders_above_the_enumeration_bound(
         capsys, monkeypatch, fixtures_dir, order):
     # rejected while the arguments are parsed, before any rack is built
@@ -137,7 +137,7 @@ def test_verify_rejects_orders_above_the_enumeration_bound(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert (f"argument --max-order: expected an order of at most "
-            f"{MAX_ENUM_ORDER}, got {order!r}") in err
+            f"{MAX_VERIFY_ORDER}, got {order!r}") in err
     assert "25,401,600 structures" in err
 
 

@@ -23,6 +23,7 @@ from legrack.racks import (
     permutation_rack,
     rack_flags,
     trivial_quandle,
+    validate_rack,
 )
 from test_perms import centralizer, diagonal_pair_orbits
 
@@ -39,17 +40,7 @@ def count_structure_classes(rack):
     return burnside_pair_count(automorphism_group(rack), rack.gl_center)
 
 
-def test_gl_center_is_computed_once_per_table(monkeypatch):
-    import legrack.racks
-
-    searches = []
-    real = legrack.racks._iso_search
-
-    def counting(src, dst, first_only):
-        searches.append(first_only)
-        return real(src, dst, first_only)
-
-    monkeypatch.setattr(legrack.racks, "_iso_search", counting)
+def test_gl_center_is_computed_once_per_table(iso_search_calls):
     rack = trivial_quandle(3)
     center = rack.gl_center
     for ul in center.sorted_elements():
@@ -60,7 +51,7 @@ def test_gl_center_is_computed_once_per_table(monkeypatch):
     _structure_class_count(rack)
     assert rack.gl_center is center
     # one Aut(X) search, and no other isomorphism search
-    assert searches == [False]
+    assert iso_search_calls == [True]
     assert center.elements == symmetric_group(3).elements
 
 
@@ -224,6 +215,57 @@ def test_kimura_axioms_fail_on_wrong_down_maps():
     report = check_kimura_axioms(pr, s)
     assert not report.core_ok
     assert any(name == "kink-inversion" for name, _ in report.failures)
+
+
+R3 = dihedral_quandle(3).rows
+# columns: the identity, then (1 2) twice
+POINT_PLUS_TRANSPOSITION = ((0, 0, 0), (1, 2, 2), (2, 1, 1))
+# columns: the identity twice, then (0 1)
+TWO_IDENTITY_COLUMNS = ((0, 0, 1), (1, 1, 0), (2, 2, 2))
+
+# (rack rows, (ul, ur, dl, dr), the whole report): wrong candidates whose
+# reports hold every failure name, witnesses other than the first pair, a
+# mixed-commutation witness other than 0, and each form failing alone
+KIMURA_REPORTS = [
+    (R3, ((1, 2, 0), (1, 0, 2), (0, 2, 1), (1, 0, 2)),
+     (False, False, False, (
+         ("mixed-commutation", (0,)), ("kink-inversion", (1,)),
+         ("left-equivariance-dl", (0, 1)), ("left-equivariance-ul", (0, 0)),
+         ("left-equivariance-dr", (0, 0)), ("left-equivariance-ur", (0, 0)),
+         ("right-triviality-d", (0, 0)), ("right-triviality-u", (0, 0))))),
+    (R3, ((0, 2, 1), (2, 0, 2), (1, 2, 0), (0, 1, 2)),
+     (False, False, False, (
+         ("mixed-commutation", (1,)), ("kink-inversion", (1,)),
+         ("left-equivariance-dl", (0, 0)), ("left-equivariance-ul", (0, 1)),
+         ("left-equivariance-ur", (0, 0)), ("right-triviality-d", (0, 0)),
+         ("right-triviality-u", (0, 0))))),
+    (TWO_IDENTITY_COLUMNS, ((1, 0, 2), (1, 1, 0), (1, 0, 2), (0, 1, 0)),
+     (False, False, False, (
+         ("mixed-commutation", (0,)), ("kink-inversion", (0,)),
+         ("left-equivariance-dr", (2, 2)), ("left-equivariance-ur", (0, 2)),
+         ("right-triviality-d", (0, 2)), ("right-triviality-u", (0, 2))))),
+    (POINT_PLUS_TRANSPOSITION, ((1, 0, 1), (0, 2, 1), (0, 2, 1), (0, 1, 1)),
+     (False, True, False, (
+         ("mixed-commutation", (0,)), ("kink-inversion", (0,)),
+         ("left-equivariance-ul", (0, 1)), ("left-equivariance-dr", (1, 1)),
+         ("right-triviality-u", (1, 0))))),
+    (TWO_IDENTITY_COLUMNS, ((1, 0, 2), (1, 0, 2), (2, 0, 1), (1, 0, 2)),
+     (False, False, True, (
+         ("mixed-commutation", (0,)), ("left-equivariance-dl", (0, 2)),
+         ("right-triviality-d", (0, 0))))),
+    (((1, 1, 1), (2, 2, 2), (0, 0, 0)), ((0, 1, 2),) * 4,
+     (False, True, True, (("kink-inversion", (0,)),))),
+]
+
+
+@pytest.mark.parametrize("rows, maps, expected", KIMURA_REPORTS)
+def test_kimura_report_of_wrong_candidates(rows, maps, expected):
+    # each failing check reports its first witness in scan order, and the
+    # checks report in axiom order
+    report = check_kimura_axioms(validate_rack(rows), FourLegStructure(*maps))
+    assert (report.core_ok, report.d_form_ok, report.u_form_ok,
+            report.failures) == expected
+    assert not report.passed
 
 
 def test_kimura_axioms_all_enumerated_structures_order_up_to_4():

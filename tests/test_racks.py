@@ -12,6 +12,7 @@ from legrack.perms import compose, cycle_type, identity, inverse, power
 from legrack.racks import (
     RackError,
     RackTable,
+    _iso_search,
     alexander_quandle,
     automorphism_group,
     dihedral_quandle,
@@ -137,42 +138,48 @@ def test_automorphism_groups():
 
 
 def test_automorphism_group_matches_brute_force(rack_classes):
+    # the search yields each automorphism once, in lexicographic order
     racks = [dihedral_quandle(4), permutation_rack((1, 0, 3, 2)),
              alexander_quandle(5, 2)]
     racks += [rack for n in range(6) for rack in rack_classes[n]]
     for rack in racks:
-        brute = {
+        brute = [
             phi for phi in itertools.permutations(range(rack.n))
             if all(phi[rack.rows[x][y]] == rack.rows[phi[x]][phi[y]]
                    for x in range(rack.n) for y in range(rack.n))
-        }
-        assert automorphism_group(rack).elements == brute, rack.rows
+        ]
+        assert list(_iso_search(rack, rack)) == brute, rack.rows
+        assert automorphism_group(rack).elements == set(brute), rack.rows
 
 
 def test_find_isomorphism_is_the_least_one(rack_classes):
     # every raw table of the column search of order <= 5 against every
-    # representative: the colored search finds an isomorphism exactly when
-    # one exists, and the lexicographically least one.  The brute force
-    # carries the table along each phi of S_n, in lexicographic order, and
-    # looks the image up among the representatives.
+    # representative: the colored search yields every isomorphism, each
+    # once and in lexicographic order, so ``find_isomorphism`` finds one
+    # exactly when one exists, and the lexicographically least one.  The
+    # brute force carries the table along each phi of S_n, in
+    # lexicographic order, and looks the image up among the
+    # representatives.
     for n in range(1, 6):
         reps = rack_classes[n]
         by_rows = {rep.rows: i for i, rep in enumerate(reps)}
         for first_col in _canonical_first_columns(n):
             for cols in _search_shard(n, first_col):
                 raw = _cols_to_table(n, cols)
-                least = [None] * len(reps)
+                isos = [[] for _ in reps]
                 for phi in itertools.permutations(range(n)):
                     image = [[0] * n for _ in range(n)]
                     for x in range(n):
                         for y in range(n):
                             image[phi[x]][phi[y]] = phi[raw.rows[x][y]]
                     i = by_rows.get(tuple(map(tuple, image)))
-                    if i is not None and least[i] is None:
-                        least[i] = phi
-                assert sum(phi is not None for phi in least) == 1, raw.rows
+                    if i is not None:
+                        isos[i].append(phi)
+                assert sum(map(bool, isos)) == 1, raw.rows
+                assert [list(_iso_search(raw, rep)) for rep in reps] == \
+                    isos, raw.rows
                 assert [find_isomorphism(raw, rep) for rep in reps] == \
-                    least, raw.rows
+                    [found[0] if found else None for found in isos], raw.rows
 
 
 def test_automorphism_group_is_searched_once_per_table():
