@@ -291,13 +291,12 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     ordered = [x == 0 or v == x for x, v in enumerate(c)]
     # the swap rule's transpositions (p q), p, q != 0, that commute with c:
     # its 2-cycles, and pairs of its fixed points, which are allowed only
-    # where their columns share a rank (memoized on the ranks at Fix(c))
+    # where their columns share a rank (picked at each leaf)
     fixed = [x for x in range(1, n) if c[x] == x]
     cycle_swaps = [_transposition(n, p, c[p]) for p in range(1, n)
                    if p < c[p] and c[c[p]] == p]
     fixed_swaps = [(i, j, _transposition(n, fixed[i], fixed[j]))
                    for i, j in itertools.combinations(range(len(fixed)), 2)]
-    swap_memo: dict = {}
     cols = [-1] * n
     assigned: list[int] = []
     results: list[tuple[int, ...]] = []
@@ -355,12 +354,10 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
 
     def extend() -> None:
         if len(assigned) == n:
-            key = tuple(rank[cols[x]] for x in fixed)
-            swaps = swap_memo.get(key)
-            if swaps is None:
-                swaps = swap_memo[key] = cycle_swaps + [
-                    swap for i, j, swap in fixed_swaps if key[i] == key[j]]
-            if swap_minimal(swaps):
+            ranks = [rank[cols[x]] for x in fixed]
+            if swap_minimal(cycle_swaps + [
+                    swap for i, j, swap in fixed_swaps
+                    if ranks[i] == ranks[j]]):
                 results.append(tuple(cols))
             return
         y = cols.index(-1)

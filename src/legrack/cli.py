@@ -14,7 +14,11 @@ from math import factorial
 
 from . import __version__
 from .census import MAX_ENUM_ORDER, census_counts
-from .coloring import count_colorings, verify_indistinguishability
+from .coloring import (
+    brute_force_colorings,
+    count_colorings,
+    verify_indistinguishability,
+)
 from .fourleg import classify_structures, make_fourleg
 from .front import (
     FrontError,
@@ -123,8 +127,6 @@ def _cmd_colorings(args) -> int:
     fl = make_fourleg(rack, ul, ur)
     pres = fundamental_presentation(code)
     if args.brute_force:
-        from .coloring import brute_force_colorings
-
         count = brute_force_colorings(pres, fl)
     else:
         count = count_colorings(pres, fl)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .fourleg import cancel_cusp_pairs
@@ -73,16 +74,11 @@ def validate_front(events) -> FrontCode:
     roles: dict[int, set[str]] = {}
     signs: dict[int, int] = {}
     cusp_sides = []
-    up = down = 0
     for i, ev in enumerate(events):
         if isinstance(ev, Cusp):
             if ev.side not in ("L", "R") or ev.vertical not in ("U", "D"):
                 raise FrontError(f"event {i}: malformed cusp {ev!r}")
             cusp_sides.append(ev.side)
-            if ev.vertical == "U":
-                up += 1
-            else:
-                down += 1
         elif isinstance(ev, CrossingPass):
             if ev.sign not in (1, -1) or ev.role not in ("O", "U"):
                 raise FrontError(f"event {i}: malformed crossing pass {ev!r}")
@@ -100,6 +96,8 @@ def validate_front(events) -> FrontCode:
     for cid, had in roles.items():
         if had != {"O", "U"}:
             raise FrontError(f"crossing {cid}: needs one over and one under pass")
+    inv = classical_invariants(FrontCode(events))
+    up, down = inv.up_cusps, inv.down_cusps
     if up == 0 or down == 0:
         raise FrontError("front must have at least one up and one down cusp")
     if (up + down) % 2 != 0:
@@ -109,7 +107,7 @@ def validate_front(events) -> FrontCode:
             raise FrontError(
                 f"adjacent cusps on the same side ({a}) violate alternation")
     # tb + rot = writhe - U, and tb + rot is odd for every Legendrian knot
-    tb_plus_rot = sum(signs.values()) - up
+    tb_plus_rot = inv.tb + inv.rot
     if tb_plus_rot % 2 == 0:
         raise FrontError(
             f"tb + rot = writhe - up cusps = {tb_plus_rot} is even, but it is "
@@ -119,7 +117,7 @@ def validate_front(events) -> FrontCode:
 
 
 def classical_invariants(code: FrontCode) -> ClassicalInvariants:
-    """tb = w - (D+U)/2 and rot = (D-U)/2."""
+    """tb = w - (D+U)/2 and rot = (D-U)/2, so tb + rot = w - U."""
     signs: dict[int, int] = {}
     up = down = 0
     for ev in code.events:
@@ -146,25 +144,25 @@ def rotate_basepoint(code: FrontCode, k: int) -> FrontCode:
 
 
 def stabilize(code: FrontCode, sign: int, position: int | None = None) -> FrontCode:
-    """Insert a zig-zag at ``position``: two down cusps for sign=+1 (tb-1,
-    rot+1), two up cusps for sign=-1 (tb-1, rot-1)."""
+    """Insert a zig-zag at ``position``, by default the end: two down cusps
+    for sign=+1 (tb-1, rot+1), two up cusps for sign=-1 (tb-1, rot-1).
+    The pair is (R, L) if the cusp cyclically before ``position`` is an L
+    cusp and (L, R) otherwise: on a valid code, the one alternating order."""
     if sign not in (1, -1):
         raise FrontError("stabilization sign must be +1 or -1")
+    events = code.events
     if position is None:
-        position = len(code.events)
-    if not 0 <= position <= len(code.events):
+        position = len(events)
+    if not 0 <= position <= len(events):
         raise FrontError(f"insertion position {position} out of range")
+    before = next((ev.side for ev in reversed(events[position:]
+                                              + events[:position])
+                   if isinstance(ev, Cusp)), None)
     vertical = "D" if sign == 1 else "U"
-    for sides in (("L", "R"), ("R", "L")):
-        events = (code.events[:position]
-                  + (Cusp(sides[0], vertical), Cusp(sides[1], vertical))
-                  + code.events[position:])
-        try:
-            return validate_front(events)
-        except FrontError:
-            continue
-    raise FrontError(
-        f"no cusp-side order keeps alternation at position {position}")
+    sides = ("R", "L") if before == "L" else ("L", "R")
+    return validate_front(events[:position]
+                          + tuple(Cusp(side, vertical) for side in sides)
+                          + events[position:])
 
 
 # --- fundamental presentation -------------------------------------------------
@@ -282,49 +280,34 @@ class Presentation:
 
 
 def fundamental_presentation(code: FrontCode) -> Presentation:
-    code = validate_front(code.events)
-    events = code.events
-    under_positions = [i for i, ev in enumerate(events)
-                       if isinstance(ev, CrossingPass) and ev.role == "U"]
-    if not under_positions:
-        word = tuple(cusp_operator(ev.side, ev.vertical) for ev in events
-                     if isinstance(ev, Cusp))
-        return Presentation(generators=1, relations=(), closure_word=word)
+    """Validate ``code`` and present its fundamental 4-Legendrian rack.
 
-    # Rotate so traversal starts just after the first under-pass; arcs are
-    # then numbered 0..m-1 in traversal order.
-    start = under_positions[0] + 1
-    order = [events[(start + k) % len(events)] for k in range(len(events))]
-    arc_of_position = []
-    arc = 0
-    for ev in order:
-        arc_of_position.append(arc)
-        if isinstance(ev, CrossingPass) and ev.role == "U":
-            arc += 1
-    m = arc  # number of arcs == number of under-passes
-    over_arc = {}
-    for pos, ev in enumerate(order):
-        if isinstance(ev, CrossingPass) and ev.role == "O":
-            over_arc[ev.crossing] = arc_of_position[pos]
-
-    relations = []
+    One walk from just after the first under-pass: a cusp extends the
+    current arc's word, an over-pass records the current arc as its
+    crossing's over-arc, and the i-th under-pass ends arc i, relation i.
+    With no under-pass the code is one closed arc, walked from its first
+    event, and its cusp word is the closure word."""
+    events = validate_front(code.events).events
+    start = next((i + 1 for i, ev in enumerate(events)
+                  if isinstance(ev, CrossingPass) and ev.role == "U"), 0)
+    unders: list[tuple[CrossingPass, tuple[str, ...]]] = []
+    over_arc: dict[int, int] = {}
     word: list[str] = []
-    current = 0
-    for ev in order:
+    for ev in events[start:] + events[:start]:
         if isinstance(ev, Cusp):
             word.append(cusp_operator(ev.side, ev.vertical))
-        elif ev.role == "U":
-            relations.append(Relation(
-                in_arc=current,
-                out_arc=(current + 1) % m,
-                over_arc=over_arc[ev.crossing],
-                word=tuple(word),
-                sign=ev.sign,
-                crossing=ev.crossing,
-            ))
+        elif ev.role == "O":
+            over_arc[ev.crossing] = len(unders)
+        else:
+            unders.append((ev, tuple(word)))
             word = []
-            current += 1
-    return Presentation(generators=m, relations=tuple(relations))
+    if not unders:
+        return Presentation(generators=1, relations=(), closure_word=tuple(word))
+    m = len(unders)
+    return Presentation(generators=m, relations=tuple(
+        Relation(in_arc=i, out_arc=(i + 1) % m, over_arc=over_arc[ev.crossing],
+                 word=w, sign=ev.sign, crossing=ev.crossing)
+        for i, (ev, w) in enumerate(unders)))
 
 
 # --- fixtures ----------------------------------------------------------------
@@ -348,27 +331,17 @@ def left_trefoil() -> FrontCode:
 
 def stabilized_unknot(positive: int, negative: int,
                       alternate: bool = False) -> FrontCode:
-    """S+^a S-^b of the standard unknot; ``alternate`` interleaves the signs
-    (and varies positions) to produce a different event sequence with the
-    same classical invariants."""
-    code = standard_unknot()
+    """S+^a S-^b of the standard unknot, each stabilization at the end;
+    ``alternate`` interleaves the signs, negative first, and puts every
+    second one at the start: a different event sequence with the same
+    classical invariants."""
+    signs = [1] * positive + [-1] * negative
     if alternate:
-        signs = []
-        a, b = positive, negative
-        while a or b:
-            if b:
-                signs.append(-1)
-                b -= 1
-            if a:
-                signs.append(1)
-                a -= 1
-        for i, sign in enumerate(signs):
-            code = stabilize(code, sign, position=0 if i % 2 else None)
-    else:
-        for _ in range(positive):
-            code = stabilize(code, 1)
-        for _ in range(negative):
-            code = stabilize(code, -1)
+        signs = [sign for pair in zip_longest([-1] * negative, [1] * positive)
+                 for sign in pair if sign]
+    code = standard_unknot()
+    for i, sign in enumerate(signs):
+        code = stabilize(code, sign, position=0 if alternate and i % 2 else None)
     return code
 
 

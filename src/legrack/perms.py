@@ -18,10 +18,12 @@ def identity(n: int) -> Perm:
 
 
 def validate_perm(image) -> Perm:
-    """Check that ``image`` is a bijection on {0..n-1} and return it as a tuple."""
+    """Check that ``image`` is a bijection on {0..n-1} and return it as a tuple.
+    Its entries must be ints, and a bool is not one here."""
     p = tuple(image)
     n = len(p)
-    if sorted(p) != list(range(n)):
+    if (any(isinstance(v, bool) or not isinstance(v, int) for v in p)
+            or sorted(p) != list(range(n))):
         raise ValueError(f"not a permutation of range({n}): {p!r}")
     return p
 
@@ -98,11 +100,12 @@ def cycle_string(p: Perm) -> str:
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse cycle notation like ``(0 1 2)(3 4)`` into a permutation of ``degree``."""
+    """Parse cycle notation like ``(0 1 2)(3 4)`` or ``(0 1) (2 3)`` into a
+    permutation of ``degree``."""
     text = text.strip()
     if text in ("()", "", "id"):
         return identity(degree)
-    if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", text):
+    if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+", text):
         raise ValueError(f"malformed cycle notation: {text!r}")
     image = list(range(degree))
     touched = set()

@@ -150,7 +150,8 @@ def validate_rack(table) -> RackTable:
             raise RackError(f"row {x} has length {len(row)}, expected {n}",
                             axiom="shape", witness=x)
         for y, v in enumerate(row):
-            if not (isinstance(v, int) and 0 <= v < n):
+            if (isinstance(v, bool) or not isinstance(v, int)
+                    or not 0 <= v < n):
                 raise RackError(f"entry out of range at ({x},{y}): {v!r}",
                                 axiom="range", witness=(x, y))
     for y in range(n):
@@ -325,6 +326,8 @@ def rack_from_text(text: str) -> RackTable:
     if len(header) != 1:
         raise RackError(f"line {lineno}: expected a single order, got {header}")
     n = header[0]
+    if n < 0:
+        raise RackError(f"line {lineno}: order must be nonnegative, got {n}")
     body = values[1:]
     if len(body) != n:
         raise RackError(f"expected {n} table rows, got {len(body)}")

@@ -238,9 +238,11 @@ def test_orbit_reps_are_canonical_and_sorted():
 def test_cycle_string_and_parse_roundtrip():
     assert cycle_string(identity(4)) == "()"
     assert cycle_string((1, 2, 0, 4, 3)) == "(0 1 2)(3 4)"
-    for text, n in [("(0 1 2)(3 4)", 5), ("()", 3), ("(1 3)", 4)]:
+    for text, n in [("(0 1 2)(3 4)", 5), ("()", 3), ("(1 3)", 4),
+                    ("(0 1) (2 3)", 4)]:
         p = parse_cycles(text, n)
         assert parse_cycles(cycle_string(p), n) == p
+    assert parse_cycles(" (0 1) ( 2,3 ) ", 4) == (1, 0, 3, 2)
 
 
 def test_parse_cycles_rejects_garbage():
@@ -252,6 +254,10 @@ def test_parse_cycles_rejects_garbage():
 def test_validate_perm_rejects_non_bijection():
     with pytest.raises(ValueError):
         validate_perm((0, 0, 2))
+    # a bool is an int in Python, and 1.0 == 1, but neither is a point
+    for bad in [(True, False), (False,), (0, True), (1.0, 0)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            validate_perm(bad)
 
 
 def test_conjugate_matches_definition():

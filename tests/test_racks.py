@@ -56,6 +56,12 @@ def test_validate_rejects_out_of_range():
     with pytest.raises(RackError) as exc:
         validate_rack([[0, 5], [1, 0]])
     assert exc.value.axiom == "range"
+    # a bool is an int in Python, but not a rack element
+    with pytest.raises(RackError) as exc:
+        validate_rack([[False, False], [True, True]])
+    assert exc.value.axiom == "range"
+    with pytest.raises(ValueError, match="not a permutation"):
+        permutation_rack((True, False))
 
 
 def test_dihedral_entry():
@@ -299,6 +305,8 @@ def test_text_parse_errors():
         rack_from_text("2\n0 1\n")  # missing row
     with pytest.raises(RackError):
         rack_from_text("2\nx y\n1 0\n")
+    with pytest.raises(RackError, match="order must be nonnegative"):
+        rack_from_text("-1\n")
 
 
 def test_comments_and_blank_lines_ignored():
