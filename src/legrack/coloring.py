@@ -20,17 +20,21 @@ number of pairs cancelled.  On one rack table the kink is fixed,
 and c is fixed by the presentation, so the permutations of the
 presentation's distinct nonempty reduced words
 (``Presentation.reduced_words``, cached on it) fix every W, and W fixes
-them back.  The count is memoized on the rack table under (presentation,
-those permutations) (``RackTable.generic_counts``), read as one tuple
-cached per structure (``FourLegRack.reduced_perms``, a plain dict made
-with the structure, since most structures are counted right after they
-are built), and the structures of one rack whose reduced words compose
-alike share one count.  On the built-in fixtures every word reduces to
-(), (ur, ul) or (dr, dl): the unknot's (ur, dl) reduces to (), so all the
-structures of a rack share its count.  A miss reads the original words:
-with crossings it builds each relation's rows in one pass from
-(W_i, sign_i) and runs the search below, and without them it counts the
-fixed points of W.
+them back.  The count is memoized on the rack table
+(``RackTable.generic_counts``) in two levels: those permutations, then the
+presentation's string key (``Presentation.key``).  The structures of one
+rack whose reduced words compose alike share one inner dict.  Each structure holds
+the inner dicts it has touched, by reduced words
+(``FourLegRack.generic_slices``, a plain dict made with the structure,
+since most structures are counted right after they are built), so a hit
+is two lookups and builds no key.  On the built-in fixtures every word
+reduces to (), (ur, ul) or (dr, dl): the unknot's (ur, dl) reduces to (),
+so all the structures of a rack share its count.  A miss with crossings
+builds each relation's rows in one pass from (W_i, sign_i) and runs the
+search below.  A miss without them reads what the key holds: W =
+kink^-c o R fixes x exactly when R(x) = kink^c(x), R the reduced closure
+word's permutation (the identity if it reduces to ()) and kink^c read off
+the rack table (``RackTable.kink_power``).
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -59,9 +63,11 @@ of up cusps is sigma^-2 times an inverse down pair.  The kink map is sigma,
 so dr o dl = ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2 with g = ur o ul,
 and the closed form is g^-rot o sigma^(tb-rot).  Conjugate maps have equally
 many fixed points, so ``perm_fast_count`` counts the colorings of any front
-from (tb, rot) alone, memoized on the rack table under (g, rot, tb - rot).
-For a fixed ul, ur -> ur o ul is a bijection of U_X, so the |U_X|^2
-structures of one rack share |U_X| products g.
+from (tb, rot) alone, memoized on the rack table in two levels, g and
+then (rot, tb); each structure holds its g's inner dict
+(``FourLegRack.fast_slice``).  For a fixed ul, ur -> ur o ul is a
+bijection of U_X, so the |U_X|^2 structures of one rack share |U_X|
+products g, and so |U_X| inner dicts.
 
 Permutation racks get their structures the way every rack does: U_X is the
 rack's ``gl_center`` (here the centralizer of sigma), ``permutation_fourleg``
@@ -98,10 +104,6 @@ def _relation_output(rel, maps, rack, a: int, o: int) -> int:
     return (rack.rows if rel.sign == 1 else rack.inv_rows)[v][o]
 
 
-def fixed_points(p: Perm) -> int:
-    return sum(map(eq, p, range(len(p))))
-
-
 def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Number of homomorphisms from the presented fundamental rack to ``fl``.
 
@@ -110,35 +112,41 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     ``enumerate_structures`` build does.
 
     The count is memoized on the rack table (``RackTable.generic_counts``)
-    under (pres, (R_1, ..., R_j)), the permutations of the presentation's
-    reduced words (``pres.reduced_words``), read as one tuple cached on the
-    structure (``fl.reduced_perms``, a dict made with it, so a structure's
-    first count takes no lock).  The key is exact: each cusp word W
-    is kink^-c o R with R its reduced word and c fixed by the presentation,
-    the kink is fixed by the rack table, the structure enters the search
-    only through W_i of relation i, and the table, the signs, the arcs and
-    the schedule are fixed by the rack table and the presentation.  A miss
-    reads the original words (``fl.word_perm``): with crossings it builds
-    each relation's rows from (W_i, sign_i) and runs ``_search``, and
-    without them it counts the fixed points of the closure word.  Its
+    in two levels: (R_1, ..., R_j), the permutations of the presentation's
+    reduced words (``pres.reduced_words``), then ``pres.key``.  The
+    structure holds the inner dict of its own permutations
+    (``fl.generic_slices``, made on its first touch of those words), so a
+    hit is one lookup on the structure and one in the inner dict.  The key
+    is exact: each cusp word W is kink^-c o R with R its reduced word and c
+    fixed by the presentation, the kink is fixed by the rack table, the
+    structure enters the search only through W_i of relation i, and the
+    table, the signs, the arcs and the schedule are fixed by the rack table
+    and the presentation.  A miss with crossings builds each relation's
+    rows from (W_i, sign_i), W_i read off ``fl.word_perm``, and runs
+    ``_search``.  A miss without them counts the x with R(x) = kink^c(x),
+    R the reduced closure word's permutation and c its cancelled pairs
+    (``pres.closure_pairs``): the fixed points of W = kink^-c o R.  Its
     oracles are ``brute_force_colorings`` and, in the tests, a counter
     that rescans every relation after each assignment.
     """
     words = pres.reduced_words
-    perms = fl.reduced_perms.get(words)
-    if perms is None:
-        perms = fl.reduced_perms[words] = tuple([fl.word_perm(r)
-                                                 for r in words])
-    memo = fl.rack.generic_counts
-    count = memo.get((pres, perms))
+    counts = fl.generic_slices.get(words)
+    if counts is None:
+        counts = fl.generic_slices[words] = \
+            fl.rack.generic_counts.setdefault(
+                tuple([fl.word_perm(r) for r in words]), {})
+    key = pres.key
+    count = counts.get(key)
     if count is None:
+        rack = fl.rack
         if pres.relations:
-            rows = [_word_rows(fl.rack, fl.word_perm(rel.word), rel.sign)
+            rows = [_word_rows(rack, fl.word_perm(rel.word), rel.sign)
                     for rel in pres.relations]
-            count = _search(pres, rows, fl.rack.n)
+            count = _search(pres, rows, rack.n)
         else:
-            count = fixed_points(fl.word_perm(pres.closure_word))
-        memo[pres, perms] = count
+            r = fl.word_perm(words[0] if words else ())
+            count = sum(map(eq, r, rack.kink_power(pres.closure_pairs)))
+        counts[key] = count
     return count
 
 
@@ -214,26 +222,33 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     docstring), and conjugate permutations have equally many fixed points,
     so the count depends only on (tb, rot).  The two forms agree because the
     kink map is sigma and ul, ur commute with it: dr o dl =
-    ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.  sigma is read as the
-    kink (``RackTable.flags``), g once per structure (``FourLegRack.ur_ul``),
-    and the count is memoized per rack table under (g, rot, tb - rot)
-    (``RackTable.fast_counts``).  A miss first checks that every column is
-    sigma: all columns equal the kink exactly when x > y = kink(x), and R1
-    makes each column a bijection.  So a rack that is not a permutation
-    rack never stores a count, and every call on it raises.  It then
-    counts the fixed points without composing: g^-rot(sigma^(tb-rot)(x))
-    = x exactly when g^rot(x) = sigma^(tb-rot)(x).
+    ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.
+
+    The count is memoized on the rack table (``RackTable.fast_counts``) in
+    two levels, g and then (rot, tb), and the structure holds its g's inner
+    dict (``fl.fast_slice``), so a hit is one lookup in it.  The structure
+    takes that handle on its first call, after checking that every column
+    is the kink: all columns equal the kink exactly when x > y = kink(x),
+    and R1 makes each column a bijection.  So a rack that is not a
+    permutation rack never stores a count, and every call on it raises.
+    A miss counts the fixed points without composing:
+    g^-rot(sigma^(tb-rot)(x)) = x exactly when g^rot(x) = sigma^(tb-rot)(x),
+    sigma^(tb-rot) read off the rack table (``RackTable.kink_power``).
     """
-    rack = fl.rack
-    g = fl.ur_ul
-    key = (g, inv.rot, inv.tb - inv.rot)
-    count = rack.fast_counts.get(key)
-    if count is None:
-        sigma = rack.flags.kink
-        if rack.columns.count(sigma) != rack.n:
+    counts = fl.fast_slice
+    if counts is None:
+        rack = fl.rack
+        if rack.columns.count(rack.flags.kink) != rack.n:
             raise ValueError("not a permutation rack")
-        count = rack.fast_counts[key] = sum(map(
-            eq, power(g, inv.rot), power(sigma, inv.tb - inv.rot)))
+        counts = rack.fast_counts.setdefault(fl.ur_ul, {})
+        # Set once, and left out of the frozen structure's comparison.
+        object.__setattr__(fl, "fast_slice", counts)
+    key = (inv.rot, inv.tb)
+    count = counts.get(key)
+    if count is None:
+        count = counts[key] = sum(map(
+            eq, power(fl.ur_ul, inv.rot),
+            fl.rack.kink_power(inv.tb - inv.rot)))
     return count
 
 

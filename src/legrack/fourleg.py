@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .perms import (
     Perm,
@@ -45,37 +44,44 @@ class FourLegStructure:
 class FourLegRack:
     """A 4-Legendrian structure on a rack table, with what the coloring
     counters read of it, each cached on it: a cusp word composed into one
-    permutation (``word_perm``), g = ur o ul (``ur_ul``) and, per tuple of
-    reduced words, the tuple of their permutations (``reduced_perms``).
+    permutation (``word_perm``) and the structure's slices of the rack
+    table's two memos.
 
-    A sweep builds each structure once and counts it at once, so the
-    word and reduced-word caches are plain dicts made with the instance,
-    left out of its comparison, hash and repr.  In Python 3.11 each first
-    read of a ``functools.cached_property`` takes a class-wide lock, which
-    costs more than making a dict with the structure.  ``ur_ul`` stays a
-    cached property, so that the fast path reads g as an attribute.
+    The counters' memos sit on the rack table, in two levels, and are
+    shared by all its structures.  A structure holds the inner dicts it
+    reads, so a count it has seen is two dict lookups:
+    - ``generic_slices`` maps a presentation's reduced words
+      (``Presentation.reduced_words``) to the inner dict of
+      ``RackTable.generic_counts`` for their permutations on this
+      structure;
+    - ``fast_slice`` is the inner dict of ``RackTable.fast_counts`` for
+      g = ur o ul (``ur_ul``), set by ``coloring.perm_fast_count`` once it
+      has checked that the rack is a permutation rack.
 
-    The counters' memos sit on the rack table and are shared by all its
-    structures, and the generic counter's key holds only the reduced
-    words' permutations.  So every structure on one table must satisfy
-    axioms 1-2 for that table's kink, as every structure ``make_fourleg``
-    and ``enumerate_structures`` build does.
+    A sweep builds each structure once and counts it at once, so these
+    caches are plain fields made with the instance, left out of its
+    comparison, hash and repr.  In Python 3.11 each first read of a
+    ``functools.cached_property`` takes a class-wide lock, which costs
+    more than making a dict with the structure.
+
+    The generic memo's outer key holds only the reduced words'
+    permutations.  So every structure on one table must satisfy axioms 1-2
+    for that table's kink, as every structure ``make_fourleg`` and
+    ``enumerate_structures`` build does.
     """
 
     rack: RackTable
     structure: FourLegStructure
     _word_perms: dict[tuple[str, ...], Perm] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # ``coloring.count_colorings``'s cache of the structure's half of its
-    # memo key: for the reduced words of a presentation
-    # (``Presentation.reduced_words``), the tuple of their permutations.
-    reduced_perms: dict[tuple[tuple[str, ...], ...], tuple[Perm, ...]] = \
+    generic_slices: dict[tuple[tuple[str, ...], ...], dict[str, int]] = \
         field(default_factory=dict, init=False, repr=False, compare=False)
+    fast_slice: dict[tuple[int, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def ur_ul(self) -> Perm:
-        """g = ur o ul, the product ``coloring.perm_fast_count`` keys on,
-        read there as an attribute on every call after the first."""
+        """g = ur o ul, the product ``coloring.perm_fast_count`` keys on."""
         return self.word_perm(("ul", "ur"))
 
     def word_perm(self, word: tuple[str, ...]) -> Perm:

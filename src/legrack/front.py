@@ -195,19 +195,27 @@ class ScheduleLevel(NamedTuple):
 
 @dataclass(frozen=True)
 class Presentation:
+    """A finite presentation of a fundamental 4-Legendrian rack: one
+    relation per crossing, or, without crossings, one arc and its closure
+    word.  It compares and hashes by value.
+
+    What ``coloring.count_colorings`` reads of it is cached on it: the
+    memo key (``key``), the reduced cusp words (``reduced_words``), the
+    closure word's cancelled pairs (``closure_pairs``) and the search
+    schedule (``schedule``).
+    """
+
     generators: int
     relations: tuple[Relation, ...]
     # Cusp word of the single closed arc when there are no crossings.
     closure_word: tuple[str, ...] = ()
 
-    def __hash__(self) -> int:
-        # A key of ``RackTable.generic_counts`` on every coloring count:
-        # hashed by value once, not field by field on every lookup.
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.generators, self.relations, self.closure_word))
+    def key(self) -> str:
+        """The presentation by value as a string, its inner key in
+        ``RackTable.generic_counts``: two presentations have equal keys
+        exactly when they are equal, and a string caches its hash."""
+        return repr((self.generators, self.relations, self.closure_word))
 
     @cached_property
     def reduced_words(self) -> tuple[tuple[str, ...], ...]:
@@ -222,6 +230,12 @@ class Presentation:
         words = [rel.word for rel in self.relations] or [self.closure_word]
         return tuple(sorted({r for r, _ in map(cancel_cusp_pairs, words)
                              if r}))
+
+    @cached_property
+    def closure_pairs(self) -> int:
+        """c, the number of cancelling pairs removed from the closure word,
+        so that it composes to kink^-c o R, R its reduced word."""
+        return cancel_cusp_pairs(self.closure_word)[1]
 
     @cached_property
     def schedule(self) -> tuple[ScheduleLevel, ...]:
@@ -334,7 +348,10 @@ def stabilized_unknot(positive: int, negative: int,
     """S+^a S-^b of the standard unknot, each stabilization at the end;
     ``alternate`` interleaves the signs, negative first, and puts every
     second one at the start: a different event sequence with the same
-    classical invariants."""
+    classical invariants.  Raises FrontError on a negative count."""
+    if positive < 0 or negative < 0:
+        raise FrontError(f"stabilization counts must be nonnegative, got "
+                         f"{positive} positive and {negative} negative")
     signs = [1] * positive + [-1] * negative
     if alternate:
         signs = [sign for pair in zip_longest([-1] * negative, [1] * positive)

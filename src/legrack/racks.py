@@ -16,6 +16,7 @@ from .perms import (
     cycles,
     identity,
     inverse,
+    power,
     subgroup_closure,
     validate_perm,
 )
@@ -59,21 +60,36 @@ class RackTable:
         return tuple(zip(*(inverse(c) for c in self.columns)))
 
     @cached_property
-    def fast_counts(self) -> dict[tuple[Perm, int, int], int]:
-        """Memo of ``coloring.perm_fast_count``, keyed by
-        (ur o ul, rot, tb - rot) and shared by all the rack's structures;
-        only a permutation rack ever stores a count in it."""
+    def fast_counts(self) -> dict[Perm, dict[tuple[int, int], int]]:
+        """Memo of ``coloring.perm_fast_count`` in two levels: g = ur o ul,
+        then (rot, tb).  Shared by all the rack's structures, each of which
+        holds its g's inner dict (``FourLegRack.fast_slice``); only a
+        permutation rack ever stores a count in it."""
         return {}
 
     @cached_property
-    def generic_counts(self) -> dict[tuple[object, tuple[Perm, ...]], int]:
-        """Memo of ``coloring.count_colorings``, keyed by (presentation,
-        (R_1, ..., R_j)), the permutations of the presentation's distinct
-        nonempty reduced cusp words (``Presentation.reduced_words``), and
-        shared by all the rack's structures.  The key is exact for
-        structures that satisfy Kimura's axioms 1-2: each cusp word W is
-        kink^-c o R, and this table fixes the kink."""
+    def generic_counts(self) -> dict[tuple[Perm, ...], dict[str, int]]:
+        """Memo of ``coloring.count_colorings`` in two levels:
+        (R_1, ..., R_j), the permutations of a presentation's distinct
+        nonempty reduced cusp words (``Presentation.reduced_words``), then
+        the presentation's ``key``.  Shared by all the rack's structures,
+        each of which holds the inner dicts of its own permutations
+        (``FourLegRack.generic_slices``).  The key is exact for structures
+        that satisfy Kimura's axioms 1-2: each cusp word W is kink^-c o R,
+        and this table fixes the kink."""
         return {}
+
+    @cached_property
+    def _kink_powers(self) -> dict[int, Perm]:
+        return {}
+
+    def kink_power(self, k: int) -> Perm:
+        """kink^k for any integer k, computed once per table; both coloring
+        counters read it on a memo miss."""
+        p = self._kink_powers.get(k)
+        if p is None:
+            p = self._kink_powers[k] = power(self.flags.kink, k)
+        return p
 
     @cached_property
     def column_types(self) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from dataclasses import replace
+from operator import eq
 
 import pytest
 
@@ -13,7 +14,6 @@ from legrack.coloring import (
     apply_word,
     brute_force_colorings,
     count_colorings,
-    fixed_points,
     perm_fast_count,
     permutation_fourleg,
     permutation_structures,
@@ -48,6 +48,15 @@ from legrack.racks import (
     permutation_rack,
     trivial_quandle,
 )
+
+
+def fixed_points(p):
+    return sum(map(eq, p, range(len(p))))
+
+
+def memo_size(memo):
+    """Counts stored in a two-level memo of ``RackTable``."""
+    return sum(map(len, memo.values()))
 
 
 def trivial_fourleg(n):
@@ -325,14 +334,15 @@ def test_structure_caches_stay_out_of_equality_hash_and_repr():
     for inv, pres in fronts:
         assert count_colorings(pres, warm) == perm_fast_count(warm, inv)
     warm.word_perm(("ur", "dl"))
-    assert warm.reduced_perms and warm._word_perms
+    assert warm.generic_slices and warm._word_perms and warm.fast_slice
     cold = FourLegRack(warm.rack, warm.structure)
-    assert not cold.reduced_perms and not cold._word_perms
+    assert not cold.generic_slices and not cold._word_perms
+    assert cold.fast_slice is None
     assert cold == warm and hash(cold) == hash(warm)
     assert len({cold, warm}) == 1
     assert repr(warm) == repr(cold) == \
         f"FourLegRack(rack={warm.rack!r}, structure={warm.structure!r})"
-    assert cold.reduced_perms is not warm.reduced_perms
+    assert cold.generic_slices is not warm.generic_slices
     assert cold._word_perms is not warm._word_perms
 
 
@@ -386,32 +396,41 @@ def test_crossingless_memo_matches_brute_force():
     per rack, colored by all its structures in either order) and on fresh
     ones, every count of every structure of order <= 4 equals the
     brute-force count, and the warm memo holds one count per distinct
-    (presentation, closure-word permutation)."""
+    (presentation, closure-word permutation).  The stabilized unknots give
+    long closure words with up to seven cancelled pairs, so a miss that
+    reads kink^-c for kink^c fails here."""
     fronts = [p for p in map(fundamental_presentation,
                              builtin_fixtures().values())
               if not p.relations]
     assert len(fronts) == 8
     fronts += [Presentation(1, (), w)
                for w in (LETTER_ORDER_WORD, LETTER_ORDER_WORD[::-1])]
+    fronts += [fundamental_presentation(stabilized_unknot(a, b, alternate))
+               for a in range(7) for b in range(7 - a)
+               for alternate in (False, True)]
+    fronts = list(dict.fromkeys(fronts))
+    assert max(p.closure_pairs for p in fronts) == 7
     shared = False
     for n in range(5):
         for rack in enumerate_racks(n):
             structures = list(enumerate_structures(rack))
-            brute = {(pres, s): brute_force_colorings(pres,
-                                                      FourLegRack(rack, s))
-                     for pres in fronts for s in structures}
+            brute = {(pres, s): brute_force_colorings(pres, fl)
+                     for s in structures for fl in [FourLegRack(rack, s)]
+                     for pres in fronts}
             for order in (structures, structures[::-1]):
                 warm = RackTable(rack.n, rack.rows)
                 keys = set()
                 for s in order:
                     fl = FourLegRack(warm, s)
+                    # the fronts are distinct, so every count of one
+                    # structure on its own table is a miss
+                    fresh = FourLegRack(RackTable(rack.n, rack.rows), s)
                     for pres in fronts:
-                        fresh = FourLegRack(RackTable(rack.n, rack.rows), s)
                         assert count_colorings(pres, fl) == \
                             count_colorings(pres, fresh) == \
                             brute[pres, s], (rack.rows, s, pres)
                         keys.add((pres, fl.word_perm(pres.closure_word)))
-                assert len(warm.generic_counts) == len(keys)
+                assert memo_size(warm.generic_counts) == len(keys)
                 shared |= len(keys) < len(structures) * len(fronts)
     assert shared
 
@@ -503,7 +522,8 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
                     loop = unreduced_loop_permutation(pres, fl)
                     assert perm_fast_count(fl, inv) == fixed_points(loop), \
                         (sigma, ul, ur, inv)
-            assert len(warm.fast_counts) == len(products) * len(keys)
+            assert memo_size(warm.fast_counts) == \
+                len(products) * len(keys)
 
 
 def test_generic_memo_is_shared_by_the_structures_of_a_rack():
@@ -544,9 +564,28 @@ def test_generic_memo_is_shared_by_the_structures_of_a_rack():
                         if key not in brute:
                             brute[key] = brute_force_colorings(pres, fl)
                         assert count == brute[key], (rack.rows, s, pres)
-            assert len(warm.generic_counts) == len(keys)
+            assert memo_size(warm.generic_counts) == len(keys)
             shared |= len(keys) < len(structures) * len(fronts)
     assert shared
+
+
+def test_memos_store_each_shared_count_once():
+    """Every structure on the permutation racks of order <= 4, counted on
+    the twelve fixtures by both counters, stores 1,166 generic and 858 fast
+    counts over the 33 rack tables: the totals the memos held when each was
+    one flat dict.  A change that stops structures sharing counts raises
+    them."""
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in builtin_fixtures().values()]
+    assert len(fronts) == 12
+    racks = {}
+    for _, fl in permutation_structures(4, conjugacy_reps_only=False):
+        racks[id(fl.rack)] = fl.rack
+        for inv, pres in fronts:
+            assert count_colorings(pres, fl) == perm_fast_count(fl, inv)
+    assert len(racks) == 33
+    assert sum(memo_size(r.generic_counts) for r in racks.values()) == 1166
+    assert sum(memo_size(r.fast_counts) for r in racks.values()) == 858
 
 
 def test_presentation_hash_is_by_value_and_keys_the_memo():
@@ -562,7 +601,7 @@ def test_presentation_hash_is_by_value_and_keys_the_memo():
     fl = three_cycle_fourleg(ul=(1, 2, 0))
     for pres in (a, b, flipped):
         assert count_colorings(pres, fl) == brute_force_colorings(pres, fl)
-    assert len(fl.rack.generic_counts) == 2
+    assert memo_size(fl.rack.generic_counts) == 2
 
 
 def test_perm_fast_count_matches_generic_counter():

@@ -223,6 +223,15 @@ def test_stabilized_unknot_variants_differ_but_agree_on_invariants():
     assert classical_invariants(a) == classical_invariants(b)
 
 
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("counts", [(-1, 0), (0, -1), (-2, 3), (3, -2)])
+def test_stabilized_unknot_rejects_negative_counts(counts, alternate):
+    # read as zero, a negative count would silently give another front,
+    # e.g. the standard unknot for (-1, 0)
+    with pytest.raises(FrontError, match="nonnegative"):
+        stabilized_unknot(*counts, alternate=alternate)
+
+
 def test_text_roundtrip(tmp_path):
     for name, code in builtin_fixtures().items():
         text = front_to_text(code)
