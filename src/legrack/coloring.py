@@ -23,18 +23,20 @@ presentation's distinct nonempty reduced words
 them back.  The count is memoized on the rack table
 (``RackTable.generic_counts``) in two levels: those permutations, then the
 presentation's string key (``Presentation.key``).  The structures of one
-rack whose reduced words compose alike share one inner dict.  Each structure holds
-the inner dicts it has touched, by reduced words
+rack whose reduced words compose alike share one inner dict.  Each
+structure holds the inner dicts it has touched, by reduced words
 (``FourLegRack.generic_slices``, a plain dict made with the structure,
 since most structures are counted right after they are built), so a hit
-is two lookups and builds no key.  On the built-in fixtures every word
-reduces to (), (ur, ul) or (dr, dl): the unknot's (ur, dl) reduces to (),
-so all the structures of a rack share its count.  A miss with crossings
-builds each relation's rows in one pass from (W_i, sign_i) and runs the
-search below.  A miss without them reads what the key holds: W =
-kink^-c o R fixes x exactly when R(x) = kink^c(x), R the reduced closure
-word's permutation (the identity if it reduces to ()) and kink^c read off
-the rack table (``RackTable.kink_power``).
+is two lookups and builds no key.  A structure's first touch of some
+reduced words composes them once and stores a new inner dict only when no
+other structure of the rack made one for the same permutations.  On the
+built-in fixtures every word reduces to (), (ur, ul) or (dr, dl): the
+unknot's (ur, dl) reduces to (), so all the structures of a rack share
+its count.  A miss with crossings builds each relation's rows in one pass
+from (W_i, sign_i) and runs the search below.  A miss without them reads
+what the key holds: W = kink^-c o R fixes x exactly when R(x) = kink^c(x),
+R the reduced closure word's permutation (the identity if it reduces to
+()) and kink^c read off the rack table (``RackTable.kink_power``).
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -60,19 +62,25 @@ with sigma, and two adjacent cusps of opposite vertical direction compose
 to sigma^-1 (e.g. dl o ur = ur^-1 sigma^-1 ur).  Cancelling such pairs
 leaves, up to conjugation, (dr o dl)^rot o sigma^(rot+tb); a surviving pair
 of up cusps is sigma^-2 times an inverse down pair.  The kink map is sigma,
-so dr o dl = ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2 with g = ur o ul,
-and the closed form is g^-rot o sigma^(tb-rot).  Conjugate maps have equally
-many fixed points, so ``perm_fast_count`` counts the colorings of any front
-from (tb, rot) alone, memoized on the rack table in two levels, g and
-then (rot, tb); each structure holds its g's inner dict
-(``FourLegRack.fast_slice``).  For a fixed ul, ur -> ur o ul is a
+so dr o dl = ul^-1 sigma^-1 ur^-1 sigma^-1 = h^-1 sigma^-2 with h = ur o ul,
+and the loop map is conjugate to h^-rot o sigma^(tb-rot).  ul commutes with
+sigma, so conjugating by ul gives the closed form g^-rot o sigma^(tb-rot)
+with g = ul o h o ul^-1 = ul o ur: the cusp word (ur, ul) composed, which
+the generic counter composes for an up-cusp pair as well, so both counters
+share one product per structure.  Conjugate maps have equally many fixed
+points, so ``perm_fast_count`` counts the colorings of any front from
+(tb, rot) alone, memoized on the rack table in two levels, g and then
+(rot, tb); each structure holds its g's inner dict
+(``FourLegRack.fast_slice``).  For a fixed ul, ur -> ul o ur is a
 bijection of U_X, so the |U_X|^2 structures of one rack share |U_X|
 products g, and so |U_X| inner dicts.
 
 Permutation racks get their structures the way every rack does: U_X is the
-rack's ``gl_center`` (here the centralizer of sigma), ``permutation_fourleg``
-is ``make_fourleg`` on the permutation rack, and ``permutation_structures``
-walks each rack's structures with ``enumerate_structures``.
+rack's ``gl_center``, which ``permutation_rack`` seeds with the centralizer
+of sigma listed from its cycle type, so no automorphism search runs;
+``permutation_fourleg`` is ``make_fourleg`` on the permutation rack, and
+``permutation_structures`` walks each rack's structures with
+``enumerate_structures``.
 """
 from __future__ import annotations
 
@@ -132,9 +140,12 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     words = pres.reduced_words
     counts = fl.generic_slices.get(words)
     if counts is None:
-        counts = fl.generic_slices[words] = \
-            fl.rack.generic_counts.setdefault(
-                tuple([fl.word_perm(r) for r in words]), {})
+        memo = fl.rack.generic_counts
+        perms = tuple(map(fl.word_perm, words))
+        counts = memo.get(perms)
+        if counts is None:
+            counts = memo[perms] = {}
+        fl.generic_slices[words] = counts
     key = pres.key
     count = counts.get(key)
     if count is None:
@@ -186,7 +197,11 @@ def _search(pres: Presentation, rows, n: int) -> int:
                 total += 1 if depth == last else extend(depth + 1)
         return total
 
-    return extend(0)
+    count = extend(0)
+    # extend holds itself through its closure.  Dropping that reference
+    # frees this search's levels now rather than in a cyclic collection.
+    del extend
+    return count
 
 
 def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
@@ -207,6 +222,10 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
 
 # --- permutation racks -----------------------------------------------------------
 
+# The up-cusp word whose permutation, ul o ur, keys the closed form.
+_UP_PAIR = ("ur", "ul")
+
+
 def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
     """4-Legendrian permutation rack of sigma; ``make_fourleg`` checks that
     ul and ur lie in U_X, which here is the centralizer of sigma."""
@@ -216,38 +235,40 @@ def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
 def perm_fast_count(fl: FourLegRack, inv) -> int:
     """Coloring count of any front with classical invariants ``inv`` by the
     permutation 4-Legendrian rack ``fl``: the number of fixed points of
-    (dr o dl)^rot o sigma^(rot+tb) = g^-rot o sigma^(tb-rot), g = ur o ul.
+    g^-rot o sigma^(tb-rot), g = ul o ur.
 
-    The loop map is conjugate to this closed form (see the module
-    docstring), and conjugate permutations have equally many fixed points,
-    so the count depends only on (tb, rot).  The two forms agree because the
-    kink map is sigma and ul, ur commute with it: dr o dl =
-    ul^-1 sigma^-1 ur^-1 sigma^-1 = g^-1 sigma^-2.
+    The loop map is conjugate to (dr o dl)^rot o sigma^(rot+tb) =
+    (ur o ul)^-rot o sigma^(tb-rot) (see the module docstring), and
+    conjugating that by ul gives this closed form, since ul commutes with
+    sigma.  Conjugate permutations have equally many fixed points, so the
+    count depends only on (tb, rot).
 
     The count is memoized on the rack table (``RackTable.fast_counts``) in
     two levels, g and then (rot, tb), and the structure holds its g's inner
-    dict (``fl.fast_slice``), so a hit is one lookup in it.  The structure
-    takes that handle on its first call, after checking that every column
-    is the kink: all columns equal the kink exactly when x > y = kink(x),
-    and R1 makes each column a bijection.  So a rack that is not a
-    permutation rack never stores a count, and every call on it raises.
-    A miss counts the fixed points without composing:
+    dict (``fl.fast_slice``), so a hit is one lookup in it.  g is the cusp
+    word (ur, ul) composed (``fl.word_perm``), which the generic counter
+    composes too.  The memo is None on a rack that is not a permutation
+    rack, so such a rack never stores a count, and every call on it
+    raises.  A miss counts the fixed points without composing:
     g^-rot(sigma^(tb-rot)(x)) = x exactly when g^rot(x) = sigma^(tb-rot)(x),
     sigma^(tb-rot) read off the rack table (``RackTable.kink_power``).
     """
     counts = fl.fast_slice
     if counts is None:
-        rack = fl.rack
-        if rack.columns.count(rack.flags.kink) != rack.n:
+        memo = fl.rack.fast_counts
+        if memo is None:
             raise ValueError("not a permutation rack")
-        counts = rack.fast_counts.setdefault(fl.ur_ul, {})
+        g = fl.word_perm(_UP_PAIR)
+        counts = memo.get(g)
+        if counts is None:
+            counts = memo[g] = {}
         # Set once, and left out of the frozen structure's comparison.
         object.__setattr__(fl, "fast_slice", counts)
     key = (inv.rot, inv.tb)
     count = counts.get(key)
     if count is None:
         count = counts[key] = sum(map(
-            eq, power(fl.ur_ul, inv.rot),
+            eq, power(fl.word_perm(_UP_PAIR), inv.rot),
             fl.rack.kink_power(inv.tb - inv.rot)))
     return count
 

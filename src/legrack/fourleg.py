@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .perms import (
     Perm,
@@ -55,8 +56,10 @@ class FourLegRack:
       ``RackTable.generic_counts`` for their permutations on this
       structure;
     - ``fast_slice`` is the inner dict of ``RackTable.fast_counts`` for
-      g = ur o ul (``ur_ul``), set by ``coloring.perm_fast_count`` once it
-      has checked that the rack is a permutation rack.
+      g = ul o ur, the word (ur, ul) composed (``word_perm``), set by
+      ``coloring.perm_fast_count`` on a permutation rack.  The generic
+      counter composes the same word for an up-cusp pair, so the two
+      counters share one product.
 
     A sweep builds each structure once and counts it at once, so these
     caches are plain fields made with the instance, left out of its
@@ -79,11 +82,6 @@ class FourLegRack:
     fast_slice: dict[tuple[int, int], int] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    @property
-    def ur_ul(self) -> Perm:
-        """g = ur o ul, the product ``coloring.perm_fast_count`` keys on."""
-        return self.word_perm(("ul", "ur"))
-
     def word_perm(self, word: tuple[str, ...]) -> Perm:
         """W, the cusp word ``word`` applied earliest letter first, as one
         permutation: W(a) = m_k(...m_1(a)) for ``word`` = (m_1, ..., m_k).
@@ -91,16 +89,19 @@ class FourLegRack:
         Composed once per word and cached on the structure, so every
         presentation it colors and both coloring counters share it.  The
         composition starts at m_1 itself and composes each later letter
-        in one pass; the empty word is the identity.
+        m as ``itemgetter(*w)(m)``, m o w in one C call; the empty word is
+        the identity.  On at most one point every map is the identity,
+        and a one-index itemgetter would return a scalar, so there the
+        composition is m_1.
         """
         w = self._word_perms.get(word)
         if w is None:
             s = self.structure
             if word:
                 w = getattr(s, word[0])
-                for letter in word[1:]:
-                    m = getattr(s, letter)
-                    w = tuple([m[v] for v in w])
+                if len(w) > 1:
+                    for letter in word[1:]:
+                        w = itemgetter(*w)(getattr(s, letter))
             else:
                 w = identity(self.rack.n)
             self._word_perms[word] = w

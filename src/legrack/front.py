@@ -193,6 +193,20 @@ class ScheduleLevel(NamedTuple):
     steps: tuple[ScheduleStep, ...]
 
 
+_STRUCTURE_MAPS = tuple(_CUSP_OPERATOR.values())
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_letters(field: str, word) -> None:
+    for letter in word:
+        if letter not in _STRUCTURE_MAPS:
+            raise ValueError(f"{field} has {letter!r}, not one of "
+                             f"{', '.join(_STRUCTURE_MAPS)}")
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation of a fundamental 4-Legendrian rack: one
@@ -203,12 +217,39 @@ class Presentation:
     memo key (``key``), the reduced cusp words (``reduced_words``), the
     closure word's cancelled pairs (``closure_pairs``) and the search
     schedule (``schedule``).
+
+    A presentation no front could give raises ValueError naming the field:
+    every arc is an int in range(generators), every sign is +1 or -1, every
+    letter is a structure map, a presentation without relations has exactly
+    one generator, and only such a presentation has a closure word.
     """
 
     generators: int
     relations: tuple[Relation, ...]
     # Cusp word of the single closed arc when there are no crossings.
     closure_word: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        m = self.generators
+        if not _is_int(m):
+            raise ValueError(f"generators must be an int, got {m!r}")
+        if not self.relations and m != 1:
+            raise ValueError(f"generators must be 1 without relations, "
+                             f"got {m!r}")
+        if self.relations and self.closure_word:
+            raise ValueError("closure_word must be empty when there are "
+                             "relations")
+        _check_letters("closure_word", self.closure_word)
+        for i, rel in enumerate(self.relations):
+            for name in ("in_arc", "out_arc", "over_arc"):
+                arc = getattr(rel, name)
+                if not _is_int(arc) or not 0 <= arc < m:
+                    raise ValueError(f"relations[{i}].{name} must be an int "
+                                     f"in range({m}), got {arc!r}")
+            if not _is_int(rel.sign) or rel.sign not in (1, -1):
+                raise ValueError(f"relations[{i}].sign must be +1 or -1, "
+                                 f"got {rel.sign!r}")
+            _check_letters(f"relations[{i}].word", rel.word)
 
     @cached_property
     def key(self) -> str:

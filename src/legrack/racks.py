@@ -5,6 +5,7 @@ is the rack operation, so each column ``y`` is the translation map ``b_y``.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -60,12 +61,15 @@ class RackTable:
         return tuple(zip(*(inverse(c) for c in self.columns)))
 
     @cached_property
-    def fast_counts(self) -> dict[Perm, dict[tuple[int, int], int]]:
-        """Memo of ``coloring.perm_fast_count`` in two levels: g = ur o ul,
+    def fast_counts(self) -> dict[Perm, dict[tuple[int, int], int]] | None:
+        """Memo of ``coloring.perm_fast_count`` in two levels: g = ul o ur,
         then (rot, tb).  Shared by all the rack's structures, each of which
-        holds its g's inner dict (``FourLegRack.fast_slice``); only a
-        permutation rack ever stores a count in it."""
-        return {}
+        holds its g's inner dict (``FourLegRack.fast_slice``).
+
+        None unless the table is a permutation rack, so the check is made
+        once per table: all columns equal the kink exactly when
+        x > y = kink(x), and R1 makes each column a bijection."""
+        return {} if self.columns.count(self.flags.kink) == self.n else None
 
     @cached_property
     def generic_counts(self) -> dict[tuple[Perm, ...], dict[str, int]]:
@@ -220,9 +224,47 @@ def ts_rack(n: int, t: int, s: int) -> RackTable:
 
 
 def permutation_rack(sigma) -> RackTable:
+    """The permutation rack of sigma, x > y = sigma(x), with its Aut(X) and
+    U_X seeded as C(sigma), so neither is searched.
+
+    Every column is sigma, so R1 holds, and (x > y) > z = sigma^2(x) =
+    (x > z) > (y > z) is R2: the table is valid without a check.  A
+    permutation phi is an automorphism exactly when phi o sigma = sigma o
+    phi, and it then commutes with every column, so Aut(X) = U_X = C(sigma)
+    (``_centralizer``).  ``_iso_search`` on an unseeded table is its oracle.
+    """
     sigma = validate_perm(sigma)
+    table = RackTable.from_columns((sigma,) * len(sigma))
+    table.__dict__["automorphisms"] = table.__dict__["gl_center"] = \
+        PermGroup(len(sigma), _centralizer(sigma))
+    return table
+
+
+def _centralizer(sigma: Perm) -> frozenset[Perm]:
+    """C(sigma), listed from sigma's cycle type.
+
+    An element of C(sigma) maps each cycle of sigma onto a cycle of the
+    same length, the cycles of each length k onto each other in any of
+    m_k! ways, and then rotates each image in any of k ways; every such map
+    commutes with sigma.  So |C(sigma)| = prod_k k^m_k m_k!.  Fixed points
+    are the cycles of length 1, which ``cycles`` omits.
+    """
     n = len(sigma)
-    return validate_rack([[sigma[x]] * n for x in range(n)])
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cyc in cycles(sigma) + [(x,) for x in range(n) if sigma[x] == x]:
+        by_length.setdefault(len(cyc), []).append(cyc)
+    sources = list(itertools.chain.from_iterable(by_length.values()))
+    elements = []
+    image = [0] * n
+    for targets in itertools.product(
+            *map(itertools.permutations, by_length.values())):
+        targets = list(itertools.chain.from_iterable(targets))
+        for shifts in itertools.product(*(range(len(c)) for c in sources)):
+            for src, dst, s in zip(sources, targets, shifts):
+                for x, y in zip(src, dst[s:] + dst[:s]):
+                    image[x] = y
+            elements.append(tuple(image))
+    return frozenset(elements)
 
 
 # --- automorphisms and isomorphisms ----------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 from dataclasses import replace
@@ -79,6 +80,20 @@ def test_trefoil_counts():
     pres = fundamental_presentation(left_trefoil())
     assert count_colorings(pres, trivial_fourleg(3)) == 3
     assert count_colorings(pres, trivial_fourleg(2)) == 2
+
+
+def test_generic_miss_leaves_no_cyclic_garbage():
+    # a search's levels are freed when it returns, not by the collector
+    pres = fundamental_presentation(left_trefoil())
+    structures = [trivial_fourleg(3), three_cycle_fourleg()]
+    gc.collect()
+    gc.disable()
+    try:
+        counts = [count_colorings(pres, fl) for fl in structures]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert counts == [3, 0]
 
 
 def scan_colorings(pres, fl):
@@ -500,7 +515,7 @@ def test_reduced_loop_matches_unreduced_loop():
 def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
     """A rack table's memo, warmed by every structure on it in either
     order, hands each structure the count of its own loop map, and holds
-    one count per (ur o ul, rot, tb - rot)."""
+    one count per (ul o ur, rot, tb - rot)."""
     codes = [*builtin_fixtures().values(), stabilized_unknot(3, 0),
              stabilized_unknot(0, 2)]
     fronts = [(classical_invariants(c), fundamental_presentation(c))
@@ -511,8 +526,9 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
         rack = permutation_rack(sigma)
         center = rack.gl_center.sorted_elements()
         pairs = [(ul, ur) for ul in center for ur in center]
-        products = {make_fourleg(rack, ul, ur).ur_ul for ul, ur in pairs}
-        assert products == {compose(ur, ul) for ul, ur in pairs}
+        products = {make_fourleg(rack, ul, ur).word_perm(("ur", "ul"))
+                    for ul, ur in pairs}
+        assert products == {compose(ul, ur) for ul, ur in pairs}
         assert len(products) == len(center) < len(pairs)
         for order in (pairs, pairs[::-1]):
             warm = RackTable(rack.n, rack.rows)
@@ -524,6 +540,25 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
                         (sigma, ul, ur, inv)
             assert memo_size(warm.fast_counts) == \
                 len(products) * len(keys)
+
+
+def test_fast_path_first_on_a_fresh_structure():
+    """``perm_fast_count`` as a fresh structure's first call composes
+    ul o ur itself and keys the rack's memo on it; its counts match the
+    loop map and the generic counter, which runs after it on the same
+    structure and table."""
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in builtin_fixtures().values()]
+    for _, fl in permutation_structures(4, conjugacy_reps_only=False):
+        s = fl.structure
+        fresh = FourLegRack(RackTable(fl.rack.n, fl.rack.rows), s)
+        for inv, pres in fronts:
+            count = perm_fast_count(fresh, inv)
+            assert count == fixed_points(
+                unreduced_loop_permutation(pres, fresh)), (s, inv)
+            assert count_colorings(pres, fresh) == count, (s, inv)
+        assert fresh.rack.fast_counts == {compose(s.ul, s.ur):
+                                          fresh.fast_slice}
 
 
 def test_generic_memo_is_shared_by_the_structures_of_a_rack():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from legrack.front import (
     CrossingPass,
     FrontCode,
     FrontError,
+    Presentation,
     builtin_fixtures,
     classical_invariants,
     cusp_operator,
@@ -230,6 +232,46 @@ def test_stabilized_unknot_rejects_negative_counts(counts, alternate):
     # e.g. the standard unknot for (-1, 0)
     with pytest.raises(FrontError, match="nonnegative"):
         stabilized_unknot(*counts, alternate=alternate)
+
+
+def _trefoil_with_first_relation(**changes):
+    pres = fundamental_presentation(left_trefoil())
+    first = replace(pres.relations[0], **changes)
+    return lambda: replace(pres, relations=(first, *pres.relations[1:]))
+
+
+@pytest.mark.parametrize("build, field", [
+    # Unchecked, the counter counts the first four silently (R3 with the
+    # identity structure gives 9, 3, 3 and 3 colorings), and the next two
+    # fail inside it with IndexError and AttributeError.
+    pytest.param(_trefoil_with_first_relation(sign=2),
+                 r"relations\[0\]\.sign", id="sign-2"),
+    pytest.param(_trefoil_with_first_relation(out_arc=-1),
+                 r"relations\[0\]\.out_arc", id="negative-arc"),
+    pytest.param(lambda: Presentation(0, ()), "generators",
+                 id="no-relations-0-generators"),
+    pytest.param(lambda: Presentation(3, ()), "generators",
+                 id="no-relations-3-generators"),
+    pytest.param(_trefoil_with_first_relation(over_arc=3),
+                 r"relations\[0\]\.over_arc", id="arc-out-of-range"),
+    pytest.param(_trefoil_with_first_relation(word=("ur", "xl")),
+                 r"relations\[0\]\.word", id="unknown-letter"),
+    # The other rules.
+    pytest.param(_trefoil_with_first_relation(in_arc=True),
+                 r"relations\[0\]\.in_arc", id="bool-arc"),
+    pytest.param(_trefoil_with_first_relation(sign=True),
+                 r"relations\[0\]\.sign", id="bool-sign"),
+    pytest.param(lambda: Presentation(True, ()), "generators",
+                 id="bool-generators"),
+    pytest.param(lambda: Presentation(1, (), ("ur", "up")), "closure_word",
+                 id="unknown-closure-letter"),
+    pytest.param(lambda: replace(fundamental_presentation(left_trefoil()),
+                                 closure_word=("ur", "dl")),
+                 "closure_word", id="closure-word-with-relations"),
+])
+def test_presentation_rejects_malformed_fields(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_text_roundtrip(tmp_path):

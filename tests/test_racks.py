@@ -8,6 +8,7 @@ from legrack.census import (
     _search_shard,
     enumerate_racks,
 )
+from legrack.coloring import permutation_structures
 from legrack.perms import compose, cycle_type, identity, inverse, power
 from legrack.racks import (
     RackError,
@@ -193,6 +194,38 @@ def test_automorphism_group_is_searched_once_per_table():
     assert automorphism_group(rack) is automorphism_group(rack)
     assert automorphism_group(rack) == \
         automorphism_group(dihedral_quandle(5))
+
+
+def _sigmas_to_check():
+    """Every sigma of order <= 5, and one sigma per cycle type of order 6."""
+    for n in range(6):
+        yield from itertools.permutations(range(n))
+    reps = {}
+    for sigma in itertools.permutations(range(6)):
+        reps.setdefault(cycle_type(sigma), sigma)
+    assert len(reps) == 11
+    yield from reps.values()
+
+
+def test_permutation_rack_seeds_aut_and_gl_center_as_the_search_finds():
+    # the centralizer listed from the cycle type against the search on an
+    # unseeded table; the sorted order is what the structure walk reads
+    for sigma in _sigmas_to_check():
+        rack = permutation_rack(sigma)
+        plain = RackTable(rack.n, rack.rows)
+        searched = frozenset(_iso_search(plain, plain))
+        for group in (rack.automorphisms, rack.gl_center):
+            assert group.degree == rack.n
+            assert group.elements == searched, sigma
+            assert group.sorted_elements() == \
+                plain.gl_center.sorted_elements(), sigma
+        assert rack == plain and rack.columns == plain.columns
+
+
+def test_permutation_structures_make_no_aut_search(iso_search_calls):
+    assert sum(1 for _ in permutation_structures(
+        4, conjugacy_reps_only=False)) == 1 + 8 + 66 + 1032
+    assert iso_search_calls == []
 
 
 def test_inner_groups():
