@@ -162,9 +162,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .perms import compose, cycle_type, inverse
 from .racks import RackTable, find_isomorphism, rack_flags
@@ -174,8 +174,7 @@ MAX_ENUM_ORDER = 6
 FAMILY_NAMES = ("racks", "involutory", "quandles", "kei")
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     order: int
     family: str
     rack_count: int
@@ -415,6 +414,9 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         start = assign(0, first_col)
     if start:
         extend()
+    # extend holds itself through its closure.  Dropping that reference
+    # frees this search's lists now rather than in a cyclic collection.
+    del extend
     return results
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
 from math import factorial
 
 from . import __version__
@@ -71,6 +70,9 @@ def _emit(lines, args) -> None:
 def _header(args, echo: str) -> list[str]:
     if args.no_header:
         return []
+    # imported here, the one place that reads the clock, to keep it out of
+    # start-up
+    from datetime import datetime, timezone
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return [f"# legrack {__version__} | {stamp} | {echo}"]
 

@@ -25,9 +25,9 @@ them back.  The count is memoized on the rack table
 presentation's string key (``Presentation.key``).  The structures of one
 rack whose reduced words compose alike share one inner dict.  Each
 structure holds the inner dicts it has touched, by reduced words
-(``FourLegRack.generic_slices``, a plain dict made with the structure,
-since most structures are counted right after they are built), so a hit
-is two lookups and builds no key.  A structure's first touch of some
+(``FourLegRack.generic_slices``, a dict the structure makes when it is
+built, since most structures are counted right after that), so a hit is
+two lookups and builds no key.  A structure's first touch of some
 reduced words composes them once and stores a new inner dict only when no
 other structure of the rack made one for the same permutations.  On the
 built-in fixtures every word reduces to (), (ur, ul) or (dr, dl): the
@@ -76,8 +76,9 @@ bijection of U_X, so the |U_X|^2 structures of one rack share |U_X|
 products g, and so |U_X| inner dicts.
 
 Permutation racks get their structures the way every rack does: U_X is the
-rack's ``gl_center``, which ``permutation_rack`` seeds with the centralizer
-of sigma listed from its cycle type, so no automorphism search runs;
+rack's ``gl_center``, drawn from ``RackTable.automorphisms``, which on a
+table whose columns all equal the kink is the centralizer of sigma listed
+from its cycle type, so no automorphism search runs;
 ``permutation_fourleg`` is ``make_fourleg`` on the permutation rack, and
 ``permutation_structures`` walks each rack's structures with
 ``enumerate_structures``.
@@ -86,8 +87,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import eq
+from typing import NamedTuple
 
 from .fourleg import FourLegRack, enumerate_structures, make_fourleg
 from .perms import Perm, cycle_string, cycle_type, power
@@ -211,11 +212,14 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
     if not pres.relations:
         return sum(1 for x in range(rack.n)
                    if apply_word(pres.closure_word, maps, x) == x)
+    # each relation's arcs, read once per call rather than per assignment
+    rels = [(rel, rel.in_arc, rel.over_arc, rel.out_arc)
+            for rel in pres.relations]
     count = 0
     for values in itertools.product(range(rack.n), repeat=pres.generators):
-        if all(values[rel.out_arc] == _relation_output(
-                rel, maps, rack, values[rel.in_arc], values[rel.over_arc])
-               for rel in pres.relations):
+        if all(values[b] == _relation_output(rel, maps, rack, values[a],
+                                             values[o])
+               for rel, a, o, b in rels):
             count += 1
     return count
 
@@ -262,8 +266,7 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
         counts = memo.get(g)
         if counts is None:
             counts = memo[g] = {}
-        # Set once, and left out of the frozen structure's comparison.
-        object.__setattr__(fl, "fast_slice", counts)
+        fl.fast_slice = counts
     key = (inv.rot, inv.tb)
     count = counts.get(key)
     if count is None:
@@ -275,8 +278,7 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
 
 # --- indistinguishability verification -------------------------------------------
 
-@dataclass(frozen=True)
-class ColoringRow:
+class ColoringRow(NamedTuple):
     code_name: str
     tb: int
     rot: int
@@ -286,8 +288,7 @@ class ColoringRow:
     count: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """The verdict of ``verify_indistinguishability``.
 
     ``rows`` is read once: each row is counted as it is read, and

@@ -19,8 +19,8 @@ kink^-c o R, R the word left and c the number of pairs cancelled.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .perms import (
     Perm,
@@ -33,15 +33,13 @@ from .perms import (
 from .racks import RackTable, automorphism_group, rack_flags
 
 
-@dataclass(frozen=True)
-class FourLegStructure:
+class FourLegStructure(NamedTuple):
     ul: Perm
     ur: Perm
     dl: Perm
     dr: Perm
 
 
-@dataclass(frozen=True)
 class FourLegRack:
     """A 4-Legendrian structure on a rack table, with what the coloring
     counters read of it, each cached on it: a cusp word composed into one
@@ -61,11 +59,12 @@ class FourLegRack:
       counter composes the same word for an up-cusp pair, so the two
       counters share one product.
 
-    A sweep builds each structure once and counts it at once, so these
-    caches are plain fields made with the instance, left out of its
-    comparison, hash and repr.  In Python 3.11 each first read of a
-    ``functools.cached_property`` takes a class-wide lock, which costs
-    more than making a dict with the structure.
+    A sweep builds each structure once and counts it at once, so the
+    caches are slots filled when the instance is made, and
+    ``perm_fast_count`` assigns ``fast_slice`` directly.  The structure
+    compares, hashes and prints by (rack, structure) alone.  It has no
+    assignment guard: a guarded constructor would cost more than the
+    structure's first count on the sweep.
 
     The generic memo's outer key holds only the reduced words'
     permutations.  So every structure on one table must satisfy axioms 1-2
@@ -73,14 +72,31 @@ class FourLegRack:
     ``enumerate_structures`` build does.
     """
 
+    __slots__ = ("rack", "structure", "_word_perms", "generic_slices",
+                 "fast_slice")
     rack: RackTable
     structure: FourLegStructure
-    _word_perms: dict[tuple[str, ...], Perm] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    generic_slices: dict[tuple[tuple[str, ...], ...], dict[str, int]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    fast_slice: dict[tuple[int, int], int] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _word_perms: dict[tuple[str, ...], Perm]
+    generic_slices: dict[tuple[tuple[str, ...], ...], dict[str, int]]
+    fast_slice: dict[tuple[int, int], int] | None
+
+    def __init__(self, rack: RackTable, structure: FourLegStructure):
+        self.rack = rack
+        self.structure = structure
+        self._word_perms = {}
+        self.generic_slices = {}
+        self.fast_slice = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rack, self.structure) == (other.rack, other.structure)
+
+    def __hash__(self):
+        return hash((self.rack, self.structure))
+
+    def __repr__(self):
+        return f"FourLegRack(rack={self.rack!r}, structure={self.structure!r})"
 
     def word_perm(self, word: tuple[str, ...]) -> Perm:
         """W, the cusp word ``word`` applied earliest letter first, as one
@@ -129,8 +145,7 @@ def cancel_cusp_pairs(word: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
     return tuple(stack), (len(word) - len(stack)) // 2
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(NamedTuple):
     """One isomorphism class of 4-Legendrian structures on a fixed rack."""
 
     ul: Perm
@@ -220,8 +235,7 @@ def classify_structures(rack: RackTable) -> list[StructureClass]:
 
 # --- Kimura's eight-axiom characterization ----------------------------------
 
-@dataclass(frozen=True)
-class KimuraReport:
+class KimuraReport(NamedTuple):
     """Outcome of the eight-axiom check on an arbitrary candidate quadruple.
 
     The published axiom list repeats its seventh line where a u-map analogue

@@ -12,26 +12,24 @@ with W the arc's accumulated cusp word (earliest operator applied first).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple
 
 from .fourleg import cancel_cusp_pairs
+from .perms import FrozenRecord
 
 
 class FrontError(ValueError):
     """Front-code validation or parse failure."""
 
 
-@dataclass(frozen=True)
-class Cusp:
+class Cusp(NamedTuple):
     side: str       # 'L' or 'R'
     vertical: str   # 'U' or 'D'
 
 
-@dataclass(frozen=True)
-class CrossingPass:
+class CrossingPass(NamedTuple):
     crossing: int
     sign: int       # +1 or -1
     role: str       # 'O' (over) or 'U' (under)
@@ -40,13 +38,11 @@ class CrossingPass:
 FrontEvent = Cusp | CrossingPass
 
 
-@dataclass(frozen=True)
-class FrontCode:
+class FrontCode(NamedTuple):
     events: tuple[FrontEvent, ...]
 
 
-@dataclass(frozen=True)
-class ClassicalInvariants:
+class ClassicalInvariants(NamedTuple):
     tb: int
     rot: int
     writhe: int
@@ -167,8 +163,7 @@ def stabilize(code: FrontCode, sign: int, position: int | None = None) -> FrontC
 
 # --- fundamental presentation -------------------------------------------------
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     in_arc: int
     out_arc: int
     over_arc: int
@@ -207,8 +202,7 @@ def _check_letters(field: str, word) -> None:
                              f"{', '.join(_STRUCTURE_MAPS)}")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(FrozenRecord):
     """A finite presentation of a fundamental 4-Legendrian rack: one
     relation per crossing, or, without crossings, one arc and its closure
     word.  It compares and hashes by value.
@@ -227,9 +221,13 @@ class Presentation:
     generators: int
     relations: tuple[Relation, ...]
     # Cusp word of the single closed arc when there are no crossings.
-    closure_word: tuple[str, ...] = ()
+    closure_word: tuple[str, ...]
+    _fields = ("generators", "relations", "closure_word")
 
-    def __post_init__(self):
+    def __init__(self, generators: int, relations: tuple[Relation, ...],
+                 closure_word: tuple[str, ...] = ()):
+        self.__dict__.update(generators=generators, relations=relations,
+                             closure_word=closure_word)
         m = self.generators
         if not _is_int(m):
             raise ValueError(f"generators must be an int, got {m!r}")

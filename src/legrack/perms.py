@@ -3,12 +3,15 @@
 A permutation is a plain tuple ``p`` with ``p[i]`` the image of ``i``.
 The composition convention is fixed as ``(p o q)(x) = p(q(x))``; every
 other module states its formulas in this convention.
+
+``FrozenRecord`` is the base of the package's immutable classes that are
+not tuples.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 Perm = tuple[int, ...]
 
@@ -121,17 +124,57 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(image)
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class FrozenRecord:
+    """An immutable record that keeps an instance dict, so that
+    ``functools.cached_property`` can cache on it.
+
+    A subclass names its two or more fields in ``_fields``, and its
+    ``__init__`` writes them into ``__dict__``.  Instances compare, hash
+    and print by the fields, as a frozen dataclass does: equal only to an
+    instance of the same class, hashed as the tuple of the fields (read by
+    one ``attrgetter``, ``_values``), printed as ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError;
+    ``cached_property`` writes the instance dict directly.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _values: tuple
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(self._fields, self._values)) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PermGroup(FrozenRecord):
     """A finite permutation group stored by explicit element listing."""
 
     degree: int
     elements: frozenset[Perm]
+    _fields = ("degree", "elements")
 
-    def __post_init__(self):
-        for p in self.elements:
-            if len(p) != self.degree:
-                raise ValueError(f"element degree {len(p)} != group degree {self.degree}")
+    def __init__(self, degree: int, elements: frozenset[Perm]):
+        for p in elements:
+            if len(p) != degree:
+                raise ValueError(f"element degree {len(p)} != group degree {degree}")
+        self.__dict__.update(degree=degree, elements=elements)
 
     @property
     def order(self) -> int:

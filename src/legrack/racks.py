@@ -6,11 +6,12 @@ is the rack operation, so each column ``y`` is the translation map ``b_y``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .perms import (
+    FrozenRecord,
     Perm,
     PermGroup,
     cycle_type,
@@ -32,19 +33,21 @@ class RackError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class RackTable:
+class RackTable(FrozenRecord):
     """A validated n x n rack operation table."""
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(n=n, rows=rows)
 
     @classmethod
     def from_columns(cls, columns) -> RackTable:
         """The table whose column y is ``columns[y]``, not checked; the
         given tuples are kept as its ``columns`` rather than rebuilt."""
-        n = len(columns)
-        table = cls(n, tuple(tuple(c[x] for c in columns) for x in range(n)))
+        table = cls(len(columns), tuple(zip(*columns)))
         table.__dict__["columns"] = tuple(columns)
         return table
 
@@ -128,9 +131,17 @@ class RackTable:
 
     @cached_property
     def automorphisms(self) -> PermGroup:
-        """Aut(X), searched once per table; see ``automorphism_group``."""
-        return PermGroup(self.n,
-                         frozenset(_iso_search(self, self)))
+        """Aut(X), computed once per table; see ``automorphism_group``.
+
+        When every column is the kink (the test ``fast_counts`` makes), X
+        is the permutation rack of the kink, and Aut(X) is its centralizer,
+        listed from its cycle type (``_centralizer``; see
+        ``permutation_rack``).  Any other table is searched
+        (``_iso_search``)."""
+        kink = self.flags.kink
+        if self.columns.count(kink) == self.n:
+            return PermGroup(self.n, _centralizer(kink))
+        return PermGroup(self.n, frozenset(_iso_search(self, self)))
 
     @cached_property
     def gl_center(self) -> PermGroup:
@@ -151,8 +162,7 @@ class RackTable:
             if all(columns[x] == c for x, c in zip(g, columns))))
 
 
-@dataclass(frozen=True)
-class RackFlags:
+class RackFlags(NamedTuple):
     is_quandle: bool
     is_involutory: bool
     kink: Perm
@@ -224,20 +234,17 @@ def ts_rack(n: int, t: int, s: int) -> RackTable:
 
 
 def permutation_rack(sigma) -> RackTable:
-    """The permutation rack of sigma, x > y = sigma(x), with its Aut(X) and
-    U_X seeded as C(sigma), so neither is searched.
+    """The permutation rack of sigma, x > y = sigma(x).
 
     Every column is sigma, so R1 holds, and (x > y) > z = sigma^2(x) =
     (x > z) > (y > z) is R2: the table is valid without a check.  A
     permutation phi is an automorphism exactly when phi o sigma = sigma o
-    phi, and it then commutes with every column, so Aut(X) = U_X = C(sigma)
-    (``_centralizer``).  ``_iso_search`` on an unseeded table is its oracle.
+    phi, and it then commutes with every column, so Aut(X) = U_X = C(sigma),
+    which ``RackTable.automorphisms`` lists from sigma's cycle type
+    (``_centralizer``) with no search.  ``_iso_search`` is its oracle.
     """
     sigma = validate_perm(sigma)
-    table = RackTable.from_columns((sigma,) * len(sigma))
-    table.__dict__["automorphisms"] = table.__dict__["gl_center"] = \
-        PermGroup(len(sigma), _centralizer(sigma))
-    return table
+    return RackTable.from_columns((sigma,) * len(sigma))
 
 
 def _centralizer(sigma: Perm) -> frozenset[Perm]:
@@ -341,7 +348,13 @@ def _iso_search(src: RackTable, dst: RackTable):
                 fwd[i] = -1
             del assigned[k:]
 
-    yield from extend()
+    try:
+        yield from extend()
+    finally:
+        # extend holds itself through its closure.  Dropping that reference
+        # frees this search's lists now rather than in a cyclic collection,
+        # also when the caller abandons the search after a first yield.
+        del extend
 
 
 def find_isomorphism(a: RackTable, b: RackTable) -> Perm | None:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -589,6 +590,29 @@ def relabeled(rack, phi):
         for y in range(n):
             rows[phi[x]][phi[y]] = phi[rack.rows[x][y]]
     return validate_rack(rows)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the column search and the isomorphism search free their lists when
+    # they return, not by the collector; ``find_isomorphism`` abandons its
+    # search after the first isomorphism
+    first_columns = _canonical_first_columns(5)
+    shards = [_search_shard(5, fc) for fc in first_columns]
+    rack = dihedral_quandle(5)
+    copy = relabeled(rack, (2, 4, 0, 3, 1))
+    rack.element_colors, copy.element_colors
+    gc.collect()
+    gc.disable()
+    try:
+        for fc, shard in zip(first_columns, shards):
+            assert _search_shard(5, fc) == shard
+            assert gc.collect() == 0, fc
+        assert find_isomorphism(rack, copy) is not None
+        assert gc.collect() == 0
+        assert find_isomorphism(rack, trivial_quandle(5)) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_element_colors_move_with_a_relabeling(rack_classes):

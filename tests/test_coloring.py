@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import itertools
-from dataclasses import replace
 from operator import eq
 
 import pytest
@@ -210,7 +209,7 @@ def test_compiled_rows_match_relation_output():
 
 def reversed_words(pres):
     return Presentation(pres.generators, tuple(
-        replace(rel, word=rel.word[::-1]) for rel in pres.relations))
+        rel._replace(word=rel.word[::-1]) for rel in pres.relations))
 
 
 def test_compiled_rows_match_relation_output_with_warm_cache():
@@ -630,8 +629,9 @@ def test_presentation_hash_is_by_value_and_keys_the_memo():
     assert a is not b and a == b and hash(a) == hash(b)
     first = a.relations[0]
     assert first.word != first.word[::-1]
-    flipped = replace(a, relations=(replace(first, word=first.word[::-1]),
-                                    *a.relations[1:]))
+    flipped = Presentation(a.generators,
+                           (first._replace(word=first.word[::-1]),
+                            *a.relations[1:]))
     assert flipped != a
     fl = three_cycle_fourleg(ul=(1, 2, 0))
     for pres in (a, b, flipped):

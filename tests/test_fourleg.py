@@ -41,18 +41,23 @@ def count_structure_classes(rack):
 
 
 def test_gl_center_is_computed_once_per_table(iso_search_calls):
-    rack = trivial_quandle(3)
-    center = rack.gl_center
-    for ul in center.sorted_elements():
-        for ur in center.sorted_elements():
-            make_fourleg(rack, ul, ur)
-    assert len(list(enumerate_structures(rack))) == 36
-    classify_structures(rack)
-    _structure_class_count(rack)
-    assert rack.gl_center is center
-    # one Aut(X) search, and no other isomorphism search
-    assert iso_search_calls == [True]
-    assert center.elements == symmetric_group(3).elements
+    # T3's columns all equal its kink, so its Aut(X) is listed from the
+    # kink's cycle type; R3's Aut(X) is searched once
+    for rack, center_elements, searches in [
+            (trivial_quandle(3), symmetric_group(3).elements, []),
+            (dihedral_quandle(3), {identity(3)}, [True])]:
+        iso_search_calls.clear()
+        center = rack.gl_center
+        for ul in center.sorted_elements():
+            for ur in center.sorted_elements():
+                make_fourleg(rack, ul, ur)
+        assert len(list(enumerate_structures(rack))) == center.order ** 2
+        classify_structures(rack)
+        _structure_class_count(rack)
+        assert rack.gl_center is center
+        # at most one Aut(X) search, and no other isomorphism search
+        assert iso_search_calls == searches
+        assert center.elements == center_elements
 
 
 def test_gl_center_examples():

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -236,8 +235,9 @@ def test_stabilized_unknot_rejects_negative_counts(counts, alternate):
 
 def _trefoil_with_first_relation(**changes):
     pres = fundamental_presentation(left_trefoil())
-    first = replace(pres.relations[0], **changes)
-    return lambda: replace(pres, relations=(first, *pres.relations[1:]))
+    first = pres.relations[0]._replace(**changes)
+    return lambda: Presentation(pres.generators,
+                                (first, *pres.relations[1:]))
 
 
 @pytest.mark.parametrize("build, field", [
@@ -265,8 +265,9 @@ def _trefoil_with_first_relation(**changes):
                  id="bool-generators"),
     pytest.param(lambda: Presentation(1, (), ("ur", "up")), "closure_word",
                  id="unknown-closure-letter"),
-    pytest.param(lambda: replace(fundamental_presentation(left_trefoil()),
-                                 closure_word=("ur", "dl")),
+    pytest.param(lambda: Presentation(
+                     3, fundamental_presentation(left_trefoil()).relations,
+                     ("ur", "dl")),
                  "closure_word", id="closure-word-with-relations"),
 ])
 def test_presentation_rejects_malformed_fields(build, field):

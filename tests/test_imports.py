@@ -1,8 +1,9 @@
 """No module of the package or of its tests imports a name it never uses,
 the package holds no public code that only its own tests call, no package
 module imports a private name of another, no package module binds a
-mutable container at module level, and the package imports nothing from
-outside the standard library.
+mutable container at module level, the package imports nothing from
+outside the standard library, and start-up imports neither ``dataclasses``
+nor ``datetime``.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree: every name an import binds must be read somewhere in that module.
@@ -11,6 +12,8 @@ and so is ``tests/test_acceptance.py``, the acceptance gate, which is kept
 byte for byte and imports ``pytest`` without using it.
 """
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -236,3 +239,17 @@ def test_package_imports_only_the_standard_library():
     assert {"legrack/__init__.py", "legrack/cli.py",
             "legrack/census.py"} <= found.keys()
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_start_up_imports_neither_dataclasses_nor_datetime():
+    """A fresh interpreter that imports the package and its command line
+    loads neither ``dataclasses``, whose decorators generate code at
+    import, nor ``datetime``, which only the timestamped header reads."""
+    code = ("import sys; before = set(sys.modules); import legrack, "
+            "legrack.cli; print(*sorted({'dataclasses', 'datetime'} & "
+            "(set(sys.modules) - before)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(legrack.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.split() == []

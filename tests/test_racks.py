@@ -208,8 +208,8 @@ def _sigmas_to_check():
 
 
 def test_permutation_rack_seeds_aut_and_gl_center_as_the_search_finds():
-    # the centralizer listed from the cycle type against the search on an
-    # unseeded table; the sorted order is what the structure walk reads
+    # the centralizer listed from the cycle type against the search; the
+    # sorted order is what the structure walk reads
     for sigma in _sigmas_to_check():
         rack = permutation_rack(sigma)
         plain = RackTable(rack.n, rack.rows)

@@ -1,0 +1,92 @@
+"""The package's records keep the behaviour of frozen dataclasses: each
+prints as ``Name(field=value, ...)``, compares equal to another instance
+built from equal values and hashes as the tuple of its fields, and refuses
+assignment and deletion of a field.  ``FourLegRack`` alone takes
+assignment, since ``perm_fast_count`` fills its ``fast_slice``."""
+import pytest
+
+from legrack.census import CensusRow
+from legrack.coloring import ColoringRow, VerifyReport
+from legrack.fourleg import (
+    FourLegRack,
+    FourLegStructure,
+    KimuraReport,
+    StructureClass,
+)
+from legrack.front import (
+    ClassicalInvariants,
+    CrossingPass,
+    Cusp,
+    FrontCode,
+    Presentation,
+    Relation,
+)
+from legrack.perms import PermGroup
+from legrack.racks import RackFlags, RackTable
+
+RECORDS = [
+    (lambda: PermGroup(2, frozenset({(0, 1)})),
+     "PermGroup(degree=2, elements=frozenset({(0, 1)}))"),
+    (lambda: RackTable(2, ((0, 0), (1, 1))),
+     "RackTable(n=2, rows=((0, 0), (1, 1)))"),
+    (lambda: RackFlags(True, True, (0, 1)),
+     "RackFlags(is_quandle=True, is_involutory=True, kink=(0, 1))"),
+    (lambda: FourLegStructure((1, 0), (0, 1), (1, 0), (0, 1)),
+     "FourLegStructure(ul=(1, 0), ur=(0, 1), dl=(1, 0), dr=(0, 1))"),
+    (lambda: FourLegRack(RackTable(1, ((0,),)),
+                         FourLegStructure((0,), (0,), (0,), (0,))),
+     "FourLegRack(rack=RackTable(n=1, rows=((0,),)), "
+     "structure=FourLegStructure(ul=(0,), ur=(0,), dl=(0,), dr=(0,)))"),
+    (lambda: StructureClass((0, 1), (1, 0), 1),
+     "StructureClass(ul=(0, 1), ur=(1, 0), orbit_size=1)"),
+    (lambda: KimuraReport(True, False, True, (("kink-inversion", (0,)),)),
+     "KimuraReport(core_ok=True, d_form_ok=False, u_form_ok=True, "
+     "failures=(('kink-inversion', (0,)),))"),
+    (lambda: CensusRow(2, "kei", 2, 7),
+     "CensusRow(order=2, family='kei', rack_count=2, structure_count=7)"),
+    (lambda: Cusp("R", "U"), "Cusp(side='R', vertical='U')"),
+    (lambda: CrossingPass(1, -1, "O"),
+     "CrossingPass(crossing=1, sign=-1, role='O')"),
+    (lambda: FrontCode((Cusp("R", "U"), Cusp("L", "D"))),
+     "FrontCode(events=(Cusp(side='R', vertical='U'), "
+     "Cusp(side='L', vertical='D')))"),
+    (lambda: ClassicalInvariants(-1, 0, 0, 1, 1),
+     "ClassicalInvariants(tb=-1, rot=0, writhe=0, up_cusps=1, "
+     "down_cusps=1)"),
+    (lambda: Relation(0, 0, 0, ("ur", "dl"), -1, 1),
+     "Relation(in_arc=0, out_arc=0, over_arc=0, word=('ur', 'dl'), "
+     "sign=-1, crossing=1)"),
+    (lambda: Presentation(1, (Relation(0, 0, 0, ("ur",), 1, 1),)),
+     "Presentation(generators=1, relations=(Relation(in_arc=0, out_arc=0, "
+     "over_arc=0, word=('ur',), sign=1, crossing=1),), closure_word=())"),
+    (lambda: ColoringRow("unknot", -1, 0, "perm1:()", "()", "()", 1),
+     "ColoringRow(code_name='unknot', tb=-1, rot=0, rack_id='perm1:()', "
+     "ul='()', ur='()', count=1)"),
+    (lambda: VerifyReport({(-1, 0): ("unknot",)}, (), []),
+     "VerifyReport(groups={(-1, 0): ('unknot',)}, rows=(), violations=[])"),
+]
+
+
+@pytest.mark.parametrize("make, text", RECORDS,
+                         ids=[text.partition("(")[0] for _, text in RECORDS])
+def test_record_repr_equality_hash_and_immutability(make, text):
+    a, b = make(), make()
+    assert a is not b
+    assert repr(a) == text
+    assert a == b and not a != b
+    fields = getattr(type(a), "_fields", ("rack", "structure"))
+    values = tuple(getattr(a, f) for f in fields)
+    if isinstance(a, VerifyReport):
+        # a dict field makes it unhashable, as it made the dataclass
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(values)
+    if isinstance(a, FourLegRack):
+        return
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
