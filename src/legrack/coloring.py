@@ -19,17 +19,20 @@ word W is kink^-c o R, R the word with adjacent (ur, dl), (dl, ur),
 number of pairs cancelled.  On one rack table the kink is fixed,
 and c is fixed by the presentation, so the permutations of the
 presentation's distinct nonempty reduced words
-(``Presentation.reduced_words``, cached on it) fix every W, and W fixes
-them back.  The count is memoized on the rack table
-(``RackTable.generic_counts``) in two levels: those permutations, then the
-presentation's string key (``Presentation.key``).  The structures of one
-rack whose reduced words compose alike share one inner dict.  Each
-structure holds the inner dicts it has touched, by reduced words
+(``Presentation.reduced_words``, computed when the presentation is
+made) fix every W, and W fixes them back.  The count is memoized on the
+rack table (``RackTable.generic_counts``) in two levels: those
+permutations, then the presentation's string key (``Presentation.key``).
+The structures of one rack whose reduced words compose alike share one
+inner dict.  Each structure holds the inner dicts it has touched, by
+reduced words
 (``FourLegRack.generic_slices``, a dict the structure makes when it is
 built, since most structures are counted right after that), so a hit is
-two lookups and builds no key.  A structure's first touch of some
+two lookups in one small frame that reads two plain attributes of the
+presentation and builds no key.  A structure's first touch of some
 reduced words composes them once and stores a new inner dict only when no
-other structure of the rack made one for the same permutations.  On the
+other structure of the rack made one for the same permutations; a count
+the inner dict lacks is computed by a private helper.  On the
 built-in fixtures every word reduces to (), (ur, ul) or (dr, dl): the
 unknot's (ur, dl) reduces to (), so all the structures of a rack share
 its count.  A miss with crossings builds each relation's rows in one pass
@@ -70,10 +73,12 @@ the generic counter composes for an up-cusp pair as well, so both counters
 share one product per structure.  Conjugate maps have equally many fixed
 points, so ``perm_fast_count`` counts the colorings of any front from
 (tb, rot) alone, memoized on the rack table in two levels, g and then
-(rot, tb); each structure holds its g's inner dict
-(``FourLegRack.fast_slice``).  For a fixed ul, ur -> ul o ur is a
-bijection of U_X, so the |U_X|^2 structures of one rack share |U_X|
-products g, and so |U_X| inner dicts.
+the ``ClassicalInvariants`` record itself, which fixes (tb, rot) and so
+keys the count exactly; each structure holds its g's inner dict
+(``FourLegRack.fast_slice``), so a hit is one lookup in one small frame
+and builds no key.  For a fixed ul, ur -> ul o ur is a bijection of U_X,
+so the |U_X|^2 structures of one rack share |U_X| products g, and so
+|U_X| inner dicts.
 
 Permutation racks get their structures the way every rack does: U_X is the
 rack's ``gl_center``, drawn from ``RackTable.automorphisms``, which on a
@@ -91,7 +96,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .fourleg import FourLegRack, enumerate_structures, make_fourleg
-from .perms import Perm, cycle_string, cycle_type, power
+from .perms import Perm, cycle_string, cycle_type
 from .racks import RackTable, permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
 
@@ -124,42 +129,51 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     in two levels: (R_1, ..., R_j), the permutations of the presentation's
     reduced words (``pres.reduced_words``), then ``pres.key``.  The
     structure holds the inner dict of its own permutations
-    (``fl.generic_slices``, made on its first touch of those words), so a
-    hit is one lookup on the structure and one in the inner dict.  The key
-    is exact: each cusp word W is kink^-c o R with R its reduced word and c
-    fixed by the presentation, the kink is fixed by the rack table, the
-    structure enters the search only through W_i of relation i, and the
-    table, the signs, the arcs and the schedule are fixed by the rack table
-    and the presentation.  A miss with crossings builds each relation's
-    rows from (W_i, sign_i), W_i read off ``fl.word_perm``, and runs
-    ``_search``.  A miss without them counts the x with R(x) = kink^c(x),
-    R the reduced closure word's permutation and c its cancelled pairs
-    (``pres.closure_pairs``): the fixed points of W = kink^-c o R.  Its
-    oracles are ``brute_force_colorings`` and, in the tests, a counter
-    that rescans every relation after each assignment.
+    (``fl.generic_slices``), so a hit is one lookup on the structure and
+    one in the inner dict, both keyed by plain attributes of the
+    presentation, in this one frame.  The structure's first touch of some
+    reduced words composes them (``fl.word_perm``) and takes the inner
+    dict of their permutations, made if no structure of the rack made it,
+    in the same frame.  A count the inner dict lacks is computed by
+    ``_generic_miss``.  The key is exact: each cusp word W is kink^-c o R
+    with R its reduced word and c fixed by the presentation, the kink is
+    fixed by the rack table, the structure enters the search only through
+    W_i of relation i, and the table, the signs, the arcs and the schedule
+    are fixed by the rack table and the presentation.  A miss with
+    crossings builds each relation's rows from (W_i, sign_i), W_i read off
+    ``fl.word_perm``, and runs ``_search``.  A miss without them counts
+    the x with R(x) = kink^c(x), R the reduced closure word's permutation
+    and c its cancelled pairs (``pres.closure_pairs``): the fixed points
+    of W = kink^-c o R.  Its oracles are ``brute_force_colorings`` and, in
+    the tests, a counter that rescans every relation after each
+    assignment.
     """
-    words = pres.reduced_words
-    counts = fl.generic_slices.get(words)
+    counts = fl.generic_slices.get(pres.reduced_words)
     if counts is None:
+        words = pres.reduced_words
         memo = fl.rack.generic_counts
         perms = tuple(map(fl.word_perm, words))
         counts = memo.get(perms)
         if counts is None:
             counts = memo[perms] = {}
         fl.generic_slices[words] = counts
-    key = pres.key
-    count = counts.get(key)
+    count = counts.get(pres.key)
     if count is None:
-        rack = fl.rack
-        if pres.relations:
-            rows = [_word_rows(rack, fl.word_perm(rel.word), rel.sign)
-                    for rel in pres.relations]
-            count = _search(pres, rows, rack.n)
-        else:
-            r = fl.word_perm(words[0] if words else ())
-            count = sum(map(eq, r, rack.kink_power(pres.closure_pairs)))
-        counts[key] = count
+        count = counts[pres.key] = _generic_miss(pres, fl)
     return count
+
+
+def _generic_miss(pres: Presentation, fl: FourLegRack) -> int:
+    """The count ``count_colorings`` stores on a miss, computed from the
+    relations' composed words or, without crossings, the closure word's."""
+    rack = fl.rack
+    if pres.relations:
+        rows = [_word_rows(rack, fl.word_perm(rel.word), rel.sign)
+                for rel in pres.relations]
+        return _search(pres, rows, rack.n)
+    words = pres.reduced_words
+    r = fl.word_perm(words[0] if words else ())
+    return sum(map(eq, r, rack.kink_power(pres.closure_pairs)))
 
 
 def _word_rows(rack: RackTable, w: Perm, sign: int) -> list[tuple[int, ...]]:
@@ -248,14 +262,21 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     count depends only on (tb, rot).
 
     The count is memoized on the rack table (``RackTable.fast_counts``) in
-    two levels, g and then (rot, tb), and the structure holds its g's inner
-    dict (``fl.fast_slice``), so a hit is one lookup in it.  g is the cusp
-    word (ur, ul) composed (``fl.word_perm``), which the generic counter
-    composes too.  The memo is None on a rack that is not a permutation
-    rack, so such a rack never stores a count, and every call on it
-    raises.  A miss counts the fixed points without composing:
+    two levels, g and then ``inv`` itself: the record fixes (tb, rot), so
+    it keys the count exactly, and it is hashed as it is, with no key
+    built.  The structure holds its g's inner dict (``fl.fast_slice``), so
+    a hit is one attribute read and one lookup, in this one frame; a
+    count the inner dict lacks is computed by ``_fast_miss``.  g is the
+    cusp word (ur, ul) composed (``fl.word_perm``), which the generic
+    counter composes too.  The memo is None on a rack that is not a
+    permutation rack, so such a rack never stores a count, and every call
+    on it raises.  A miss counts the fixed points without inverting g:
     g^-rot(sigma^(tb-rot)(x)) = x exactly when g^rot(x) = sigma^(tb-rot)(x),
-    sigma^(tb-rot) read off the rack table (``RackTable.kink_power``).
+    and for rot < 0, with y = sigma^(tb-rot)(x), exactly when
+    g^-rot(y) = sigma^(rot-tb)(y).  So it compares g^|rot|, the word
+    (ur, ul) repeated |rot| times (``fl.word_perm``, cached on the
+    structure), with a power of sigma read off the rack table
+    (``RackTable.kink_power``).
     """
     counts = fl.fast_slice
     if counts is None:
@@ -267,13 +288,19 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
         if counts is None:
             counts = memo[g] = {}
         fl.fast_slice = counts
-    key = (inv.rot, inv.tb)
-    count = counts.get(key)
+    count = counts.get(inv)
     if count is None:
-        count = counts[key] = sum(map(
-            eq, power(fl.word_perm(_UP_PAIR), inv.rot),
-            fl.rack.kink_power(inv.tb - inv.rot)))
+        count = counts[inv] = _fast_miss(fl, inv)
     return count
+
+
+def _fast_miss(fl: FourLegRack, inv) -> int:
+    """The count ``perm_fast_count`` stores on a miss: the x with
+    g^|rot|(x) = sigma^e(x), e = tb - rot, negated when rot < 0."""
+    rot, e = inv.rot, inv.tb - inv.rot
+    if rot < 0:
+        rot, e = -rot, -e
+    return sum(map(eq, fl.word_perm(_UP_PAIR * rot), fl.rack.kink_power(e)))
 
 
 # --- indistinguishability verification -------------------------------------------

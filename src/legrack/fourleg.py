@@ -54,7 +54,8 @@ class FourLegRack:
       ``RackTable.generic_counts`` for their permutations on this
       structure;
     - ``fast_slice`` is the inner dict of ``RackTable.fast_counts`` for
-      g = ul o ur, the word (ur, ul) composed (``word_perm``), set by
+      g = ul o ur, the word (ur, ul) composed (``word_perm``), keyed by a
+      front's ``ClassicalInvariants`` record and set by
       ``coloring.perm_fast_count`` on a permutation rack.  The generic
       counter composes the same word for an up-cusp pair, so the two
       counters share one product.
@@ -78,7 +79,7 @@ class FourLegRack:
     structure: FourLegStructure
     _word_perms: dict[tuple[str, ...], Perm]
     generic_slices: dict[tuple[tuple[str, ...], ...], dict[str, int]]
-    fast_slice: dict[tuple[int, int], int] | None
+    fast_slice: dict[tuple, int] | None
 
     def __init__(self, rack: RackTable, structure: FourLegStructure):
         self.rack = rack

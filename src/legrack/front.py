@@ -195,7 +195,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_letters(field: str, word) -> None:
+def _check_word(field: str, word) -> None:
+    if not isinstance(word, tuple):
+        raise ValueError(f"{field} must be a tuple of letters, got {word!r}")
     for letter in word:
         if letter not in _STRUCTURE_MAPS:
             raise ValueError(f"{field} has {letter!r}, not one of "
@@ -207,38 +209,56 @@ class Presentation(FrozenRecord):
     relation per crossing, or, without crossings, one arc and its closure
     word.  It compares and hashes by value.
 
-    What ``coloring.count_colorings`` reads of it is cached on it: the
-    memo key (``key``), the reduced cusp words (``reduced_words``), the
-    closure word's cancelled pairs (``closure_pairs``) and the search
-    schedule (``schedule``).
+    What ``coloring.count_colorings`` reads on every call is computed once,
+    when the presentation is made, and stored as two plain attributes that
+    stay out of its equality, hash and repr:
+    - ``key``, the presentation by value as a string, its inner key in
+      ``RackTable.generic_counts``: two presentations have equal keys
+      exactly when they are equal, and a string caches its hash;
+    - ``reduced_words``, the distinct nonempty words its cusp words reduce
+      to, sorted: each relation's word, or the closure word when there are
+      no crossings, with adjacent cancelling pairs removed
+      (``cancel_cusp_pairs``).  On one rack table their permutations fix
+      those of all its cusp words, since the kink and each word's number
+      of cancelled pairs are fixed, so the counter keys its memo on them.
+    What only a memo miss reads is cached on first use: the closure word's
+    cancelled pairs (``closure_pairs``) and the search schedule
+    (``schedule``).
 
     A presentation no front could give raises ValueError naming the field:
-    every arc is an int in range(generators), every sign is +1 or -1, every
-    letter is a structure map, a presentation without relations has exactly
-    one generator, and only such a presentation has a closure word.
+    ``relations`` is a tuple of ``Relation``, every word is a tuple of
+    structure maps, every arc is an int in range(generators), every sign is
+    +1 or -1, a presentation without relations has exactly one generator,
+    and only such a presentation has a closure word.
     """
 
     generators: int
     relations: tuple[Relation, ...]
     # Cusp word of the single closed arc when there are no crossings.
     closure_word: tuple[str, ...]
+    key: str
+    reduced_words: tuple[tuple[str, ...], ...]
     _fields = ("generators", "relations", "closure_word")
 
     def __init__(self, generators: int, relations: tuple[Relation, ...],
                  closure_word: tuple[str, ...] = ()):
-        self.__dict__.update(generators=generators, relations=relations,
-                             closure_word=closure_word)
-        m = self.generators
+        m = generators
         if not _is_int(m):
             raise ValueError(f"generators must be an int, got {m!r}")
-        if not self.relations and m != 1:
+        if not isinstance(relations, tuple):
+            raise ValueError(f"relations must be a tuple of Relation, "
+                             f"got {relations!r}")
+        if not relations and m != 1:
             raise ValueError(f"generators must be 1 without relations, "
                              f"got {m!r}")
-        if self.relations and self.closure_word:
+        if relations and closure_word:
             raise ValueError("closure_word must be empty when there are "
                              "relations")
-        _check_letters("closure_word", self.closure_word)
-        for i, rel in enumerate(self.relations):
+        _check_word("closure_word", closure_word)
+        for i, rel in enumerate(relations):
+            if not isinstance(rel, Relation):
+                raise ValueError(f"relations[{i}] must be a Relation, "
+                                 f"got {rel!r}")
             for name in ("in_arc", "out_arc", "over_arc"):
                 arc = getattr(rel, name)
                 if not _is_int(arc) or not 0 <= arc < m:
@@ -247,28 +267,13 @@ class Presentation(FrozenRecord):
             if not _is_int(rel.sign) or rel.sign not in (1, -1):
                 raise ValueError(f"relations[{i}].sign must be +1 or -1, "
                                  f"got {rel.sign!r}")
-            _check_letters(f"relations[{i}].word", rel.word)
-
-    @cached_property
-    def key(self) -> str:
-        """The presentation by value as a string, its inner key in
-        ``RackTable.generic_counts``: two presentations have equal keys
-        exactly when they are equal, and a string caches its hash."""
-        return repr((self.generators, self.relations, self.closure_word))
-
-    @cached_property
-    def reduced_words(self) -> tuple[tuple[str, ...], ...]:
-        """The distinct nonempty words its cusp words reduce to, sorted: each
-        relation's word, or the closure word when there are no crossings,
-        with adjacent cancelling pairs removed (``cancel_cusp_pairs``).
-
-        On one rack table the permutations of these words fix those of all
-        its cusp words, since the kink and each word's number of cancelled
-        pairs are fixed; ``coloring.count_colorings`` keys its memo on them.
-        """
-        words = [rel.word for rel in self.relations] or [self.closure_word]
-        return tuple(sorted({r for r, _ in map(cancel_cusp_pairs, words)
-                             if r}))
+            _check_word(f"relations[{i}].word", rel.word)
+        words = [rel.word for rel in relations] or [closure_word]
+        reduced = {r for r, _ in map(cancel_cusp_pairs, words) if r}
+        self.__dict__.update(generators=m, relations=relations,
+                             closure_word=closure_word,
+                             key=repr((m, relations, closure_word)),
+                             reduced_words=tuple(sorted(reduced)))
 
     @cached_property
     def closure_pairs(self) -> int:

@@ -64,9 +64,10 @@ class RackTable(FrozenRecord):
         return tuple(zip(*(inverse(c) for c in self.columns)))
 
     @cached_property
-    def fast_counts(self) -> dict[Perm, dict[tuple[int, int], int]] | None:
+    def fast_counts(self) -> dict[Perm, dict[tuple, int]] | None:
         """Memo of ``coloring.perm_fast_count`` in two levels: g = ul o ur,
-        then (rot, tb).  Shared by all the rack's structures, each of which
+        then the front's ``ClassicalInvariants`` record, which fixes
+        (tb, rot).  Shared by all the rack's structures, each of which
         holds its g's inner dict (``FourLegRack.fast_slice``).
 
         None unless the table is a permutation rack, so the check is made

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import sys
 from operator import eq
 
 import pytest
@@ -360,6 +361,41 @@ def test_structure_caches_stay_out_of_equality_hash_and_repr():
     assert cold._word_perms is not warm._word_perms
 
 
+def test_memo_hits_run_in_one_frame_and_first_touch_composes_once():
+    """On a warm structure a hit of either counter starts no Python frame
+    besides its own: no helper, no property, no key built by Python code.
+    A fresh structure on a table whose memos hold its counts composes each
+    distinct word it reads once: on the trivial rack of order 5 the
+    fixtures reduce to (ur, ul) and (dr, dl), and the fast path reuses the
+    first."""
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in builtin_fixtures().values()]
+    rack = permutation_rack(identity(5))
+    s = next(itertools.islice(enumerate_structures(rack), 7, None))
+    assert s.ul != s.ur
+    warm = FourLegRack(rack, s)
+    counts = [(count_colorings(pres, warm), perm_fast_count(warm, inv))
+              for inv, pres in fronts]
+    fresh = FourLegRack(rack, s)
+    assert [(count_colorings(pres, fresh), perm_fast_count(fresh, inv))
+            for inv, pres in fronts] == counts
+    assert sorted(fresh._word_perms) == [("dr", "dl"), ("ur", "ul")]
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for inv, pres in fronts:
+            count_colorings(pres, warm)
+            perm_fast_count(warm, inv)
+    finally:
+        sys.setprofile(None)
+    assert frames == ["count_colorings", "perm_fast_count"] * len(fronts)
+
+
 LETTER_ORDER_WORD = ("ul", "ur", "ur", "dr", "dl")
 
 
@@ -514,12 +550,15 @@ def test_reduced_loop_matches_unreduced_loop():
 def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
     """A rack table's memo, warmed by every structure on it in either
     order, hands each structure the count of its own loop map, and holds
-    one count per (ul o ur, rot, tb - rot)."""
+    one count per (ul o ur, invariants record).  The memo is keyed by the
+    whole record, which fixes (tb, rot), so fronts whose records differ
+    only in writhe or cusp numbers store a count each."""
     codes = [*builtin_fixtures().values(), stabilized_unknot(3, 0),
              stabilized_unknot(0, 2)]
     fronts = [(classical_invariants(c), fundamental_presentation(c))
               for c in codes]
-    keys = {(inv.rot, inv.tb - inv.rot) for inv, _ in fronts}
+    keys = {inv for inv, _ in fronts}
+    assert len(keys) > len({(inv.tb, inv.rot) for inv in keys})
     for sigma in ((0, 1, 2), (1, 2, 0), (1, 0, 2, 3), (1, 2, 0, 3),
                   (0, 1, 2, 3)):
         rack = permutation_rack(sigma)
@@ -605,10 +644,11 @@ def test_generic_memo_is_shared_by_the_structures_of_a_rack():
 
 def test_memos_store_each_shared_count_once():
     """Every structure on the permutation racks of order <= 4, counted on
-    the twelve fixtures by both counters, stores 1,166 generic and 858 fast
-    counts over the 33 rack tables: the totals the memos held when each was
-    one flat dict.  A change that stops structures sharing counts raises
-    them."""
+    the twelve fixtures by both counters, stores 1,166 generic counts over
+    the 33 rack tables, the total the generic memo held when it was one
+    flat dict, and one fast count per (g, invariants record): 143 products
+    g = ul o ur times the 8 distinct records of the fixtures.  A change
+    that stops structures sharing counts raises them."""
     fronts = [(classical_invariants(c), fundamental_presentation(c))
               for c in builtin_fixtures().values()]
     assert len(fronts) == 12
@@ -619,7 +659,11 @@ def test_memos_store_each_shared_count_once():
             assert count_colorings(pres, fl) == perm_fast_count(fl, inv)
     assert len(racks) == 33
     assert sum(memo_size(r.generic_counts) for r in racks.values()) == 1166
-    assert sum(memo_size(r.fast_counts) for r in racks.values()) == 858
+    records = {inv for inv, _ in fronts}
+    assert len(records) == 8
+    assert sum(len(r.fast_counts) for r in racks.values()) == 143
+    assert sum(memo_size(r.fast_counts) for r in racks.values()) == \
+        143 * len(records)
 
 
 def test_presentation_hash_is_by_value_and_keys_the_memo():

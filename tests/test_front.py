@@ -269,6 +269,19 @@ def _trefoil_with_first_relation(**changes):
                      3, fundamental_presentation(left_trefoil()).relations,
                      ("ur", "dl")),
                  "closure_word", id="closure-word-with-relations"),
+    # Fields of the wrong type, which used to be accepted and then fail
+    # with TypeError (unhashable list) in hash() or in the counter, or with
+    # AttributeError (a plain tuple for a relation).
+    pytest.param(lambda: Presentation(
+                     3, list(fundamental_presentation(left_trefoil())
+                             .relations)),
+                 "relations", id="relations-list"),
+    pytest.param(lambda: Presentation(1, (), ["ur", "dl"]), "closure_word",
+                 id="closure-word-list"),
+    pytest.param(_trefoil_with_first_relation(word=["ur", "ul"]),
+                 r"relations\[0\]\.word", id="word-list"),
+    pytest.param(lambda: Presentation(1, ((0, 0, 0, (), 1, 0),)),
+                 r"relations\[0\]", id="relation-plain-tuple"),
 ])
 def test_presentation_rejects_malformed_fields(build, field):
     with pytest.raises(ValueError, match=field):

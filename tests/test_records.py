@@ -90,3 +90,23 @@ def test_record_repr_equality_hash_and_immutability(make, text):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
+
+
+def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
+    """``key`` and ``reduced_words``, computed when a presentation is made,
+    can be neither assigned nor deleted, and its equality, hash and repr
+    read only its three fields."""
+    rel = Relation(0, 0, 0, ("ur", "dl", "ul"), -1, 1)
+    a, b = (Presentation(1, (rel,)) for _ in range(2))
+    assert a.key == repr((1, (rel,), ()))
+    assert a.reduced_words == (("ul",),)
+    for name in ("key", "reduced_words"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    # b's precomputed values replaced behind the guard: a and b still
+    # compare, hash and print alike
+    b.__dict__.update(key="other", reduced_words=())
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "key" not in repr(a) and "reduced_words" not in repr(a)
