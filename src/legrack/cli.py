@@ -58,6 +58,15 @@ def _verify_order(text: str) -> int:
     return value
 
 
+def _csv_name(name: str, what: str) -> str:
+    """``name``, checked to need no quoting in a CSV field: a comma, a
+    double quote, CR or LF would shift or split the row it is written to."""
+    if any(c in name for c in ',"\r\n'):
+        raise ValueError(f"{what} {name!r} holds a comma, a double quote or "
+                         f"a line break, which the CSV report cannot hold")
+    return name
+
+
 def _emit(lines, args) -> None:
     """Write ``lines``, any iterable, one at a time as they come."""
     if args.output:
@@ -89,11 +98,11 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    rack_id = _csv_name(os.path.basename(args.rack), "rack file name")
     rack = load_rack(args.rack)
     classes = classify_structures(rack)
     lines = _header(args, f"classify --rack {args.rack}")
     lines.append("rack_id,class_index,ul,ur,orbit_size")
-    rack_id = os.path.basename(args.rack)
     for i, cls in enumerate(classes):
         lines.append(f"{rack_id},{i},{cycle_string(cls.ul)},"
                      f"{cycle_string(cls.ur)},{cls.orbit_size}")
@@ -140,6 +149,7 @@ def _cmd_verify(args) -> int:
     codes = {}
     for name in sorted(os.listdir(args.fronts)):
         if name.endswith(".front"):
+            _csv_name(name, "front file name")
             codes[name[:-len(".front")]] = load_front(
                 os.path.join(args.fronts, name))
     if not codes:

@@ -20,25 +20,11 @@ number of pairs cancelled.  On one rack table the kink is fixed,
 and c is fixed by the presentation, so the permutations of the
 presentation's distinct nonempty reduced words
 (``Presentation.reduced_words``, computed when the presentation is
-made) fix every W, and W fixes them back.  The count is memoized on the
-rack table (``RackTable.generic_counts``) in two levels: those
-permutations, then the presentation's string key (``Presentation.key``).
-The structures of one rack whose reduced words compose alike share one
-inner dict.  Each structure holds the inner dicts it has touched, by
-reduced words
-(``FourLegRack.generic_slices``, a dict the structure makes when it is
-built, since most structures are counted right after that), so a hit is
-two lookups in one small frame that reads two plain attributes of the
-presentation and builds no key.  A structure's first touch of some
-reduced words composes them once and stores a new inner dict only when no
-other structure of the rack made one for the same permutations; a count
-the inner dict lacks is computed by a private helper.  On the
-built-in fixtures every word reduces to (), (ur, ul) or (dr, dl): the
-unknot's (ur, dl) reduces to (), so all the structures of a rack share
-its count.  A miss with crossings builds each relation's rows in one pass
-from (W_i, sign_i) and runs the search below.  A miss without them reads
-what the key holds: W = kink^-c o R fixes x exactly when R(x) = kink^c(x),
-R the reduced closure word's permutation (the identity if it reduces to
+made) fix every W, and W fixes them back; they key the memo below.  A
+miss with crossings builds each relation's rows in one pass from
+(W_i, sign_i) and runs the search below.  A miss without them reads what
+the key holds: W = kink^-c o R fixes x exactly when R(x) = kink^c(x), R
+the reduced closure word's permutation (the identity if it reduces to
 ()) and kink^c read off the rack table (``RackTable.kink_power``).
 
 A relation whose input and over-arc are colored forces its output arc,
@@ -72,13 +58,32 @@ with g = ul o h o ul^-1 = ul o ur: the cusp word (ur, ul) composed, which
 the generic counter composes for an up-cusp pair as well, so both counters
 share one product per structure.  Conjugate maps have equally many fixed
 points, so ``perm_fast_count`` counts the colorings of any front from
-(tb, rot) alone, memoized on the rack table in two levels, g and then
-the ``ClassicalInvariants`` record itself, which fixes (tb, rot) and so
-keys the count exactly; each structure holds its g's inner dict
-(``FourLegRack.fast_slice``), so a hit is one lookup in one small frame
-and builds no key.  For a fixed ul, ur -> ul o ur is a bijection of U_X,
-so the |U_X|^2 structures of one rack share |U_X| products g, and so
-|U_X| inner dicts.
+(tb, rot) alone.
+
+Both counters memoize on the rack table in one dict of two levels
+(``RackTable.generic_counts``), shared by all the table's structures.
+Its outer key is a tuple of permutations: for ``count_colorings`` those
+of the presentation's reduced words, for ``perm_fast_count`` the one
+product g.  An inner dict holds generic counts under ``Presentation.key``,
+a string, and closed-form counts under the front's ``ClassicalInvariants``
+record, which fixes (tb, rot).  A record never equals a string, so the two
+counters share inner dicts but never a count, and the sweep's comparison
+of them stays independent.  Each key is exact: the generic count is fixed
+by the table, the presentation and its reduced words' permutations; the
+closed form by the table, g and (tb, rot).  Each structure holds the
+inner dicts it has read (``FourLegRack.generic_slices``), by reduced
+words, the closed form's by the one word (ur, ul), so a hit is two
+lookups in one small frame that reads plain attributes and builds no key.
+A structure's first touch of some reduced words composes them once
+(``FourLegRack.word_perm``) and takes the inner dict of their
+permutations, made only if no other structure of the rack made one
+(``_slice``); a count the inner dict lacks is computed by a private
+helper.  On the built-in fixtures every word reduces to (), (ur, ul) or
+(dr, dl): the unknot's (ur, dl) reduces to (), so all the structures of a
+rack share its count.  For a fixed ul, ur -> ul o ur is a bijection of
+U_X, so the |U_X|^2 structures of one permutation rack share |U_X|
+products g.  On any other rack (``RackTable.is_permutation_rack``) the
+closed form's miss raises, so it stores no count and every call raises.
 
 Permutation racks get their structures the way every rack does: U_X is the
 rack's ``gl_center``, drawn from ``RackTable.automorphisms``, which on a
@@ -125,47 +130,42 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     table's kink, as every structure ``make_fourleg`` and
     ``enumerate_structures`` build does.
 
-    The count is memoized on the rack table (``RackTable.generic_counts``)
-    in two levels: (R_1, ..., R_j), the permutations of the presentation's
-    reduced words (``pres.reduced_words``), then ``pres.key``.  The
-    structure holds the inner dict of its own permutations
-    (``fl.generic_slices``), so a hit is one lookup on the structure and
-    one in the inner dict, both keyed by plain attributes of the
-    presentation, in this one frame.  The structure's first touch of some
-    reduced words composes them (``fl.word_perm``) and takes the inner
-    dict of their permutations, made if no structure of the rack made it,
-    in the same frame.  A count the inner dict lacks is computed by
-    ``_generic_miss``.  The key is exact: each cusp word W is kink^-c o R
-    with R its reduced word and c fixed by the presentation, the kink is
-    fixed by the rack table, the structure enters the search only through
-    W_i of relation i, and the table, the signs, the arcs and the schedule
-    are fixed by the rack table and the presentation.  A miss with
-    crossings builds each relation's rows from (W_i, sign_i), W_i read off
-    ``fl.word_perm``, and runs ``_search``.  A miss without them counts
-    the x with R(x) = kink^c(x), R the reduced closure word's permutation
-    and c its cancelled pairs (``pres.closure_pairs``): the fixed points
-    of W = kink^-c o R.  Its oracles are ``brute_force_colorings`` and, in
-    the tests, a counter that rescans every relation after each
-    assignment.
+    Memoized under ``pres.key`` in the inner dict of ``pres.reduced_words``
+    (see the module docstring); a miss is counted by ``_generic_miss``.
+    Its oracles are ``brute_force_colorings`` and, in the tests, a counter
+    that rescans every relation after each assignment.
     """
     counts = fl.generic_slices.get(pres.reduced_words)
     if counts is None:
-        words = pres.reduced_words
-        memo = fl.rack.generic_counts
-        perms = tuple(map(fl.word_perm, words))
-        counts = memo.get(perms)
-        if counts is None:
-            counts = memo[perms] = {}
-        fl.generic_slices[words] = counts
+        counts = _slice(fl, pres.reduced_words)
     count = counts.get(pres.key)
     if count is None:
         count = counts[pres.key] = _generic_miss(pres, fl)
     return count
 
 
+def _slice(fl: FourLegRack, words) -> dict:
+    """The inner dict of the rack table's memo for the permutations of
+    ``words`` on ``fl``, made if no structure of the rack made it, and
+    held by ``fl`` under ``words``: a structure's first touch of them."""
+    memo = fl.rack.generic_counts
+    perms = tuple(map(fl.word_perm, words))
+    counts = memo.get(perms)
+    if counts is None:
+        counts = memo[perms] = {}
+    fl.generic_slices[words] = counts
+    return counts
+
+
 def _generic_miss(pres: Presentation, fl: FourLegRack) -> int:
-    """The count ``count_colorings`` stores on a miss, computed from the
-    relations' composed words or, without crossings, the closure word's."""
+    """The count ``count_colorings`` stores on a miss.
+
+    With crossings, each relation's rows are built from (W_i, sign_i),
+    W_i read off ``fl.word_perm``, and ``_search`` runs.  Without them the
+    count is the x with R(x) = kink^c(x), R the reduced closure word's
+    permutation and c its cancelled pairs (``pres.closure_pairs``): the
+    fixed points of W = kink^-c o R.
+    """
     rack = fl.rack
     if pres.relations:
         rows = [_word_rows(rack, fl.word_perm(rel.word), rel.sign)
@@ -240,8 +240,10 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
 
 # --- permutation racks -----------------------------------------------------------
 
-# The up-cusp word whose permutation, ul o ur, keys the closed form.
+# The reduced words under which a structure holds the closed form's inner
+# dict: the one up-cusp word whose permutation is ul o ur.
 _UP_PAIR = ("ur", "ul")
+_UP_PAIR_WORDS = (_UP_PAIR,)
 
 
 def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
@@ -261,33 +263,14 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     sigma.  Conjugate permutations have equally many fixed points, so the
     count depends only on (tb, rot).
 
-    The count is memoized on the rack table (``RackTable.fast_counts``) in
-    two levels, g and then ``inv`` itself: the record fixes (tb, rot), so
-    it keys the count exactly, and it is hashed as it is, with no key
-    built.  The structure holds its g's inner dict (``fl.fast_slice``), so
-    a hit is one attribute read and one lookup, in this one frame; a
-    count the inner dict lacks is computed by ``_fast_miss``.  g is the
-    cusp word (ur, ul) composed (``fl.word_perm``), which the generic
-    counter composes too.  The memo is None on a rack that is not a
-    permutation rack, so such a rack never stores a count, and every call
-    on it raises.  A miss counts the fixed points without inverting g:
-    g^-rot(sigma^(tb-rot)(x)) = x exactly when g^rot(x) = sigma^(tb-rot)(x),
-    and for rot < 0, with y = sigma^(tb-rot)(x), exactly when
-    g^-rot(y) = sigma^(rot-tb)(y).  So it compares g^|rot|, the word
-    (ur, ul) repeated |rot| times (``fl.word_perm``, cached on the
-    structure), with a power of sigma read off the rack table
-    (``RackTable.kink_power``).
+    Memoized under ``inv`` itself in the inner dict of the one word
+    (ur, ul), whose permutation is g (see the module docstring); a miss is
+    counted by ``_fast_miss``, which raises on a rack that is not a
+    permutation rack.
     """
-    counts = fl.fast_slice
+    counts = fl.generic_slices.get(_UP_PAIR_WORDS)
     if counts is None:
-        memo = fl.rack.fast_counts
-        if memo is None:
-            raise ValueError("not a permutation rack")
-        g = fl.word_perm(_UP_PAIR)
-        counts = memo.get(g)
-        if counts is None:
-            counts = memo[g] = {}
-        fl.fast_slice = counts
+        counts = _slice(fl, _UP_PAIR_WORDS)
     count = counts.get(inv)
     if count is None:
         count = counts[inv] = _fast_miss(fl, inv)
@@ -295,8 +278,17 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
 
 
 def _fast_miss(fl: FourLegRack, inv) -> int:
-    """The count ``perm_fast_count`` stores on a miss: the x with
-    g^|rot|(x) = sigma^e(x), e = tb - rot, negated when rot < 0."""
+    """The count ``perm_fast_count`` stores on a miss.
+
+    g^-rot(sigma^(tb-rot)(x)) = x exactly when g^rot(x) = sigma^(tb-rot)(x),
+    and for rot < 0, with y = sigma^(tb-rot)(x), exactly when
+    g^-rot(y) = sigma^(rot-tb)(y).  So it compares g^|rot|, the word
+    (ur, ul) repeated |rot| times (``fl.word_perm``, cached on the
+    structure), with a power of sigma read off the rack table
+    (``RackTable.kink_power``), and g is never inverted.
+    """
+    if not fl.rack.is_permutation_rack:
+        raise ValueError("not a permutation rack")
     rot, e = inv.rot, inv.tb - inv.rot
     if rot < 0:
         rot, e = -rot, -e

@@ -43,50 +43,34 @@ class FourLegStructure(NamedTuple):
 class FourLegRack:
     """A 4-Legendrian structure on a rack table, with what the coloring
     counters read of it, each cached on it: a cusp word composed into one
-    permutation (``word_perm``) and the structure's slices of the rack
-    table's two memos.
-
-    The counters' memos sit on the rack table, in two levels, and are
-    shared by all its structures.  A structure holds the inner dicts it
-    reads, so a count it has seen is two dict lookups:
-    - ``generic_slices`` maps a presentation's reduced words
-      (``Presentation.reduced_words``) to the inner dict of
-      ``RackTable.generic_counts`` for their permutations on this
-      structure;
-    - ``fast_slice`` is the inner dict of ``RackTable.fast_counts`` for
-      g = ul o ur, the word (ur, ul) composed (``word_perm``), keyed by a
-      front's ``ClassicalInvariants`` record and set by
-      ``coloring.perm_fast_count`` on a permutation rack.  The generic
-      counter composes the same word for an up-cusp pair, so the two
-      counters share one product.
+    permutation (``word_perm``) and ``generic_slices``, the inner dicts of
+    the rack table's coloring memo (``RackTable.generic_counts``) that the
+    structure has read, by reduced words.  The ``coloring`` module
+    docstring describes the memo.
 
     A sweep builds each structure once and counts it at once, so the
-    caches are slots filled when the instance is made, and
-    ``perm_fast_count`` assigns ``fast_slice`` directly.  The structure
-    compares, hashes and prints by (rack, structure) alone.  It has no
-    assignment guard: a guarded constructor would cost more than the
-    structure's first count on the sweep.
+    caches are slots, made empty with the instance.  The structure compares,
+    hashes and prints by (rack, structure) alone.  It has no assignment
+    guard: a guarded constructor would cost more than the structure's
+    first count on the sweep.
 
-    The generic memo's outer key holds only the reduced words'
-    permutations.  So every structure on one table must satisfy axioms 1-2
-    for that table's kink, as every structure ``make_fourleg`` and
-    ``enumerate_structures`` build does.
+    The memo's outer key holds only the reduced words' permutations.  So
+    every structure on one table must satisfy axioms 1-2 for that table's
+    kink, as every structure ``make_fourleg`` and ``enumerate_structures``
+    build does.
     """
 
-    __slots__ = ("rack", "structure", "_word_perms", "generic_slices",
-                 "fast_slice")
+    __slots__ = ("rack", "structure", "_word_perms", "generic_slices")
     rack: RackTable
     structure: FourLegStructure
     _word_perms: dict[tuple[str, ...], Perm]
-    generic_slices: dict[tuple[tuple[str, ...], ...], dict[str, int]]
-    fast_slice: dict[tuple, int] | None
+    generic_slices: dict[tuple[tuple[str, ...], ...], dict]
 
     def __init__(self, rack: RackTable, structure: FourLegStructure):
         self.rack = rack
         self.structure = structure
         self._word_perms = {}
         self.generic_slices = {}
-        self.fast_slice = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

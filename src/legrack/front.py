@@ -221,9 +221,11 @@ class Presentation(FrozenRecord):
       (``cancel_cusp_pairs``).  On one rack table their permutations fix
       those of all its cusp words, since the kink and each word's number
       of cancelled pairs are fixed, so the counter keys its memo on them.
-    What only a memo miss reads is cached on first use: the closure word's
-    cancelled pairs (``closure_pairs``) and the search schedule
-    (``schedule``).
+    The same pass gives a third plain attribute, ``closure_pairs``, the
+    number c of cancelling pairs removed from the closure word, so that it
+    composes to kink^-c o R, R its reduced word; a miss without crossings
+    reads it.  The search schedule (``schedule``), which only a miss with
+    crossings reads, is cached on first use.
 
     A presentation no front could give raises ValueError naming the field:
     ``relations`` is a tuple of ``Relation``, every word is a tuple of
@@ -238,6 +240,7 @@ class Presentation(FrozenRecord):
     closure_word: tuple[str, ...]
     key: str
     reduced_words: tuple[tuple[str, ...], ...]
+    closure_pairs: int
     _fields = ("generators", "relations", "closure_word")
 
     def __init__(self, generators: int, relations: tuple[Relation, ...],
@@ -269,17 +272,14 @@ class Presentation(FrozenRecord):
                                  f"got {rel.sign!r}")
             _check_word(f"relations[{i}].word", rel.word)
         words = [rel.word for rel in relations] or [closure_word]
-        reduced = {r for r, _ in map(cancel_cusp_pairs, words) if r}
+        cancelled = list(map(cancel_cusp_pairs, words))
+        reduced = {r for r, _ in cancelled if r}
         self.__dict__.update(generators=m, relations=relations,
                              closure_word=closure_word,
                              key=repr((m, relations, closure_word)),
-                             reduced_words=tuple(sorted(reduced)))
-
-    @cached_property
-    def closure_pairs(self) -> int:
-        """c, the number of cancelling pairs removed from the closure word,
-        so that it composes to kink^-c o R, R its reduced word."""
-        return cancel_cusp_pairs(self.closure_word)[1]
+                             reduced_words=tuple(sorted(reduced)),
+                             closure_pairs=0 if relations
+                             else cancelled[0][1])
 
     @cached_property
     def schedule(self) -> tuple[ScheduleLevel, ...]:

@@ -64,27 +64,16 @@ class RackTable(FrozenRecord):
         return tuple(zip(*(inverse(c) for c in self.columns)))
 
     @cached_property
-    def fast_counts(self) -> dict[Perm, dict[tuple, int]] | None:
-        """Memo of ``coloring.perm_fast_count`` in two levels: g = ul o ur,
-        then the front's ``ClassicalInvariants`` record, which fixes
-        (tb, rot).  Shared by all the rack's structures, each of which
-        holds its g's inner dict (``FourLegRack.fast_slice``).
-
-        None unless the table is a permutation rack, so the check is made
-        once per table: all columns equal the kink exactly when
-        x > y = kink(x), and R1 makes each column a bijection."""
-        return {} if self.columns.count(self.flags.kink) == self.n else None
+    def is_permutation_rack(self) -> bool:
+        """Whether every column is the kink, x > y = kink(x): then X is the
+        permutation rack of its kink (``permutation_rack``)."""
+        return self.columns.count(self.flags.kink) == self.n
 
     @cached_property
-    def generic_counts(self) -> dict[tuple[Perm, ...], dict[str, int]]:
-        """Memo of ``coloring.count_colorings`` in two levels:
-        (R_1, ..., R_j), the permutations of a presentation's distinct
-        nonempty reduced cusp words (``Presentation.reduced_words``), then
-        the presentation's ``key``.  Shared by all the rack's structures,
-        each of which holds the inner dicts of its own permutations
-        (``FourLegRack.generic_slices``).  The key is exact for structures
-        that satisfy Kimura's axioms 1-2: each cusp word W is kink^-c o R,
-        and this table fixes the kink."""
+    def generic_counts(self) -> dict[tuple[Perm, ...], dict]:
+        """The coloring memo that both counters share, in two levels, one
+        inner dict per tuple of composed cusp words; see the ``coloring``
+        module docstring."""
         return {}
 
     @cached_property
@@ -134,14 +123,12 @@ class RackTable(FrozenRecord):
     def automorphisms(self) -> PermGroup:
         """Aut(X), computed once per table; see ``automorphism_group``.
 
-        When every column is the kink (the test ``fast_counts`` makes), X
-        is the permutation rack of the kink, and Aut(X) is its centralizer,
-        listed from its cycle type (``_centralizer``; see
-        ``permutation_rack``).  Any other table is searched
+        On a permutation rack (``is_permutation_rack``) Aut(X) is the
+        kink's centralizer, listed from its cycle type (``_centralizer``;
+        see ``permutation_rack``).  Any other table is searched
         (``_iso_search``)."""
-        kink = self.flags.kink
-        if self.columns.count(kink) == self.n:
-            return PermGroup(self.n, _centralizer(kink))
+        if self.is_permutation_rack:
+            return PermGroup(self.n, _centralizer(self.flags.kink))
         return PermGroup(self.n, frozenset(_iso_search(self, self)))
 
     @cached_property

@@ -325,6 +325,48 @@ def test_bad_input_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["un,known", 'un"known', "un\rknown",
+                                  "un\nknown"])
+def test_names_that_would_break_the_csv_are_rejected(capsys, tmp_path, name):
+    """A front or rack file name with a comma, a double quote, CR or LF
+    would shift or split its CSV rows, so ``verify`` and ``classify``
+    exit 1 with a reason and write no row."""
+    fronts = tmp_path / "fronts"
+    fronts.mkdir()
+    save_front(standard_unknot(), fronts / f"{name}.front")
+    save_front(left_trefoil(), fronts / "trefoil.front")
+    rack = tmp_path / f"{name}.rack"
+    save_rack(trivial_quandle(1), rack)
+    out_file = tmp_path / "report.csv"
+    for argv, what in ((["verify", "--fronts", str(fronts),
+                         "--max-order", "1"], "front file name"),
+                       (["classify", "--rack", str(rack)], "rack file name")):
+        code, out, err = run(capsys, argv + ["--no-header"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"legrack: error: {what} ")
+        assert "a comma, a double quote or a line break" in err
+        code, out, _ = run(capsys, argv + ["--output", str(out_file)])
+        assert code == 1 and out == "" and not out_file.exists()
+
+
+def test_names_with_other_characters_are_written_as_they_are(capsys,
+                                                             tmp_path):
+    name = "un known;'x'"
+    fronts = tmp_path / "fronts"
+    fronts.mkdir()
+    save_front(standard_unknot(), fronts / f"{name}.front")
+    rack = tmp_path / f"{name}.rack"
+    save_rack(trivial_quandle(1), rack)
+    code, out, _ = run(capsys, ["verify", "--fronts", str(fronts),
+                                "--max-order", "1", "--no-header"])
+    assert code == 0
+    assert out.splitlines()[1] == f"{name},-1,0,perm1:(),(),(),1"
+    code, out, _ = run(capsys, ["classify", "--rack", str(rack),
+                                "--no-header"])
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{name}.rack,0,(),(),1"]
+
+
 def test_unrealizable_front_exits_one(capsys, tmp_path):
     # the unknot with one kink: tb + rot = -2, even, so no Legendrian knot
     kinked = tmp_path / "kinked.front"

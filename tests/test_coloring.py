@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import sys
+import tracemalloc
 from operator import eq
 
 import pytest
@@ -32,6 +33,7 @@ from legrack.front import (
     Cusp,
     Presentation,
     Relation,
+    ClassicalInvariants,
     builtin_fixtures,
     classical_invariants,
     fundamental_presentation,
@@ -349,10 +351,11 @@ def test_structure_caches_stay_out_of_equality_hash_and_repr():
     for inv, pres in fronts:
         assert count_colorings(pres, warm) == perm_fast_count(warm, inv)
     warm.word_perm(("ur", "dl"))
-    assert warm.generic_slices and warm._word_perms and warm.fast_slice
+    assert warm.generic_slices and warm._word_perms
+    # the closed form's inner dict is held among the generic counter's
+    assert (("ur", "ul"),) in warm.generic_slices
     cold = FourLegRack(warm.rack, warm.structure)
     assert not cold.generic_slices and not cold._word_perms
-    assert cold.fast_slice is None
     assert cold == warm and hash(cold) == hash(warm)
     assert len({cold, warm}) == 1
     assert repr(warm) == repr(cold) == \
@@ -550,9 +553,10 @@ def test_reduced_loop_matches_unreduced_loop():
 def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
     """A rack table's memo, warmed by every structure on it in either
     order, hands each structure the count of its own loop map, and holds
-    one count per (ul o ur, invariants record).  The memo is keyed by the
-    whole record, which fixes (tb, rot), so fronts whose records differ
-    only in writhe or cusp numbers store a count each."""
+    one closed-form count per (ul o ur, invariants record), in the inner
+    dicts of the outer keys (ul o ur,).  The counts are keyed by the whole
+    record, which fixes (tb, rot), so fronts whose records differ only in
+    writhe or cusp numbers store a count each."""
     codes = [*builtin_fixtures().values(), stabilized_unknot(3, 0),
              stabilized_unknot(0, 2)]
     fronts = [(classical_invariants(c), fundamental_presentation(c))
@@ -576,27 +580,32 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
                     loop = unreduced_loop_permutation(pres, fl)
                     assert perm_fast_count(fl, inv) == fixed_points(loop), \
                         (sigma, ul, ur, inv)
-            assert memo_size(warm.fast_counts) == \
+            assert set(warm.generic_counts) == {(g,) for g in products}
+            assert memo_size(warm.generic_counts) == \
                 len(products) * len(keys)
 
 
 def test_fast_path_first_on_a_fresh_structure():
     """``perm_fast_count`` as a fresh structure's first call composes
-    ul o ur itself and keys the rack's memo on it; its counts match the
-    loop map and the generic counter, which runs after it on the same
+    ul o ur itself and keys the rack's memo on it alone; its counts match
+    the loop map and the generic counter, which runs after it on the same
     structure and table."""
     fronts = [(classical_invariants(c), fundamental_presentation(c))
               for c in builtin_fixtures().values()]
+    records = {inv for inv, _ in fronts}
     for _, fl in permutation_structures(4, conjugacy_reps_only=False):
         s = fl.structure
         fresh = FourLegRack(RackTable(fl.rack.n, fl.rack.rows), s)
+        perm_fast_count(fresh, fronts[0][0])
+        assert fresh.rack.generic_counts == {
+            (compose(s.ul, s.ur),): fresh.generic_slices[(("ur", "ul"),)]}
         for inv, pres in fronts:
             count = perm_fast_count(fresh, inv)
             assert count == fixed_points(
                 unreduced_loop_permutation(pres, fresh)), (s, inv)
             assert count_colorings(pres, fresh) == count, (s, inv)
-        assert fresh.rack.fast_counts == {compose(s.ul, s.ur):
-                                          fresh.fast_slice}
+        fast = fresh.rack.generic_counts[(compose(s.ul, s.ur),)]
+        assert records <= fast.keys()
 
 
 def test_generic_memo_is_shared_by_the_structures_of_a_rack():
@@ -646,9 +655,11 @@ def test_memos_store_each_shared_count_once():
     """Every structure on the permutation racks of order <= 4, counted on
     the twelve fixtures by both counters, stores 1,166 generic counts over
     the 33 rack tables, the total the generic memo held when it was one
-    flat dict, and one fast count per (g, invariants record): 143 products
-    g = ul o ur times the 8 distinct records of the fixtures.  A change
-    that stops structures sharing counts raises them."""
+    flat dict, and one closed-form count per (g, invariants record): 143
+    products g = ul o ur times the 8 distinct records of the fixtures.
+    The closed form's outer keys (g,) are among the generic counter's, so
+    the memo holds 176 outer keys, as the generic counter alone makes.  A
+    change that stops structures sharing counts raises them."""
     fronts = [(classical_invariants(c), fundamental_presentation(c))
               for c in builtin_fixtures().values()]
     assert len(fronts) == 12
@@ -658,12 +669,55 @@ def test_memos_store_each_shared_count_once():
         for inv, pres in fronts:
             assert count_colorings(pres, fl) == perm_fast_count(fl, inv)
     assert len(racks) == 33
-    assert sum(memo_size(r.generic_counts) for r in racks.values()) == 1166
+    inner = [d for r in racks.values() for d in r.generic_counts.values()]
+    assert len(inner) == 176
+    keys = [k for d in inner for k in d]
+    assert sum(isinstance(k, str) for k in keys) == 1166
     records = {inv for inv, _ in fronts}
     assert len(records) == 8
-    assert sum(len(r.fast_counts) for r in racks.values()) == 143
-    assert sum(memo_size(r.fast_counts) for r in racks.values()) == \
+    fast = [d for d in inner if records & d.keys()]
+    assert len(fast) == 143
+    assert all(records <= d.keys() for d in fast)
+    assert sum(isinstance(k, ClassicalInvariants) for k in keys) == \
         143 * len(records)
+    assert len(keys) == 1166 + 143 * len(records)
+
+
+def test_counters_share_inner_dicts_but_never_a_count():
+    """The two counters keep their counts apart in the inner dicts they
+    share: with every generic count of the permutation structures of
+    order <= 3 made wrong, the closed form still returns its own counts,
+    and with every closed-form count made wrong, the generic counter
+    returns its own.  Each overwrite is read back by the counter it
+    belongs to, so it reached the memo both counters read."""
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in builtin_fixtures().values()]
+    for kind in (str, ClassicalInvariants):
+        structures = [fl for _, fl in
+                      permutation_structures(3, conjugacy_reps_only=False)]
+        fast = [[perm_fast_count(fl, inv) for inv, _ in fronts]
+                for fl in structures]
+        generic = [[count_colorings(pres, fl) for _, pres in fronts]
+                   for fl in structures]
+        assert fast == generic
+        inner = {id(d): d for fl in structures
+                 for d in fl.rack.generic_counts.values()}.values()
+        assert any(any(isinstance(k, str) for k in d) and
+                   any(isinstance(k, ClassicalInvariants) for k in d)
+                   for d in inner)
+        for d in inner:
+            for k in d:
+                if isinstance(k, kind):
+                    d[k] += 1000
+        after_fast = [[perm_fast_count(fl, inv) for inv, _ in fronts]
+                      for fl in structures]
+        after_generic = [[count_colorings(pres, fl) for _, pres in fronts]
+                         for fl in structures]
+        shifted = [[c + 1000 for c in row] for row in generic]
+        if kind is str:
+            assert after_fast == fast and after_generic == shifted
+        else:
+            assert after_generic == generic and after_fast == shifted
 
 
 def test_presentation_hash_is_by_value_and_keys_the_memo():
@@ -712,7 +766,8 @@ def test_fast_path_caches():
         for _ in range(2):   # the memo must not skip the check
             with pytest.raises(ValueError, match="permutation rack"):
                 perm_fast_count(fl, inv)
-        assert not rack.fast_counts
+        assert not any(isinstance(k, ClassicalInvariants)
+                       for d in rack.generic_counts.values() for k in d)
     # memoized counts, in either call order, equal counts of a fresh memo;
     # the memo lives on the rack table, so both sides get copies of it
     cases = list(_fast_path_cases())
@@ -736,24 +791,30 @@ def test_permutation_structures_enumeration():
     assert len(full) == 1 + 4 + 4 + 36 + 3 * 4 + 2 * 9
 
 
-def test_permutation_structures_builds_one_structure_per_step(monkeypatch):
-    # the sweep walks 20,427 structures; listing a rack's |U_X|^2 of them at
-    # once (14,400 at sigma = id, n = 5) would raise its peak memory.  The
-    # first 40 steps cross the racks of orders 1 to 3.
-    import legrack.fourleg
-
-    built = []
-    real = legrack.fourleg.FourLegStructure
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(legrack.fourleg, "FourLegStructure", counting)
+def test_permutation_structures_builds_one_structure_per_step():
+    """The sweep walks 20,427 structures; listing a rack's |U_X|^2 of them
+    at once, 14,400 on the trivial rack of order 5, would raise its peak
+    memory.  So pulling that rack's first structures, its U_X and down
+    maps made, allocates less than a quarter of what the list of its
+    structures alone would take."""
     structures = permutation_structures(5, conjugacy_reps_only=False)
-    for k in range(1, 41):
-        next(structures)
-        assert len(built) == k
+    # the 1,107 structures of orders 1 to 4 come first
+    for _ in range(1107):
+        rack_id, fl = next(structures)
+    assert rack_id == "perm4:(0 3)(1 2)"
+    listed = 14400 * sys.getsizeof(fl.structure)
+    del fl
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(40):
+            rack_id, fl = next(structures)
+            assert rack_id == "perm5:()"
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(fl.rack.gl_center.elements) ** 2 == 14400
+    assert peak < listed / 4, (peak, listed)
 
 
 def test_permutation_structures_are_pinned():

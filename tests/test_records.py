@@ -1,8 +1,9 @@
 """The package's records keep the behaviour of frozen dataclasses: each
 prints as ``Name(field=value, ...)``, compares equal to another instance
 built from equal values and hashes as the tuple of its fields, and refuses
-assignment and deletion of a field.  ``FourLegRack`` alone takes
-assignment, since ``perm_fast_count`` fills its ``fast_slice``."""
+assignment and deletion of a field.  ``FourLegRack`` alone has no
+assignment guard: nothing assigns to it after ``__init__``, and a guarded
+constructor would cost more than a structure's first count on the sweep."""
 import pytest
 
 from legrack.census import CensusRow
@@ -93,20 +94,31 @@ def test_record_repr_equality_hash_and_immutability(make, text):
 
 
 def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
-    """``key`` and ``reduced_words``, computed when a presentation is made,
-    can be neither assigned nor deleted, and its equality, hash and repr
-    read only its three fields."""
+    """``key``, ``reduced_words`` and ``closure_pairs``, computed when a
+    presentation is made, are plain attributes that can be neither
+    assigned nor deleted, and its equality, hash and repr read only its
+    three fields."""
     rel = Relation(0, 0, 0, ("ur", "dl", "ul"), -1, 1)
     a, b = (Presentation(1, (rel,)) for _ in range(2))
     assert a.key == repr((1, (rel,), ()))
     assert a.reduced_words == (("ul",),)
-    for name in ("key", "reduced_words"):
+    # the relation's word cancels a pair; only a closure word counts
+    assert a.closure_pairs == 0
+    closed = Presentation(1, (), ("ur", "dl", "ul", "dr", "ur"))
+    assert closed.reduced_words == (("ur",),)
+    assert closed.closure_pairs == 2
+    names = ("key", "reduced_words", "closure_pairs")
+    for p in (a, closed):
+        assert set(names) <= vars(p).keys()
+    for name in names:
+        assert not hasattr(type(a), name)
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
         with pytest.raises(AttributeError):
             delattr(a, name)
     # b's precomputed values replaced behind the guard: a and b still
     # compare, hash and print alike
-    b.__dict__.update(key="other", reduced_words=())
+    b.__dict__.update(key="other", reduced_words=(), closure_pairs=5)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "key" not in repr(a) and "reduced_words" not in repr(a)
+    for name in names:
+        assert name not in repr(a)
