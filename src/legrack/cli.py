@@ -77,8 +77,15 @@ def _emit(lines, args) -> None:
 
 
 def _header(args, echo: str) -> list[str]:
+    """The timestamped header line echoing the command ``echo``, or none
+    under ``--no-header``.  Only a path argument can bring CR or LF into
+    the echo, and either would split the line, so it raises instead."""
     if args.no_header:
         return []
+    if "\r" in echo or "\n" in echo:
+        raise ValueError(f"the header line would echo {echo!r}, whose line "
+                         f"break would split it: use a path without CR or "
+                         f"LF, or --no-header")
     # imported here, the one place that reads the clock, to keep it out of
     # start-up
     from datetime import datetime, timezone
@@ -99,9 +106,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_classify(args) -> int:
     rack_id = _csv_name(os.path.basename(args.rack), "rack file name")
-    rack = load_rack(args.rack)
-    classes = classify_structures(rack)
     lines = _header(args, f"classify --rack {args.rack}")
+    classes = classify_structures(load_rack(args.rack))
     lines.append("rack_id,class_index,ul,ur,orbit_size")
     for i, cls in enumerate(classes):
         lines.append(f"{rack_id},{i},{cycle_string(cls.ul)},"
@@ -146,6 +152,8 @@ def _cmd_colorings(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    header = _header(args, f"verify --fronts {args.fronts} "
+                           f"--max-order {args.max_order}")
     codes = {}
     for name in sorted(os.listdir(args.fronts)):
         if name.endswith(".front"):
@@ -155,15 +163,14 @@ def _cmd_verify(args) -> int:
     if not codes:
         raise FrontError(f"no .front files in {args.fronts}")
     report = verify_indistinguishability(codes, args.max_order)
-    _emit(_verify_lines(report, args), args)
+    _emit(_verify_lines(report, header), args)
     return 0 if report.passed else 3
 
 
-def _verify_lines(report, args):
-    """The verify report, each row written as it is counted; the group and
-    violation lines follow once every row is out."""
-    yield from _header(args, f"verify --fronts {args.fronts} "
-                             f"--max-order {args.max_order}")
+def _verify_lines(report, header: list[str]):
+    """The verify report after ``header``, each row written as it is
+    counted; the group and violation lines follow once every row is out."""
+    yield from header
     yield "code_name,tb,rot,rack_id,ul,ur,count"
     for row in report.rows:
         yield (f"{row.code_name},{row.tb},{row.rot},{row.rack_id},"

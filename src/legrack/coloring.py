@@ -5,9 +5,9 @@ and ``brute_force_colorings`` its exhaustive oracle.  A coloring gives each
 arc a color so that color(out) = W(color(in)) >^sign color(over) at every
 crossing.  Each relation reads rows[a] = T[W(a)], with T the rack table for
 sign +1 and the inverse table for sign -1, so its output is rows[a][o], W
-the relation's cusp word composed into one permutation
-(``FourLegRack.word_perm``).  A front without crossings has one arc, and
-its colorings are the colors its closure word W fixes.
+the relation's cusp word composed into one permutation.  A front without
+crossings has one arc, and its colorings are the colors its closure word
+W fixes.
 
 So the count depends only on the rack table, the presentation and the
 permutations W of its cusp words, and a shorter list of permutations fixes
@@ -20,12 +20,15 @@ number of pairs cancelled.  On one rack table the kink is fixed,
 and c is fixed by the presentation, so the permutations of the
 presentation's distinct nonempty reduced words
 (``Presentation.reduced_words``, computed when the presentation is
-made) fix every W, and W fixes them back; they key the memo below.  A
-miss with crossings builds each relation's rows in one pass from
-(W_i, sign_i) and runs the search below.  A miss without them reads what
-the key holds: W = kink^-c o R fixes x exactly when R(x) = kink^c(x), R
-the reduced closure word's permutation (the identity if it reduces to
-()) and kink^c read off the rack table (``RackTable.kink_power``).
+made) fix every W, and W fixes them back; they key the memo below.  So
+a miss reads only what the key holds: the permutations R of the reduced
+words, which the memo's inner dict keeps next to its counts, and kink
+powers read off the rack table (``RackTable.kink_power``).  With
+crossings it builds each relation's rows from W_i = kink^-c_i o R_i and
+sign_i, level by level of the schedule below (``_levels``), and runs the
+search.  Without them W = kink^-c o R fixes x exactly when
+R(x) = kink^c(x), R the reduced closure word's permutation (the identity
+if it reduces to ()).
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -71,19 +74,27 @@ counters share inner dicts but never a count, and the sweep's comparison
 of them stays independent.  Each key is exact: the generic count is fixed
 by the table, the presentation and its reduced words' permutations; the
 closed form by the table, g and (tb, rot).  Each structure holds the
-inner dicts it has read (``FourLegRack.generic_slices``), by reduced
-words, the closed form's by the one word (ur, ul), so a hit is two
-lookups in one small frame that reads plain attributes and builds no key.
-A structure's first touch of some reduced words composes them once
-(``FourLegRack.word_perm``) and takes the inner dict of their
-permutations, made only if no other structure of the rack made one
-(``_slice``); a count the inner dict lacks is computed by a private
-helper.  On the built-in fixtures every word reduces to (), (ur, ul) or
-(dr, dl): the unknot's (ur, dl) reduces to (), so all the structures of a
-rack share its count.  For a fixed ul, ur -> ul o ur is a bijection of
-U_X, so the |U_X|^2 structures of one permutation rack share |U_X|
-products g.  On any other rack (``RackTable.is_permutation_rack``) the
-closed form's miss raises, so it stores no count and every call raises.
+inner dicts it has read (``FourLegRack.generic_slices``) under string
+keys: the generic counter's under ``Presentation.slice_key``, the repr of
+the reduced words, and the closed form's under the same string for its
+one word (ur, ul), so the two share it.  The presentation's strings are
+made once and hash once, so a hit is two lookups in one small frame that
+reads plain attributes and builds no key.  A structure's first touch of
+some reduced words (``_slice``) composes them from the presentation's
+``index_words``, each word's letters as indices into the structure tuple,
+by ``itemgetter`` alone, with no letter lookup and no attribute by name;
+it keeps a composed word only for a slice of two or more words, the one
+case in which another slice of the structure can read it again.  It then
+takes the inner dict of their permutations, made only if no other
+structure of the rack made one, which holds them as ``perms``; a count
+the inner dict lacks is computed from those by a private helper, which
+never sees the structure.  On the built-in fixtures every word reduces
+to (), (ur, ul) or (dr, dl): the unknot's (ur, dl) reduces to (), so all
+the structures of a rack share its count.  For a fixed ul, ur -> ul o ur
+is a bijection of U_X, so the |U_X|^2 structures of one permutation rack
+share |U_X| products g.  On any other rack
+(``RackTable.is_permutation_rack``) the closed form's miss raises, so it
+stores no count and every call raises.
 
 Permutation racks get their structures the way every rack does: U_X is the
 rack's ``gl_center``, drawn from ``RackTable.automorphisms``, which on a
@@ -97,10 +108,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from operator import eq
+from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .fourleg import FourLegRack, enumerate_structures, make_fourleg
+from .fourleg import FourLegRack, enumerate_structures, make_fourleg, word_indices
 from .perms import Perm, cycle_string, cycle_type
 from .racks import RackTable, permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
@@ -130,70 +141,117 @@ def count_colorings(pres: Presentation, fl: FourLegRack) -> int:
     table's kink, as every structure ``make_fourleg`` and
     ``enumerate_structures`` build does.
 
-    Memoized under ``pres.key`` in the inner dict of ``pres.reduced_words``
-    (see the module docstring); a miss is counted by ``_generic_miss``.
-    Its oracles are ``brute_force_colorings`` and, in the tests, a counter
+    Memoized under ``pres.key`` in the inner dict of the permutations of
+    ``pres.index_words``, which ``fl`` holds under ``pres.slice_key`` (see
+    the module docstring); a miss is counted by ``_generic_miss``.  Its
+    oracles are ``brute_force_colorings`` and, in the tests, a counter
     that rescans every relation after each assignment.
     """
-    counts = fl.generic_slices.get(pres.reduced_words)
+    counts = fl.generic_slices.get(pres.slice_key)
     if counts is None:
-        counts = _slice(fl, pres.reduced_words)
+        counts = _slice(fl, pres.slice_key, pres.index_words)
     count = counts.get(pres.key)
     if count is None:
-        count = counts[pres.key] = _generic_miss(pres, fl)
+        count = counts[pres.key] = _generic_miss(pres, fl.rack, counts.perms)
     return count
 
 
-def _slice(fl: FourLegRack, words) -> dict:
-    """The inner dict of the rack table's memo for the permutations of
-    ``words`` on ``fl``, made if no structure of the rack made it, and
-    held by ``fl`` under ``words``: a structure's first touch of them."""
+class _Slice(dict):
+    """An inner dict of the rack table's coloring memo.  Besides its counts
+    it holds ``perms``, its outer key: the permutations of the reduced
+    words that its counts are for, which a miss reads."""
+
+    __slots__ = ("perms",)
+
+
+def _slice(fl: FourLegRack, key: str, words) -> _Slice:
+    """The inner dict of the rack table's memo for the permutations of the
+    nonempty index words ``words`` on ``fl``, made if no structure of the
+    rack made it, and held by ``fl`` under ``key``: a structure's first
+    touch of them.
+
+    The permutation of (i_1, ..., i_k) is m_k(...m_1(a)), m_j = s[i_j] and
+    s the structure tuple, earliest letter first.  Each composition starts
+    at m_1 itself and composes each later map m as ``itemgetter(*w)(m)``,
+    m o w in one C call.  On at most one point every map is the identity,
+    and a one-index itemgetter would return a scalar, so there the
+    composition is m_1.
+
+    A word can recur under another key of the same structure only if one
+    of the two keys has two or more words.  So the words of such a slice
+    are kept in ``fl.generic_slices`` under the index word itself, a tuple
+    that never equals a string key, and read from there by the next such
+    slice; a one-word slice composes its word and keeps nothing.
+    """
+    s = fl.structure
+    held = fl.generic_slices
+    keep = len(words) > 1
+    perms = []
+    for word in words:
+        w = held.get(word) if keep else None
+        if w is None:
+            w = s[word[0]]
+            if len(w) > 1:
+                for i in word[1:]:
+                    w = itemgetter(*w)(s[i])
+            if keep:
+                held[word] = w
+        perms.append(w)
+    perms = tuple(perms)
     memo = fl.rack.generic_counts
-    perms = tuple(map(fl.word_perm, words))
     counts = memo.get(perms)
     if counts is None:
-        counts = memo[perms] = {}
-    fl.generic_slices[words] = counts
+        counts = memo[perms] = _Slice()
+        counts.perms = perms
+    held[key] = counts
     return counts
 
 
-def _generic_miss(pres: Presentation, fl: FourLegRack) -> int:
-    """The count ``count_colorings`` stores on a miss.
+def _generic_miss(pres: Presentation, rack: RackTable, perms) -> int:
+    """The count ``count_colorings`` stores on a miss, read off the rack
+    table and ``perms``, the permutations of ``pres.index_words`` that key
+    the inner dict it goes to: the miss sees nothing else of the structure.
 
-    With crossings, each relation's rows are built from (W_i, sign_i),
-    W_i read off ``fl.word_perm``, and ``_search`` runs.  Without them the
-    count is the x with R(x) = kink^c(x), R the reduced closure word's
-    permutation and c its cancelled pairs (``pres.closure_pairs``): the
-    fixed points of W = kink^-c o R.
+    With crossings ``_search`` runs on ``_levels``.  Without them the count
+    is the x with R(x) = kink^c(x), R the reduced closure word's
+    permutation (the identity if it reduces to ()) and c its cancelled
+    pairs (``pres.closure_pairs``): the fixed points of W = kink^-c o R.
     """
-    rack = fl.rack
     if pres.relations:
-        rows = [_word_rows(rack, fl.word_perm(rel.word), rel.sign)
-                for rel in pres.relations]
-        return _search(pres, rows, rack.n)
-    words = pres.reduced_words
-    r = fl.word_perm(words[0] if words else ())
-    return sum(map(eq, r, rack.kink_power(pres.closure_pairs)))
+        return _search(_levels(pres, rack, perms), pres.generators, rack.n)
+    return sum(map(eq, perms[0] if perms else range(rack.n),
+                   rack.kink_power(pres.closure_pairs)))
 
 
-def _word_rows(rack: RackTable, w: Perm, sign: int) -> list[tuple[int, ...]]:
-    """Rows with ``rows[a][o] = W(a) >^sign o``, W the composed cusp word
-    ``w``: the rack's rows (sign +1) or ``RackTable.inv_rows`` (sign -1)
-    read at W(a)."""
-    table = rack.rows if sign == 1 else rack.inv_rows
-    return [table[v] for v in w]
+def _levels(pres: Presentation, rack: RackTable, perms) -> list:
+    """``pres.schedule`` with each step's relation rows in place of its
+    relation: one (branch arc, steps) per level, each step (rows, in_arc,
+    over_arc, out_arc, forces), ``rows[a][o] = W(a) >^sign o``: the rack's
+    rows (sign +1) or ``RackTable.inv_rows`` (sign -1) read at W(a).
+    W = kink^-c o R, R the permutation of the relation's reduced word, read
+    off ``perms``, and kink^-c read off the rack table.  Each distinct rows
+    list (``pres.row_specs``) is built once."""
+    # a relation whose word reduces to () reads position -1: the identity
+    perms = (*perms, range(rack.n))
+    tables = []
+    for j, c, sign in pres.row_specs:
+        w = perms[j]
+        if c:
+            w = map(rack.kink_power(-c).__getitem__, w)
+        table = rack.rows if sign == 1 else rack.inv_rows
+        tables.append(list(map(table.__getitem__, w)))
+    return [(level.arc, [(tables[k], a, o, b, forces)
+                         for _, a, o, b, forces, k in level.steps])
+            for level in pres.schedule]
 
 
-def _search(pres: Presentation, rows, n: int) -> int:
-    """Colorings of ``pres`` by n colors whose relation i reads ``rows[i]``:
-    each level of ``pres.schedule`` colors its branch arc and runs its
-    steps, a force step writing its output arc and a check step comparing
-    it (see the module docstring)."""
-    levels = [(level.arc, [(rows[i], a, o, b, forces)
-                           for i, a, o, b, forces in level.steps])
-              for level in pres.schedule]
+def _search(levels, generators: int, n: int) -> int:
+    """Colorings by n colors of a presentation with ``generators`` arcs,
+    searched by ``levels`` (``_levels``): each level colors its branch arc
+    and runs its steps, a force step writing its output arc and a check
+    step comparing it (see the module docstring)."""
     last = len(levels) - 1
-    values = [0] * pres.generators
+    values = [0] * generators
 
     def extend(depth: int) -> int:
         # Deeper levels only write arcs that this level has not colored,
@@ -240,10 +298,13 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
 
 # --- permutation racks -----------------------------------------------------------
 
-# The reduced words under which a structure holds the closed form's inner
-# dict: the one up-cusp word whose permutation is ul o ur.
+# The closed form's one word, the up-cusp word whose permutation is
+# ul o ur, as index words, and the key under which a structure holds its
+# inner dict: a presentation whose cusp words all reduce to it has the
+# same ``slice_key``, so the two counters share that inner dict.
 _UP_PAIR = ("ur", "ul")
-_UP_PAIR_WORDS = (_UP_PAIR,)
+_UP_PAIR_WORDS = (word_indices(_UP_PAIR),)
+_UP_PAIR_KEY = repr((_UP_PAIR,))
 
 
 def permutation_fourleg(sigma, ul, ur) -> FourLegRack:
@@ -268,31 +329,36 @@ def perm_fast_count(fl: FourLegRack, inv) -> int:
     counted by ``_fast_miss``, which raises on a rack that is not a
     permutation rack.
     """
-    counts = fl.generic_slices.get(_UP_PAIR_WORDS)
+    counts = fl.generic_slices.get(_UP_PAIR_KEY)
     if counts is None:
-        counts = _slice(fl, _UP_PAIR_WORDS)
+        counts = _slice(fl, _UP_PAIR_KEY, _UP_PAIR_WORDS)
     count = counts.get(inv)
     if count is None:
-        count = counts[inv] = _fast_miss(fl, inv)
+        count = counts[inv] = _fast_miss(fl.rack, counts.perms[0], inv)
     return count
 
 
-def _fast_miss(fl: FourLegRack, inv) -> int:
-    """The count ``perm_fast_count`` stores on a miss.
+def _fast_miss(rack: RackTable, g: Perm, inv) -> int:
+    """The count ``perm_fast_count`` stores on a miss, read off the rack
+    table and g, the permutation that keys the inner dict it goes to.
 
     g^-rot(sigma^(tb-rot)(x)) = x exactly when g^rot(x) = sigma^(tb-rot)(x),
     and for rot < 0, with y = sigma^(tb-rot)(x), exactly when
-    g^-rot(y) = sigma^(rot-tb)(y).  So it compares g^|rot|, the word
-    (ur, ul) repeated |rot| times (``fl.word_perm``, cached on the
-    structure), with a power of sigma read off the rack table
-    (``RackTable.kink_power``), and g is never inverted.
+    g^-rot(y) = sigma^(rot-tb)(y).  So it compares g^|rot|, g composed
+    onto itself |rot| - 1 times, with a power of sigma read off the rack
+    table (``RackTable.kink_power``), and g is never inverted.  On at most
+    one point every map is the identity, so there g^|rot| is g.
     """
-    if not fl.rack.is_permutation_rack:
+    if not rack.is_permutation_rack:
         raise ValueError("not a permutation rack")
     rot, e = inv.rot, inv.tb - inv.rot
     if rot < 0:
         rot, e = -rot, -e
-    return sum(map(eq, fl.word_perm(_UP_PAIR * rot), fl.rack.kink_power(e)))
+    w = g if rot else range(rack.n)
+    if len(g) > 1:
+        for _ in range(rot - 1):
+            w = itemgetter(*w)(g)
+    return sum(map(eq, w, rack.kink_power(e)))
 
 
 # --- indistinguishability verification -------------------------------------------

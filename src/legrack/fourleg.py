@@ -15,18 +15,18 @@ commute with it, and dl o ur = ur o dl = dr o ul = ul o dr = kink^-1
 adjacent (ur, dl), (dl, ur), (ul, dr) or (dr, ul) composes to kink^-1:
 ``cancel_cusp_pairs`` cancels such pairs, and a word W composes to
 kink^-c o R, R the word left and c the number of pairs cancelled.
+``word_indices`` writes a word's letters as positions in the structure
+tuple, the form in which the coloring counters compose it.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import itemgetter
 from typing import NamedTuple
 
 from .perms import (
     Perm,
     compose,
     conjugate,
-    identity,
     inverse,
     validate_perm,
 )
@@ -41,15 +41,16 @@ class FourLegStructure(NamedTuple):
 
 
 class FourLegRack:
-    """A 4-Legendrian structure on a rack table, with what the coloring
-    counters read of it, each cached on it: a cusp word composed into one
-    permutation (``word_perm``) and ``generic_slices``, the inner dicts of
-    the rack table's coloring memo (``RackTable.generic_counts``) that the
-    structure has read, by reduced words.  The ``coloring`` module
-    docstring describes the memo.
+    """A 4-Legendrian structure on a rack table, with ``generic_slices``,
+    the inner dicts of the rack table's coloring memo
+    (``RackTable.generic_counts``) that the coloring counters have read
+    for it, each under the string key of the reduced words whose
+    permutations key it (``Presentation.slice_key``), and the composed
+    words of its slices of two or more words, under their index words.
+    The ``coloring`` module docstring describes the memo.
 
     A sweep builds each structure once and counts it at once, so the
-    caches are slots, made empty with the instance.  The structure compares,
+    cache is a slot, made empty with the instance.  The structure compares,
     hashes and prints by (rack, structure) alone.  It has no assignment
     guard: a guarded constructor would cost more than the structure's
     first count on the sweep.
@@ -60,16 +61,14 @@ class FourLegRack:
     build does.
     """
 
-    __slots__ = ("rack", "structure", "_word_perms", "generic_slices")
+    __slots__ = ("rack", "structure", "generic_slices")
     rack: RackTable
     structure: FourLegStructure
-    _word_perms: dict[tuple[str, ...], Perm]
-    generic_slices: dict[tuple[tuple[str, ...], ...], dict]
+    generic_slices: dict[str, dict]
 
     def __init__(self, rack: RackTable, structure: FourLegStructure):
         self.rack = rack
         self.structure = structure
-        self._word_perms = {}
         self.generic_slices = {}
 
     def __eq__(self, other):
@@ -83,30 +82,12 @@ class FourLegRack:
     def __repr__(self):
         return f"FourLegRack(rack={self.rack!r}, structure={self.structure!r})"
 
-    def word_perm(self, word: tuple[str, ...]) -> Perm:
-        """W, the cusp word ``word`` applied earliest letter first, as one
-        permutation: W(a) = m_k(...m_1(a)) for ``word`` = (m_1, ..., m_k).
 
-        Composed once per word and cached on the structure, so every
-        presentation it colors and both coloring counters share it.  The
-        composition starts at m_1 itself and composes each later letter
-        m as ``itemgetter(*w)(m)``, m o w in one C call; the empty word is
-        the identity.  On at most one point every map is the identity,
-        and a one-index itemgetter would return a scalar, so there the
-        composition is m_1.
-        """
-        w = self._word_perms.get(word)
-        if w is None:
-            s = self.structure
-            if word:
-                w = getattr(s, word[0])
-                if len(w) > 1:
-                    for letter in word[1:]:
-                        w = itemgetter(*w)(getattr(s, letter))
-            else:
-                w = identity(self.rack.n)
-            self._word_perms[word] = w
-        return w
+def word_indices(word: tuple[str, ...]) -> tuple[int, ...]:
+    """The cusp word ``word`` as the positions of its letters among the
+    fields of ``FourLegStructure``: letter i of the word is the map
+    ``structure[word_indices(word)[i]]`` of any structure."""
+    return tuple(map(FourLegStructure._fields.index, word))
 
 
 # The adjacent letter pairs that compose to kink^-1 (Kimura's axioms 1-2).
@@ -161,12 +142,15 @@ def make_fourleg(rack: RackTable, ul, ur) -> FourLegRack:
 
 def enumerate_structures(rack: RackTable) -> Iterator[FourLegStructure]:
     """Yield all |U_X|^2 structures, one per step, lexicographically ordered
-    by (ul, ur); they share one down-map tuple per element of U_X."""
+    by (ul, ur); they share one down-map tuple per element of U_X.  Each is
+    made by ``tuple.__new__``, which skips the Python frame of the named
+    tuple's own constructor and gives the same instance."""
     elems = rack.gl_center.sorted_elements()
     downs = _down_maps(rack_flags(rack).kink, elems)
+    new = tuple.__new__
     for ul, dr in zip(elems, downs):
         for ur, dl in zip(elems, downs):
-            yield FourLegStructure(ul, ur, dl, dr)
+            yield new(FourLegStructure, (ul, ur, dl, dr))
 
 
 def classify_structures(rack: RackTable) -> list[StructureClass]:

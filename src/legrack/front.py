@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .fourleg import cancel_cusp_pairs
+from .fourleg import cancel_cusp_pairs, word_indices
 from .perms import FrozenRecord
 
 
@@ -174,12 +174,15 @@ class Relation(NamedTuple):
 
 class ScheduleStep(NamedTuple):
     """One relation of a forcing schedule: once its input and over-arc are
-    colored it forces its output arc (``forces``) or checks it."""
+    colored it forces its output arc (``forces``) or checks it.  What
+    fixes its relation's rows is ``Presentation.row_specs[rows]``.
+    """
     relation: int
     in_arc: int
     over_arc: int
     out_arc: int
     forces: bool
+    rows: int
 
 
 class ScheduleLevel(NamedTuple):
@@ -209,9 +212,9 @@ class Presentation(FrozenRecord):
     relation per crossing, or, without crossings, one arc and its closure
     word.  It compares and hashes by value.
 
-    What ``coloring.count_colorings`` reads on every call is computed once,
-    when the presentation is made, and stored as two plain attributes that
-    stay out of its equality, hash and repr:
+    What ``coloring.count_colorings`` reads is computed once, when the
+    presentation is made, and stored as plain attributes that stay out of
+    its equality, hash and repr:
     - ``key``, the presentation by value as a string, its inner key in
       ``RackTable.generic_counts``: two presentations have equal keys
       exactly when they are equal, and a string caches its hash;
@@ -220,12 +223,19 @@ class Presentation(FrozenRecord):
       no crossings, with adjacent cancelling pairs removed
       (``cancel_cusp_pairs``).  On one rack table their permutations fix
       those of all its cusp words, since the kink and each word's number
-      of cancelled pairs are fixed, so the counter keys its memo on them.
-    The same pass gives a third plain attribute, ``closure_pairs``, the
-    number c of cancelling pairs removed from the closure word, so that it
-    composes to kink^-c o R, R its reduced word; a miss without crossings
-    reads it.  The search schedule (``schedule``), which only a miss with
-    crossings reads, is cached on first use.
+      of cancelled pairs are fixed, so the counter keys its memo on them;
+    - ``slice_key``, ``reduced_words`` as a string (its repr), under which
+      a structure holds the inner dict of their permutations: equal
+      exactly when the reduced words are, and hashed once;
+    - ``index_words``, each reduced word as the positions of its letters
+      among the fields of ``FourLegStructure`` (``word_indices``), so its
+      permutation is composed from the structure tuple by index alone;
+    - ``closure_pairs``, the number c of cancelling pairs removed from the
+      closure word, so that it composes to kink^-c o R, R its reduced
+      word; a miss without crossings reads it.
+    The search schedule (``schedule``) and what fixes each relation's rows
+    (``row_specs``), which only a miss with crossings reads, are cached on
+    first use.
 
     A presentation no front could give raises ValueError naming the field:
     ``relations`` is a tuple of ``Relation``, every word is a tuple of
@@ -240,6 +250,8 @@ class Presentation(FrozenRecord):
     closure_word: tuple[str, ...]
     key: str
     reduced_words: tuple[tuple[str, ...], ...]
+    slice_key: str
+    index_words: tuple[tuple[int, ...], ...]
     closure_pairs: int
     _fields = ("generators", "relations", "closure_word")
 
@@ -273,11 +285,13 @@ class Presentation(FrozenRecord):
             _check_word(f"relations[{i}].word", rel.word)
         words = [rel.word for rel in relations] or [closure_word]
         cancelled = list(map(cancel_cusp_pairs, words))
-        reduced = {r for r, _ in cancelled if r}
+        reduced = tuple(sorted({r for r, _ in cancelled if r}))
         self.__dict__.update(generators=m, relations=relations,
                              closure_word=closure_word,
                              key=repr((m, relations, closure_word)),
-                             reduced_words=tuple(sorted(reduced)),
+                             reduced_words=reduced,
+                             slice_key=repr(reduced),
+                             index_words=tuple(map(word_indices, reduced)),
                              closure_pairs=0 if relations
                              else cancelled[0][1])
 
@@ -298,6 +312,8 @@ class Presentation(FrozenRecord):
         last level every arc is colored.
         """
         m = self.generators
+        index = {spec: k for k, spec in enumerate(self.row_specs)}
+        rows = [index[spec] for spec in self._relation_specs()]
         watch: list[list[int]] = [[] for _ in range(m)]
         for i, rel in enumerate(self.relations):
             for arc in dict.fromkeys((rel.in_arc, rel.over_arc)):
@@ -322,7 +338,7 @@ class Presentation(FrozenRecord):
                     done[i] = True
                     b = rel.out_arc
                     steps.append(ScheduleStep(i, rel.in_arc, rel.over_arc, b,
-                                              not known[b]))
+                                              not known[b], rows[i]))
                     if not known[b]:
                         known[b] = True
                         trail.append(b)
@@ -335,6 +351,24 @@ class Presentation(FrozenRecord):
                     key=lambda g: (len(color(g, known[:], done[:])[0]), -g))
             levels.append(ScheduleLevel(g, color(g, known, done)[1]))
         return tuple(levels)
+
+    @cached_property
+    def row_specs(self) -> tuple[tuple[int, int, int], ...]:
+        """The distinct (reduced_index, pairs, sign) of the relations, in
+        relation order: a relation's rows read its sign's table at
+        W(a) = kink^-pairs(R(a)), R its reduced word, at ``reduced_index``
+        of ``reduced_words`` or -1 when R is ().  Relations with equal
+        triples have equal rows on every structure."""
+        return tuple(dict.fromkeys(self._relation_specs()))
+
+    def _relation_specs(self) -> list[tuple[int, int, int]]:
+        """(reduced_index, pairs, sign) of each relation, in order."""
+        position = {r: j for j, r in enumerate(self.reduced_words)}
+        specs = []
+        for rel in self.relations:
+            r, c = cancel_cusp_pairs(rel.word)
+            specs.append((position.get(r, -1), c, rel.sign))
+        return specs
 
 
 def fundamental_presentation(code: FrontCode) -> Presentation:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import pytest
@@ -347,6 +348,57 @@ def test_names_that_would_break_the_csv_are_rejected(capsys, tmp_path, name):
         assert "a comma, a double quote or a line break" in err
         code, out, _ = run(capsys, argv + ["--output", str(out_file)])
         assert code == 1 and out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_paths_that_would_split_the_header_are_rejected(capsys, tmp_path,
+                                                       brk):
+    """A ``--rack`` or ``--fronts`` path holding CR or LF, here in a
+    directory name, would split the header line that echoes it, so
+    ``classify`` and ``verify`` exit 1 with a reason and write nothing, to
+    standard output or to ``--output``.  Under ``--no-header`` nothing
+    echoes the path, and both run."""
+    odd = tmp_path / f"a{brk}b"
+    fronts = odd / "fronts"
+    fronts.mkdir(parents=True)
+    save_front(standard_unknot(), fronts / "unknot.front")
+    rack = odd / "t1.rack"
+    save_rack(trivial_quandle(1), rack)
+    out_file = tmp_path / "report.csv"
+    for argv, echo, row in (
+            (["classify", "--rack", str(rack)], f"classify --rack {rack}",
+             "t1.rack,0,(),(),1"),
+            (["verify", "--fronts", str(fronts), "--max-order", "1"],
+             f"verify --fronts {fronts} --max-order 1",
+             "unknot,-1,0,perm1:(),(),(),1")):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == (f"legrack: error: the header line would echo "
+                       f"{echo!r}, whose line break would split it: use a "
+                       f"path without CR or LF, or --no-header\n")
+        code, out, _ = run(capsys, argv + ["--output", str(out_file)])
+        assert code == 1 and out == "" and not out_file.exists()
+        code, out, _ = run(capsys, argv + ["--no-header"])
+        assert code == 0 and out.splitlines()[1] == row
+
+
+def test_headers_echo_each_command_as_before(capsys, tmp_path, t3_file,
+                                             fixtures_dir):
+    """Every header that echoes a path without CR or LF is the line it was:
+    version, UTC time to the second, and the command with its paths."""
+    stamp = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
+    for argv, echo in (
+            (["census", "--max-order", "1"], "census --max-order 1"),
+            (["classify", "--rack", t3_file], f"classify --rack {t3_file}"),
+            (["verify", "--fronts", fixtures_dir, "--max-order", "1"],
+             f"verify --fronts {fixtures_dir} --max-order 1")):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        first, second = out.splitlines()[:2]
+        assert re.fullmatch(
+            rf"# legrack {re.escape(__version__)} \| {stamp} \| "
+            rf"{re.escape(echo)}", first), first
+        assert not second.startswith("#")
 
 
 def test_names_with_other_characters_are_written_as_they_are(capsys,

@@ -10,9 +10,10 @@ import pytest
 from legrack.census import enumerate_racks
 from legrack.coloring import (
     VerifyReport,
+    _levels,
     _maps,
     _relation_output,
-    _word_rows,
+    _slice,
     apply_word,
     brute_force_colorings,
     count_colorings,
@@ -27,6 +28,7 @@ from legrack.fourleg import (
     classify_structures,
     enumerate_structures,
     make_fourleg,
+    word_indices,
 )
 from legrack.front import (
     CrossingPass,
@@ -60,6 +62,20 @@ def fixed_points(p):
 def memo_size(memo):
     """Counts stored in a two-level memo of ``RackTable``."""
     return sum(map(len, memo.values()))
+
+
+def word_perms(fl, words):
+    """The permutation of each nonempty cusp word of ``words`` on ``fl``,
+    composed as a structure's first touch composes reduced words
+    (``_slice``), on a fresh copy of its table."""
+    fresh = FourLegRack(RackTable(fl.rack.n, fl.rack.rows), fl.structure)
+    return _slice(fresh, "", tuple(map(word_indices, words))).perms
+
+
+def word_perm(fl, word):
+    """The permutation of the cusp word ``word`` on ``fl`` (``word_perms``);
+    the identity for ()."""
+    return word_perms(fl, [word])[0] if word else identity(fl.rack.n)
 
 
 def trivial_fourleg(n):
@@ -184,26 +200,31 @@ def oracle_fronts():
 def assert_rows_match_relation_output(fl, fronts):
     maps = _maps(fl)
     for pres in fronts:
-        for rel in pres.relations:
-            rows = _word_rows(fl.rack, fl.word_perm(rel.word), rel.sign)
-            assert list(rows) == [
-                tuple(_relation_output(rel, maps, fl.rack, a, o)
-                      for o in range(fl.rack.n))
-                for a in range(fl.rack.n)]
+        levels = _levels(pres, fl.rack,
+                         word_perms(fl, pres.reduced_words))
+        assert [arc for arc, _ in levels] == [lv.arc for lv in pres.schedule]
+        for level, (_, steps) in zip(pres.schedule, levels):
+            assert len(steps) == len(level.steps)
+            for step, (rows, *arcs) in zip(level.steps, steps):
+                assert tuple(arcs) == step[1:5]
+                rel = pres.relations[step.relation]
+                assert list(rows) == [
+                    tuple(_relation_output(rel, maps, fl.rack, a, o)
+                          for o in range(fl.rack.n))
+                    for a in range(fl.rack.n)]
 
 
 def test_compiled_rows_match_relation_output():
     """The row-level tests (this one and its warm-cache twin) are the guard
-    on cusp-word letter order: they check the rows the counter builds from
-    ``FourLegRack.word_perm`` against the relation read letter by letter.
+    on cusp-word letter order: they check the rows the counter builds
+    (``_levels``, from the reduced words' permutations and the kink)
+    against the relation read letter by letter.
 
     The stabilized trefoil has four-letter cusp words on crossing arcs, and
-    composing a word in the wrong order changes these rows.  No count-level
-    test catches it: with the composition reversed in
-    ``FourLegRack.word_perm`` every count test passes, and no count changes
-    under word reversal for one-arc words of length <= 4 or two-arc
-    presentations with a three-letter word, over the structure classes of
-    order <= 4 whose maps do not all commute.
+    composing a word in the wrong order changes these rows.  Count-level
+    tests are a weaker guard: with the composition in ``_slice`` reversed,
+    the only count tests that fail are ``test_closure_word_letter_order``
+    and the fast path's first touch.
     """
     fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
     for fl in structure_classes(3) + structure_classes(4):
@@ -216,9 +237,9 @@ def reversed_words(pres):
 
 
 def test_compiled_rows_match_relation_output_with_warm_cache():
-    # the composed words are cached per structure, so a cache warmed by
-    # presentations whose words are the reverses of these must not hand
-    # back their permutations
+    # a structure and its table warmed by presentations whose words are
+    # the reverses of these, their slices and kink powers filled, must
+    # still give these presentations' rows
     fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
     for fl in structure_classes(3) + structure_classes(4):
         for pres in fronts:
@@ -256,9 +277,15 @@ def test_schedule_colors_every_arc_and_runs_every_relation_once():
         for level in pres.schedule:
             assert level.arc not in colored
             colored.add(level.arc)
-            for i, a, o, b, forces in level.steps:
+            for i, a, o, b, forces, k in level.steps:
                 rel = pres.relations[i]
                 assert (a, o, b) == (rel.in_arc, rel.over_arc, rel.out_arc)
+                # what fixes the relation's rows: its reduced word's
+                # position (-1 for ()), its cancelled pairs and its sign
+                j, c, sign = pres.row_specs[k]
+                reduced = pres.reduced_words[j] if j >= 0 else ()
+                assert cancel_cusp_pairs(rel.word) == (reduced, c)
+                assert sign == rel.sign
                 assert a in colored and o in colored
                 assert forces == (b not in colored)
                 if forces:
@@ -266,6 +293,9 @@ def test_schedule_colors_every_arc_and_runs_every_relation_once():
                     forced.append(b)
                 steps.append(i)
         assert sorted(steps) == list(range(len(pres.relations)))
+        assert len(set(pres.row_specs)) == len(pres.row_specs)
+        assert {st.rows for lv in pres.schedule for st in lv.steps} == \
+            set(range(len(pres.row_specs)))
         assert sorted(forced) == sorted(
             set(range(pres.generators)) - {lv.arc for lv in pres.schedule})
         assert colored == set(range(pres.generators))
@@ -321,47 +351,50 @@ def test_apply_word_order():
 
 
 def test_word_perm_matches_apply_word():
-    """``word_perm`` composes each cusp word of length <= 4, the empty word
-    (the identity) and the one-letter words included, as ``apply_word``
-    applies it letter by letter, on every structure class of order <= 3;
-    a second read returns the cached permutation."""
-    words = [w for k in range(5)
+    """A structure's first touch (``_slice``) composes each nonempty cusp
+    word of length <= 4, as index words (``word_indices``), the one-letter
+    words included, as ``apply_word`` applies it letter by letter, on every
+    structure class of order <= 3, all the words in one call, and keeps
+    their permutations as the inner dict's ``perms``."""
+    words = [w for k in range(1, 5)
              for w in itertools.product(("ul", "ur", "dl", "dr"), repeat=k)]
-    assert len(words) == 341
+    assert len(words) == 340
+    assert word_indices(("ul", "ur", "dl", "dr")) == (0, 1, 2, 3)
     structures = [fl for n in range(4) for fl in structure_classes(n)]
     assert len(structures) == 43
     for fl in structures:
         maps = _maps(fl)
-        for w in words:
-            perm = fl.word_perm(w)
+        perms = word_perms(fl, words)
+        assert len(perms) == len(words)
+        for w, perm in zip(words, perms):
             assert perm == tuple(apply_word(w, maps, x)
                                  for x in range(fl.rack.n)), \
                 (fl.rack.rows, fl.structure, w)
-            assert fl.word_perm(w) is perm
 
 
 def test_structure_caches_stay_out_of_equality_hash_and_repr():
-    """A ``FourLegRack`` whose caches the counters have filled equals a cold
+    """A ``FourLegRack`` whose cache the counters have filled equals a cold
     one and hashes like it, its repr shows only the rack and the structure,
-    and every instance gets caches of its own."""
+    and every instance gets a cache of its own."""
     codes = builtin_fixtures().values()
     fronts = [(classical_invariants(c), fundamental_presentation(c))
               for c in codes]
     warm = permutation_fourleg((1, 2, 0), (1, 2, 0), (2, 0, 1))
     for inv, pres in fronts:
         assert count_colorings(pres, warm) == perm_fast_count(warm, inv)
-    warm.word_perm(("ur", "dl"))
-    assert warm.generic_slices and warm._word_perms
-    # the closed form's inner dict is held among the generic counter's
-    assert (("ur", "ul"),) in warm.generic_slices
+    # one inner dict per distinct slice key of the fixtures: the closed
+    # form's is held among the generic counter's, under the key of the
+    # fronts whose words all reduce to (ur, ul)
+    keys = {pres.slice_key for _, pres in fronts}
+    assert keys == {"()", "(('ur', 'ul'),)", "(('dr', 'dl'),)"}
+    assert warm.generic_slices.keys() == keys
     cold = FourLegRack(warm.rack, warm.structure)
-    assert not cold.generic_slices and not cold._word_perms
+    assert not cold.generic_slices
     assert cold == warm and hash(cold) == hash(warm)
     assert len({cold, warm}) == 1
     assert repr(warm) == repr(cold) == \
         f"FourLegRack(rack={warm.rack!r}, structure={warm.structure!r})"
     assert cold.generic_slices is not warm.generic_slices
-    assert cold._word_perms is not warm._word_perms
 
 
 def test_memo_hits_run_in_one_frame_and_first_touch_composes_once():
@@ -380,9 +413,21 @@ def test_memo_hits_run_in_one_frame_and_first_touch_composes_once():
     counts = [(count_colorings(pres, warm), perm_fast_count(warm, inv))
               for inv, pres in fronts]
     fresh = FourLegRack(rack, s)
-    assert [(count_colorings(pres, fresh), perm_fast_count(fresh, inv))
-            for inv, pres in fronts] == counts
-    assert sorted(fresh._word_perms) == [("dr", "dl"), ("ur", "ul")]
+    composed = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is _slice.__code__:
+            composed.extend(frame.f_locals["words"])
+
+    sys.setprofile(record)
+    try:
+        again = [(count_colorings(pres, fresh), perm_fast_count(fresh, inv))
+                 for inv, pres in fronts]
+    finally:
+        sys.setprofile(None)
+    assert again == counts
+    assert sorted(composed) == sorted(map(word_indices,
+                                          [("dr", "dl"), ("ur", "ul")]))
     frames = []
 
     def profile(frame, event, arg):
@@ -397,6 +442,36 @@ def test_memo_hits_run_in_one_frame_and_first_touch_composes_once():
     finally:
         sys.setprofile(None)
     assert frames == ["count_colorings", "perm_fast_count"] * len(fronts)
+
+
+def test_words_shared_by_slices_are_composed_once():
+    """A word that two slices of one structure share, each of two or more
+    words, is composed once: the second slice reads the permutation the
+    first kept under the index word.  A one-word slice keeps nothing, so a
+    structure whose slices all have at most one word, as on the fixtures,
+    holds nothing but its inner dicts."""
+    def two_arcs(w0, w1):
+        return Presentation(2, (Relation(0, 1, 0, w0, -1, 1),
+                                Relation(1, 0, 0, w1, 1, 2)))
+
+    up = ("ur", "ul")
+    one = Presentation(1, (), up)
+    a = two_arcs(("dr", "dl"), up)
+    b = two_arcs(up, up + up)
+    assert (len(one.index_words), len(a.index_words), len(b.index_words)) \
+        == (1, 2, 2)
+    fl = make_fourleg(trivial_quandle(3), (0, 2, 1), (1, 0, 2))
+    assert count_colorings(one, fl) == brute_force_colorings(one, fl)
+    assert fl.generic_slices.keys() == {one.slice_key}
+    for pres in (a, b):
+        assert count_colorings(pres, fl) == brute_force_colorings(pres, fl)
+    held = fl.generic_slices
+    assert held.keys() == {one.slice_key, a.slice_key, b.slice_key,
+                           (3, 2), (1, 0), (1, 0, 1, 0)}
+    assert held[b.slice_key].perms[0] is held[a.slice_key].perms[1] \
+        is held[(1, 0)]
+    assert held[one.slice_key].perms == (held[(1, 0)],)
+    assert held[(1, 0, 1, 0)] == word_perm(fl, up + up)
 
 
 LETTER_ORDER_WORD = ("ul", "ur", "ur", "dr", "dl")
@@ -438,9 +513,11 @@ def test_cancelled_pairs_compose_to_kink_inverse():
     reduced = {r for r, _ in reductions.values()}
     for fl in structures:
         kink_inv = [power(inverse(fl.rack.flags.kink), c) for c in range(3)]
-        perms = {r: fl.word_perm(r) for r in reduced}
+        maps = _maps(fl)
+        perms = {r: word_perm(fl, r) for r in reduced}
         for w, (r, c) in reductions.items():
-            assert compose(kink_inv[c], perms[r]) == fl.word_perm(w), \
+            assert compose(kink_inv[c], perms[r]) == tuple(
+                apply_word(w, maps, x) for x in range(fl.rack.n)), \
                 (fl.rack.rows, fl.structure, w)
 
 
@@ -482,7 +559,7 @@ def test_crossingless_memo_matches_brute_force():
                         assert count_colorings(pres, fl) == \
                             count_colorings(pres, fresh) == \
                             brute[pres, s], (rack.rows, s, pres)
-                        keys.add((pres, fl.word_perm(pres.closure_word)))
+                        keys.add((pres, word_perm(fl, pres.closure_word)))
                 assert memo_size(warm.generic_counts) == len(keys)
                 shared |= len(keys) < len(structures) * len(fronts)
     assert shared
@@ -568,7 +645,7 @@ def test_fast_path_memo_is_shared_by_the_structures_of_a_rack():
         rack = permutation_rack(sigma)
         center = rack.gl_center.sorted_elements()
         pairs = [(ul, ur) for ul in center for ur in center]
-        products = {make_fourleg(rack, ul, ur).word_perm(("ur", "ul"))
+        products = {word_perm(make_fourleg(rack, ul, ur), ("ur", "ul"))
                     for ul, ur in pairs}
         assert products == {compose(ul, ur) for ul, ur in pairs}
         assert len(products) == len(center) < len(pairs)
@@ -598,7 +675,7 @@ def test_fast_path_first_on_a_fresh_structure():
         fresh = FourLegRack(RackTable(fl.rack.n, fl.rack.rows), s)
         perm_fast_count(fresh, fronts[0][0])
         assert fresh.rack.generic_counts == {
-            (compose(s.ul, s.ur),): fresh.generic_slices[(("ur", "ul"),)]}
+            (compose(s.ul, s.ur),): fresh.generic_slices["(('ur', 'ul'),)"]}
         for inv, pres in fronts:
             count = perm_fast_count(fresh, inv)
             assert count == fixed_points(
@@ -639,7 +716,7 @@ def test_generic_memo_is_shared_by_the_structures_of_a_rack():
                     count = count_colorings(pres, fl)
                     assert count == count_colorings(pres, fresh), \
                         (rack.rows, s, pres)
-                    key = pres, tuple(fl.word_perm(rel.word)
+                    key = pres, tuple(word_perm(fl, rel.word)
                                       for rel in pres.relations)
                     keys.add(key)
                     if rack.n ** pres.generators <= 10 ** 4:
@@ -830,6 +907,49 @@ def test_permutation_structures_are_pinned():
     assert count == 20427
     assert digest.hexdigest() == \
         "975b916e79aa64591b669df20e6cf69864440c3eab5b33538de07c3a3e53f4dc"
+
+
+def test_sweep_checksum():
+    """The generic counts of the 12 fixtures over all 20,427 permutation
+    structures of order <= 5, the sweep that the acceptance gate runs and
+    the benchmark times, sum to 597,744, and the closed form agrees on
+    every pair."""
+    fronts = [(classical_invariants(c), fundamental_presentation(c))
+              for c in builtin_fixtures().values()]
+    assert len(fronts) == 12
+    structures = total = 0
+    for _, fl in permutation_structures(5, conjugacy_reps_only=False):
+        for inv, pres in fronts:
+            count = count_colorings(pres, fl)
+            assert perm_fast_count(fl, inv) == count, (fl.structure, inv)
+            total += count
+        structures += 1
+    assert structures == 20427
+    assert total == 597744
+
+
+def test_shared_table_counts_match_brute_force_and_a_fresh_table():
+    """On all 68 structures of the racks of order <= 3, the count of each
+    fixture, of a two-trefoil sum and of a stabilized trefoil on the table
+    that all the rack's structures share equals the brute-force count and
+    the count on a fresh copy of the table, so no two slices or counts
+    collide under the string keys."""
+    fronts = [fundamental_presentation(c) for c in oracle_fronts().values()]
+    structures = 0
+    for n in range(4):
+        for rack in enumerate_racks(n):
+            for s in enumerate_structures(rack):
+                fl = FourLegRack(rack, s)
+                structures += 1
+                for pres in fronts:
+                    fresh = FourLegRack(RackTable(rack.n, rack.rows), s)
+                    count = count_colorings(pres, fl)
+                    assert count == count_colorings(pres, fresh), \
+                        (rack.rows, s, pres)
+                    if n ** pres.generators <= 10 ** 4:
+                        assert count == brute_force_colorings(pres, fl), \
+                            (rack.rows, s, pres)
+    assert structures == 68
 
 
 def test_verify_indistinguishability_passes_on_fixtures():

@@ -11,6 +11,7 @@ from legrack.census import (
 from legrack.coloring import permutation_structures
 from legrack.perms import compose, cycle_type, identity, inverse, power
 from legrack.racks import (
+    MAX_RACK_ORDER,
     RackError,
     RackTable,
     _iso_search,
@@ -340,6 +341,26 @@ def test_text_parse_errors():
         rack_from_text("2\nx y\n1 0\n")
     with pytest.raises(RackError, match="order must be nonnegative"):
         rack_from_text("-1\n")
+
+
+def test_rack_text_order_bound():
+    """An order up to ``MAX_RACK_ORDER`` passes on to its rows; one past it
+    is rejected with the bound and its reason before any row is parsed, so
+    neither a body of the declared size nor a malformed one is read."""
+    assert MAX_RACK_ORDER == 256
+    with pytest.raises(RackError, match="expected 256 table rows, got 0"):
+        rack_from_text("256\n")
+    with pytest.raises(RackError, match="line 2: expected integers"):
+        rack_from_text("256\n" + "x\n" * 256)
+    past = MAX_RACK_ORDER + 1
+    want = (f"line 2: order {past} is above {MAX_RACK_ORDER}, the largest "
+            f"order read: validating a table checks its n^3 triples")
+    for body in ("", "x y\n", " ".join(["0"] * past) + "\n"):
+        with pytest.raises(RackError) as info:
+            rack_from_text(f"# too big\n{past}\n{body}")
+        assert str(info.value).startswith(want), str(info.value)
+    with pytest.raises(RackError, match=f"order {10 ** 9} is above"):
+        rack_from_text(f"{10 ** 9}\n")
 
 
 def test_comments_and_blank_lines_ignored():

@@ -13,6 +13,7 @@ from legrack.fourleg import (
     FourLegStructure,
     KimuraReport,
     StructureClass,
+    enumerate_structures,
 )
 from legrack.front import (
     ClassicalInvariants,
@@ -23,7 +24,7 @@ from legrack.front import (
     Relation,
 )
 from legrack.perms import PermGroup
-from legrack.racks import RackFlags, RackTable
+from legrack.racks import RackFlags, RackTable, permutation_rack
 
 RECORDS = [
     (lambda: PermGroup(2, frozenset({(0, 1)})),
@@ -94,20 +95,31 @@ def test_record_repr_equality_hash_and_immutability(make, text):
 
 
 def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
-    """``key``, ``reduced_words`` and ``closure_pairs``, computed when a
-    presentation is made, are plain attributes that can be neither
-    assigned nor deleted, and its equality, hash and repr read only its
-    three fields."""
+    """``key``, ``reduced_words``, ``slice_key``, ``index_words`` and
+    ``closure_pairs``, computed when a presentation is made, are plain
+    attributes that can be neither assigned nor deleted, and its equality,
+    hash and repr read only its three fields."""
     rel = Relation(0, 0, 0, ("ur", "dl", "ul"), -1, 1)
     a, b = (Presentation(1, (rel,)) for _ in range(2))
     assert a.key == repr((1, (rel,), ()))
     assert a.reduced_words == (("ul",),)
+    assert a.slice_key == "(('ul',),)"
+    assert a.index_words == ((0,),)
     # the relation's word cancels a pair; only a closure word counts
     assert a.closure_pairs == 0
     closed = Presentation(1, (), ("ur", "dl", "ul", "dr", "ur"))
     assert closed.reduced_words == (("ur",),)
+    assert closed.slice_key == "(('ur',),)"
+    assert closed.index_words == ((1,),)
     assert closed.closure_pairs == 2
-    names = ("key", "reduced_words", "closure_pairs")
+    two = Presentation(2, (Relation(0, 1, 0, ("dr", "dl"), 1, 1),
+                           Relation(1, 0, 1, ("ul", "dr", "ur", "ul"), 1, 2)))
+    assert two.reduced_words == (("dr", "dl"), ("ur", "ul"))
+    assert two.slice_key == "(('dr', 'dl'), ('ur', 'ul'))"
+    assert two.index_words == ((3, 2), (1, 0))
+    assert Presentation(1, (), ("ur", "dl")).slice_key == "()"
+    names = ("key", "reduced_words", "slice_key", "index_words",
+             "closure_pairs")
     for p in (a, closed):
         assert set(names) <= vars(p).keys()
     for name in names:
@@ -118,7 +130,26 @@ def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
             delattr(a, name)
     # b's precomputed values replaced behind the guard: a and b still
     # compare, hash and print alike
-    b.__dict__.update(key="other", reduced_words=(), closure_pairs=5)
+    b.__dict__.update(key="other", reduced_words=(), slice_key="()",
+                      index_words=(), closure_pairs=5)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     for name in names:
         assert name not in repr(a)
+
+
+def test_enumerated_structures_are_constructor_built_ones():
+    """``enumerate_structures`` makes each structure by ``tuple.__new__``:
+    every one is a real ``FourLegStructure`` whose field access, equality,
+    hash and repr match the one its constructor builds from its maps."""
+    rack = permutation_rack((1, 0, 2, 3))
+    structures = list(enumerate_structures(rack))
+    assert len(structures) == len(rack.gl_center.elements) ** 2 == 16
+    for s in structures:
+        built = FourLegStructure(s.ul, s.ur, s.dl, s.dr)
+        assert type(s) is FourLegStructure and isinstance(s, tuple)
+        assert (s.ul, s.ur, s.dl, s.dr) == (s[0], s[1], s[2], s[3])
+        assert s == built and not s != built and s is not built
+        assert hash(s) == hash(built) == hash(tuple(built))
+        assert repr(s) == repr(built)
+        assert s._asdict() == built._asdict()
+    assert len(set(structures)) == 16
