@@ -26,7 +26,7 @@ from .front import (
     load_front,
 )
 from .perms import cycle_string, parse_cycles
-from .racks import RackError, load_rack
+from .racks import load_rack
 
 # The largest order ``verify`` sweeps.  The limit is not rack enumeration:
 # the trivial rack of order 7 alone has 7!^2 = 25,401,600 structures, too
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RackError, FrontError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"legrack: error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,10 +25,10 @@ a miss reads only what the key holds: the permutations R of the reduced
 words, which the memo's inner dict keeps next to its counts, and kink
 powers read off the rack table (``RackTable.kink_power``).  With
 crossings it builds each relation's rows from W_i = kink^-c_i o R_i and
-sign_i, level by level of the schedule below (``_levels``), and runs the
-search.  Without them W = kink^-c o R fixes x exactly when
-R(x) = kink^c(x), R the reduced closure word's permutation (the identity
-if it reduces to ()).
+sign_i (``Presentation.row_specs``, made with the memo keys), level by
+level of the schedule below (``_levels``), and runs the search.  Without
+them W = kink^-c o R fixes x exactly when R(x) = kink^c(x), R the
+reduced closure word's permutation (the identity if it reduces to ()).
 
 A relation whose input and over-arc are colored forces its output arc,
 whatever the colors, so the search follows a schedule fixed by the
@@ -115,11 +115,6 @@ from .fourleg import FourLegRack, enumerate_structures, make_fourleg, word_indic
 from .perms import Perm, cycle_string, cycle_type
 from .racks import RackTable, permutation_rack
 from .front import Presentation, classical_invariants, fundamental_presentation
-
-
-def _maps(rack: FourLegRack) -> dict[str, Perm]:
-    s = rack.structure
-    return {"ul": s.ul, "ur": s.ur, "dl": s.dl, "dr": s.dr}
 
 
 def apply_word(word, maps, x: int) -> int:
@@ -230,7 +225,7 @@ def _levels(pres: Presentation, rack: RackTable, perms) -> list:
     rows (sign +1) or ``RackTable.inv_rows`` (sign -1) read at W(a).
     W = kink^-c o R, R the permutation of the relation's reduced word, read
     off ``perms``, and kink^-c read off the rack table.  Each distinct rows
-    list (``pres.row_specs``) is built once."""
+    list (``pres.row_specs``, made with the presentation) is built once."""
     # a relation whose word reduces to () reads position -1: the identity
     perms = (*perms, range(rack.n))
     tables = []
@@ -280,7 +275,7 @@ def _search(levels, generators: int, n: int) -> int:
 def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
     """Independent oracle: scan all |X|^generators assignments."""
     rack = fl.rack
-    maps = _maps(fl)
+    maps = fl.structure._asdict()
     if not pres.relations:
         return sum(1 for x in range(rack.n)
                    if apply_word(pres.closure_word, maps, x) == x)
@@ -302,9 +297,8 @@ def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
 # ul o ur, as index words, and the key under which a structure holds its
 # inner dict: a presentation whose cusp words all reduce to it has the
 # same ``slice_key``, so the two counters share that inner dict.
-_UP_PAIR = ("ur", "ul")
-_UP_PAIR_WORDS = (word_indices(_UP_PAIR),)
-_UP_PAIR_KEY = repr((_UP_PAIR,))
+_UP_PAIR_WORDS = (word_indices(("ur", "ul")),)
+_UP_PAIR_KEY = repr((("ur", "ul"),))
 
 
 def permutation_fourleg(sigma, ul, ur) -> FourLegRack:

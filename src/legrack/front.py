@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .fourleg import cancel_cusp_pairs, word_indices
+from .fourleg import FourLegStructure, cancel_cusp_pairs, word_indices
 from .perms import FrozenRecord
 
 
@@ -64,6 +64,10 @@ def cusp_operator(side: str, vertical: str) -> str:
     return _CUSP_OPERATOR[(side, vertical)]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate_front(events) -> FrontCode:
     """Validate the cyclic event sequence; raise FrontError with the reason."""
     events = tuple(events)
@@ -76,7 +80,8 @@ def validate_front(events) -> FrontCode:
                 raise FrontError(f"event {i}: malformed cusp {ev!r}")
             cusp_sides.append(ev.side)
         elif isinstance(ev, CrossingPass):
-            if ev.sign not in (1, -1) or ev.role not in ("O", "U"):
+            if (not _is_int(ev.crossing) or not _is_int(ev.sign)
+                    or ev.sign not in (1, -1) or ev.role not in ("O", "U")):
                 raise FrontError(f"event {i}: malformed crossing pass {ev!r}")
             if ev.crossing in signs and signs[ev.crossing] != ev.sign:
                 raise FrontError(
@@ -191,20 +196,13 @@ class ScheduleLevel(NamedTuple):
     steps: tuple[ScheduleStep, ...]
 
 
-_STRUCTURE_MAPS = tuple(_CUSP_OPERATOR.values())
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_word(field: str, word) -> None:
     if not isinstance(word, tuple):
         raise ValueError(f"{field} must be a tuple of letters, got {word!r}")
     for letter in word:
-        if letter not in _STRUCTURE_MAPS:
+        if letter not in FourLegStructure._fields:
             raise ValueError(f"{field} has {letter!r}, not one of "
-                             f"{', '.join(_STRUCTURE_MAPS)}")
+                             f"{', '.join(FourLegStructure._fields)}")
 
 
 class Presentation(FrozenRecord):
@@ -232,10 +230,17 @@ class Presentation(FrozenRecord):
       permutation is composed from the structure tuple by index alone;
     - ``closure_pairs``, the number c of cancelling pairs removed from the
       closure word, so that it composes to kink^-c o R, R its reduced
-      word; a miss without crossings reads it.
-    The search schedule (``schedule``) and what fixes each relation's rows
-    (``row_specs``), which only a miss with crossings reads, are cached on
-    first use.
+      word; a miss without crossings reads it;
+    - ``row_specs``, the distinct (reduced_index, pairs, sign) of the
+      relations, in relation order: a relation's rows read its sign's
+      table at W(a) = kink^-pairs(R(a)), R its reduced word, at
+      ``reduced_index`` of ``reduced_words`` or -1 when R is ().
+      Relations with equal triples have equal rows on every structure;
+    - ``relation_rows``, each relation's index into ``row_specs``.
+    The last two come out of the same reduction of each cusp word as the
+    memo keys, so every word is reduced once.  Only the search schedule
+    (``schedule``) waits: the first miss with crossings, its one reader,
+    makes it, and it is cached on the presentation.
 
     A presentation no front could give raises ValueError naming the field:
     ``relations`` is a tuple of ``Relation``, every word is a tuple of
@@ -253,6 +258,8 @@ class Presentation(FrozenRecord):
     slice_key: str
     index_words: tuple[tuple[int, ...], ...]
     closure_pairs: int
+    row_specs: tuple[tuple[int, int, int], ...]
+    relation_rows: tuple[int, ...]
     _fields = ("generators", "relations", "closure_word")
 
     def __init__(self, generators: int, relations: tuple[Relation, ...],
@@ -286,6 +293,11 @@ class Presentation(FrozenRecord):
         words = [rel.word for rel in relations] or [closure_word]
         cancelled = list(map(cancel_cusp_pairs, words))
         reduced = tuple(sorted({r for r, _ in cancelled if r}))
+        position = {r: j for j, r in enumerate(reduced)}
+        rows: dict[tuple[int, int, int], int] = {}
+        relation_rows = tuple(
+            rows.setdefault((position.get(r, -1), c, rel.sign), len(rows))
+            for rel, (r, c) in zip(relations, cancelled))
         self.__dict__.update(generators=m, relations=relations,
                              closure_word=closure_word,
                              key=repr((m, relations, closure_word)),
@@ -293,7 +305,9 @@ class Presentation(FrozenRecord):
                              slice_key=repr(reduced),
                              index_words=tuple(map(word_indices, reduced)),
                              closure_pairs=0 if relations
-                             else cancelled[0][1])
+                             else cancelled[0][1],
+                             row_specs=tuple(rows),
+                             relation_rows=relation_rows)
 
     @cached_property
     def schedule(self) -> tuple[ScheduleLevel, ...]:
@@ -312,8 +326,6 @@ class Presentation(FrozenRecord):
         last level every arc is colored.
         """
         m = self.generators
-        index = {spec: k for k, spec in enumerate(self.row_specs)}
-        rows = [index[spec] for spec in self._relation_specs()]
         watch: list[list[int]] = [[] for _ in range(m)]
         for i, rel in enumerate(self.relations):
             for arc in dict.fromkeys((rel.in_arc, rel.over_arc)):
@@ -338,7 +350,8 @@ class Presentation(FrozenRecord):
                     done[i] = True
                     b = rel.out_arc
                     steps.append(ScheduleStep(i, rel.in_arc, rel.over_arc, b,
-                                              not known[b], rows[i]))
+                                              not known[b],
+                                              self.relation_rows[i]))
                     if not known[b]:
                         known[b] = True
                         trail.append(b)
@@ -351,24 +364,6 @@ class Presentation(FrozenRecord):
                     key=lambda g: (len(color(g, known[:], done[:])[0]), -g))
             levels.append(ScheduleLevel(g, color(g, known, done)[1]))
         return tuple(levels)
-
-    @cached_property
-    def row_specs(self) -> tuple[tuple[int, int, int], ...]:
-        """The distinct (reduced_index, pairs, sign) of the relations, in
-        relation order: a relation's rows read its sign's table at
-        W(a) = kink^-pairs(R(a)), R its reduced word, at ``reduced_index``
-        of ``reduced_words`` or -1 when R is ().  Relations with equal
-        triples have equal rows on every structure."""
-        return tuple(dict.fromkeys(self._relation_specs()))
-
-    def _relation_specs(self) -> list[tuple[int, int, int]]:
-        """(reduced_index, pairs, sign) of each relation, in order."""
-        position = {r: j for j, r in enumerate(self.reduced_words)}
-        specs = []
-        for rel in self.relations:
-            r, c = cancel_cusp_pairs(rel.word)
-            specs.append((position.get(r, -1), c, rel.sign))
-        return specs
 
 
 def fundamental_presentation(code: FrontCode) -> Presentation:

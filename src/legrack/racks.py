@@ -53,9 +53,7 @@ class RackTable(FrozenRecord):
 
     @cached_property
     def columns(self) -> tuple[Perm, ...]:
-        return tuple(
-            tuple(self.rows[x][y] for x in range(self.n)) for y in range(self.n)
-        )
+        return tuple(zip(*self.rows))
 
     @cached_property
     def inv_rows(self) -> tuple[tuple[int, ...], ...]:

@@ -260,6 +260,23 @@ def test_verify_fixtures_output_is_pinned(capsys, fixtures_dir):
         "38438d96c0756fad1547966e2e07ce69a6c043c82b723b2b71bbcbc205d9af90"
 
 
+def test_verify_fixtures_output_at_order_five_is_pinned(capsys,
+                                                       fixtures_dir):
+    code, out, _ = run(capsys, ["verify", "--fronts", fixtures_dir,
+                                "--max-order", "5", "--no-header"])
+    assert code == 0
+    assert len(out.splitlines()) == 185527
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c4859fd5f48b19c3caba6de78a3b2b6a80546163457fbb84c41052ccf6ea0f1b"
+
+
+def test_census_output_to_order_six_is_pinned(capsys):
+    code, out, _ = run(capsys, ["census", "--max-order", "6", "--no-header"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9c7bd9f8b9cf58eef7ced2f0afb411cd12c1a64e6d591b9b99abe1a172df40d6"
+
+
 def _verify_peak_bytes(fronts, order, path):
     tracemalloc.start()
     try:

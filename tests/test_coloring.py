@@ -7,11 +7,11 @@ from operator import eq
 
 import pytest
 
+import legrack.front
 from legrack.census import enumerate_racks
 from legrack.coloring import (
     VerifyReport,
     _levels,
-    _maps,
     _relation_output,
     _slice,
     apply_word,
@@ -119,7 +119,7 @@ def scan_colorings(pres, fl):
     assignment it rescans every relation until nothing changes, applying
     cusp words letter by letter."""
     rack = fl.rack
-    maps = _maps(fl)
+    maps = fl.structure._asdict()
     n = rack.n
     m = pres.generators
     if not pres.relations:
@@ -198,7 +198,7 @@ def oracle_fronts():
 
 
 def assert_rows_match_relation_output(fl, fronts):
-    maps = _maps(fl)
+    maps = fl.structure._asdict()
     for pres in fronts:
         levels = _levels(pres, fl.rack,
                          word_perms(fl, pres.reduced_words))
@@ -301,6 +301,27 @@ def test_schedule_colors_every_arc_and_runs_every_relation_once():
         assert colored == set(range(pres.generators))
 
 
+def test_a_presentation_reduces_each_cusp_word_once(monkeypatch):
+    """Making a presentation and running its first miss with crossings
+    reduce each relation's cusp word once: the memo keys, ``row_specs``,
+    ``relation_rows`` and the schedule all come from that one reduction."""
+    calls = []
+
+    def recording(word):
+        calls.append(word)
+        return cancel_cusp_pairs(word)
+
+    monkeypatch.setattr(legrack.front, "cancel_cusp_pairs", recording)
+    pres = fundamental_presentation(two_trefoil_sum())
+    words = [rel.word for rel in pres.relations]
+    assert len(words) == 6 and calls == words
+    fl = structure_classes(3)[-1]
+    cold = FourLegRack(RackTable(fl.rack.n, fl.rack.rows), fl.structure)
+    assert count_colorings(pres, cold) == brute_force_colorings(pres, fl)
+    assert "schedule" in vars(pres)
+    assert calls == words
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_count_matches_oracles_on_every_structure_class(n):
     codes = oracle_fronts()
@@ -363,7 +384,7 @@ def test_word_perm_matches_apply_word():
     structures = [fl for n in range(4) for fl in structure_classes(n)]
     assert len(structures) == 43
     for fl in structures:
-        maps = _maps(fl)
+        maps = fl.structure._asdict()
         perms = word_perms(fl, words)
         assert len(perms) == len(words)
         for w, perm in zip(words, perms):
@@ -513,7 +534,7 @@ def test_cancelled_pairs_compose_to_kink_inverse():
     reduced = {r for r, _ in reductions.values()}
     for fl in structures:
         kink_inv = [power(inverse(fl.rack.flags.kink), c) for c in range(3)]
-        maps = _maps(fl)
+        maps = fl.structure._asdict()
         perms = {r: word_perm(fl, r) for r in reduced}
         for w, (r, c) in reductions.items():
             assert compose(kink_inv[c], perms[r]) == tuple(
@@ -608,7 +629,7 @@ def unreduced_loop_permutation(pres, fl):
     by letter in traversal order: cusp maps and one sigma^sign per crossing
     relation, sigma read off the rack's first column."""
     sigma = fl.rack.columns[0]
-    maps = _maps(fl)
+    maps = fl.structure._asdict()
     loop = identity(len(sigma))
     for letter in pres.closure_word:
         loop = compose(maps[letter], loop)

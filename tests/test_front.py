@@ -61,6 +61,47 @@ def test_validate_rejects_bad_crossing_passes():
         validate_front((Cusp("X", "U"), Cusp("L", "D")))
 
 
+@pytest.mark.parametrize("crossing, sign", [(1, True), ("a", -1), (1.0, -1)])
+def test_validate_rejects_a_bool_sign_and_a_crossing_id_that_is_no_int(
+        crossing, sign):
+    # left_trefoil with crossing 1's passes replaced; were it accepted,
+    # the code would fail later, in fundamental_presentation or when its
+    # own text is read back
+    events = tuple(CrossingPass(crossing, sign, ev.role)
+                   if isinstance(ev, CrossingPass) and ev.crossing == 1
+                   else ev for ev in left_trefoil().events)
+    with pytest.raises(FrontError, match="event 3: malformed crossing pass"):
+        validate_front(events)
+
+
+def test_every_code_validate_accepts_round_trips_through_text():
+    """Seeded codes of 2-6 alternating cusps and 0-3 crossings, their ids
+    and signs drawn with values of the wrong type among them: each code
+    ``validate_front`` accepts is read back from its text with the same
+    events, types included."""
+    rng = random.Random(7)
+    ids = (0, 1, 2, -3, 10 ** 12, True, 1.0, "a")
+    signs = (1, -1, True, False, 1.0)
+    accepted = 0
+    for _ in range(2000):
+        first = rng.choice("LR")
+        events = [Cusp(first if i % 2 == 0 else "LR"[first == "L"],
+                       rng.choice("UD"))
+                  for i in range(2 * rng.randint(1, 3))]
+        for cid in rng.sample(ids, rng.randint(0, 3)):
+            sign = rng.choice(signs)
+            for role in "OU":
+                events.insert(rng.randint(0, len(events)),
+                              CrossingPass(cid, sign, role))
+        try:
+            code = validate_front(events)
+        except FrontError:
+            continue
+        accepted += 1
+        assert repr(front_from_text(front_to_text(code))) == repr(code)
+    assert accepted > 300
+
+
 def test_cusp_operator_convention():
     assert cusp_operator("L", "U") == "ul"
     assert cusp_operator("R", "U") == "ur"

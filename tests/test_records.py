@@ -95,10 +95,11 @@ def test_record_repr_equality_hash_and_immutability(make, text):
 
 
 def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
-    """``key``, ``reduced_words``, ``slice_key``, ``index_words`` and
-    ``closure_pairs``, computed when a presentation is made, are plain
-    attributes that can be neither assigned nor deleted, and its equality,
-    hash and repr read only its three fields."""
+    """``key``, ``reduced_words``, ``slice_key``, ``index_words``,
+    ``closure_pairs``, ``row_specs`` and ``relation_rows``, computed when a
+    presentation is made, are plain attributes that can be neither
+    assigned nor deleted, and its equality, hash and repr read only its
+    three fields."""
     rel = Relation(0, 0, 0, ("ur", "dl", "ul"), -1, 1)
     a, b = (Presentation(1, (rel,)) for _ in range(2))
     assert a.key == repr((1, (rel,), ()))
@@ -107,19 +108,31 @@ def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
     assert a.index_words == ((0,),)
     # the relation's word cancels a pair; only a closure word counts
     assert a.closure_pairs == 0
+    assert a.row_specs == ((0, 1, -1),) and a.relation_rows == (0,)
     closed = Presentation(1, (), ("ur", "dl", "ul", "dr", "ur"))
     assert closed.reduced_words == (("ur",),)
     assert closed.slice_key == "(('ur',),)"
     assert closed.index_words == ((1,),)
     assert closed.closure_pairs == 2
+    assert closed.row_specs == () and closed.relation_rows == ()
     two = Presentation(2, (Relation(0, 1, 0, ("dr", "dl"), 1, 1),
                            Relation(1, 0, 1, ("ul", "dr", "ur", "ul"), 1, 2)))
     assert two.reduced_words == (("dr", "dl"), ("ur", "ul"))
     assert two.slice_key == "(('dr', 'dl'), ('ur', 'ul'))"
     assert two.index_words == ((3, 2), (1, 0))
+    assert two.row_specs == ((0, 0, 1), (1, 1, 1))
+    assert two.relation_rows == (0, 1)
+    # one reduced word: the pairs and the sign keep specs apart, and
+    # relations with equal specs share one
+    apart = Presentation(2, (Relation(0, 1, 0, ("ur",), 1, 1),
+                             Relation(1, 0, 1, ("ul", "dr", "ur"), 1, 2),
+                             Relation(0, 1, 1, ("ur",), -1, 3),
+                             Relation(1, 0, 0, ("ur",), 1, 4)))
+    assert apart.row_specs == ((0, 0, 1), (0, 1, 1), (0, 0, -1))
+    assert apart.relation_rows == (0, 1, 2, 0)
     assert Presentation(1, (), ("ur", "dl")).slice_key == "()"
     names = ("key", "reduced_words", "slice_key", "index_words",
-             "closure_pairs")
+             "closure_pairs", "row_specs", "relation_rows")
     for p in (a, closed):
         assert set(names) <= vars(p).keys()
     for name in names:
@@ -131,7 +144,8 @@ def test_presentation_precomputed_attributes_are_fixed_and_not_its_value():
     # b's precomputed values replaced behind the guard: a and b still
     # compare, hash and print alike
     b.__dict__.update(key="other", reduced_words=(), slice_key="()",
-                      index_words=(), closure_pairs=5)
+                      index_words=(), closure_pairs=5, row_specs=(),
+                      relation_rows=())
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     for name in names:
         assert name not in repr(a)
