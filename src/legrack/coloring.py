@@ -7,7 +7,9 @@ crossing.  Each relation reads rows[a] = T[W(a)], with T the rack table for
 sign +1 and the inverse table for sign -1, so its output is rows[a][o], W
 the relation's cusp word composed into one permutation.  A front without
 crossings has one arc, and its colorings are the colors its closure word
-W fixes.
+W fixes.  The oracle composes each relation's rows once per call, applying
+the unreduced cusp word letter by letter, and then checks every one of
+the |X|^generators assignments; it shares no code with the generic counter.
 
 So the count depends only on the rack table, the presentation and the
 permutations W of its cusp words, and a shorter list of permutations fixes
@@ -273,20 +275,31 @@ def _search(levels, generators: int, n: int) -> int:
 
 
 def brute_force_colorings(pres: Presentation, fl: FourLegRack) -> int:
-    """Independent oracle: scan all |X|^generators assignments."""
+    """Independent oracle: scan all |X|^generators assignments.
+
+    Before the scan each relation's rows are composed once per call: row x
+    is the rack table's row (the inverse table's for sign -1) at W(x), W
+    the relation's cusp word as written, unreduced, applied letter by
+    letter by ``apply_word``.  An assignment is a coloring when every
+    relation's output arc reads rows[color(in)][color(over)].  The oracle
+    shares no code with the generic counter: no cancelled pairs, kink
+    powers, composed permutations, schedule or memo.
+    """
     rack = fl.rack
     maps = fl.structure._asdict()
+    n = rack.n
     if not pres.relations:
-        return sum(1 for x in range(rack.n)
+        return sum(1 for x in range(n)
                    if apply_word(pres.closure_word, maps, x) == x)
-    # each relation's arcs, read once per call rather than per assignment
-    rels = [(rel, rel.in_arc, rel.over_arc, rel.out_arc)
-            for rel in pres.relations]
+    rels = []
+    for rel in pres.relations:
+        table = rack.rows if rel.sign == 1 else rack.inv_rows
+        rows = [table[apply_word(rel.word, maps, x)] for x in range(n)]
+        rels.append((rows, rel.in_arc, rel.over_arc, rel.out_arc))
     count = 0
-    for values in itertools.product(range(rack.n), repeat=pres.generators):
-        if all(values[b] == _relation_output(rel, maps, rack, values[a],
-                                             values[o])
-               for rel, a, o, b in rels):
+    for values in itertools.product(range(n), repeat=pres.generators):
+        if all(values[b] == rows[values[a]][values[o]]
+               for rows, a, o, b in rels):
             count += 1
     return count
 

@@ -12,6 +12,7 @@ with W the arc's accumulated cusp word (earliest operator applied first).
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple
@@ -289,6 +290,9 @@ class Presentation(FrozenRecord):
             if not _is_int(rel.sign) or rel.sign not in (1, -1):
                 raise ValueError(f"relations[{i}].sign must be +1 or -1, "
                                  f"got {rel.sign!r}")
+            if not _is_int(rel.crossing):
+                raise ValueError(f"relations[{i}].crossing must be an int, "
+                                 f"got {rel.crossing!r}")
             _check_word(f"relations[{i}].word", rel.word)
         words = [rel.word for rel in relations] or [closure_word]
         cancelled = list(map(cancel_cusp_pairs, words))
@@ -478,6 +482,11 @@ def builtin_fixtures() -> dict[str, FrontCode]:
 
 # --- text format ---------------------------------------------------------------
 
+# A crossing id as ``front_to_text`` writes it: an optional minus and
+# ASCII digits, so ``int`` never sees "+1", "1_0" or non-ASCII digits.
+_CROSSING_ID = re.compile(r"-?[0-9]+")
+
+
 def front_to_text(code: FrontCode) -> str:
     lines = []
     for ev in code.events:
@@ -499,11 +508,10 @@ def front_from_text(text: str) -> FrontCode:
         if parts[0] == "CUSP" and len(parts) == 3:
             events.append(Cusp(parts[1], parts[2]))
         elif parts[0] == "X" and len(parts) == 4 and parts[2] in ("+", "-"):
-            try:
-                cid = int(parts[1])
-            except ValueError:
+            if not _CROSSING_ID.fullmatch(parts[1]):
                 raise FrontError(f"line {lineno}: bad crossing id {parts[1]!r}")
-            events.append(CrossingPass(cid, 1 if parts[2] == "+" else -1, parts[3]))
+            events.append(CrossingPass(int(parts[1]),
+                                       1 if parts[2] == "+" else -1, parts[3]))
         else:
             raise FrontError(f"line {lineno}: unrecognized event {raw!r}")
     return validate_front(events)

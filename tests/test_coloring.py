@@ -7,6 +7,8 @@ from operator import eq
 
 import pytest
 
+import legrack.coloring
+import legrack.fourleg
 import legrack.front
 from legrack.census import enumerate_racks
 from legrack.coloring import (
@@ -49,6 +51,7 @@ from legrack.front import (
 from legrack.perms import compose, identity, inverse, power
 from legrack.racks import (
     RackTable,
+    alexander_quandle,
     dihedral_quandle,
     permutation_rack,
     trivial_quandle,
@@ -596,6 +599,54 @@ def test_count_matches_brute_force(name):
              three_cycle_fourleg(ul=(1, 2, 0), ur=(2, 0, 1))]
     for fl in racks:
         assert count_colorings(pres, fl) == brute_force_colorings(pres, fl)
+
+
+def test_brute_force_applies_each_relation_word_once_per_color(monkeypatch):
+    """The oracle composes each relation's rows before the scan, so it
+    applies each cusp word once per color, not once per assignment."""
+    calls = []
+    real = legrack.coloring.apply_word
+
+    def counting(word, maps, x):
+        calls.append(word)
+        return real(word, maps, x)
+
+    monkeypatch.setattr(legrack.coloring, "apply_word", counting)
+    pres = fundamental_presentation(left_trefoil())
+    fl = make_fourleg(dihedral_quandle(3), identity(3), identity(3))
+    assert brute_force_colorings(pres, fl) == 9
+    assert len(calls) == len(pres.relations) * 3
+
+
+def test_brute_force_shares_no_code_with_the_generic_counter(monkeypatch):
+    """With the generic counter's search, its first touch and the Kimura
+    reduction made to raise, the oracle still gives the generic counts of
+    every fixture on every structure class of R3, R5 and the Alexander
+    quandle Z5 with t = 2."""
+    fronts = [fundamental_presentation(c) for c in builtin_fixtures().values()]
+    structures = [make_fourleg(rack, cls.ul, cls.ur)
+                  for rack in (dihedral_quandle(3), dihedral_quandle(5),
+                               alexander_quandle(5, 2))
+                  for cls in classify_structures(rack)]
+    expected = [count_colorings(pres, fl)
+                for fl in structures for pres in fronts]
+    assert sum(expected) == 168
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the generic counter's code")
+
+    for module, name in ((legrack.coloring, "_levels"),
+                         (legrack.coloring, "_search"),
+                         (legrack.coloring, "_slice"),
+                         (legrack.fourleg, "cancel_cusp_pairs"),
+                         (RackTable, "kink_power")):
+        monkeypatch.setattr(module, name, forbidden)
+    # fresh structures on fresh tables, so no memo the counts filled can
+    # answer for the oracle
+    fresh = [FourLegRack(RackTable(fl.rack.n, fl.rack.rows), fl.structure)
+             for fl in structures]
+    assert [brute_force_colorings(pres, fl)
+            for fl in fresh for pres in fronts] == expected
 
 
 def test_count_invariant_under_basepoint_rotation():

@@ -323,6 +323,11 @@ def _trefoil_with_first_relation(**changes):
                  r"relations\[0\]\.word", id="word-list"),
     pytest.param(lambda: Presentation(1, ((0, 0, 0, (), 1, 0),)),
                  r"relations\[0\]", id="relation-plain-tuple"),
+    # A crossing id that is not an int entered the memo key unchecked.
+    pytest.param(_trefoil_with_first_relation(crossing="x"),
+                 r"relations\[0\]\.crossing", id="str-crossing"),
+    pytest.param(_trefoil_with_first_relation(crossing=True),
+                 r"relations\[0\]\.crossing", id="bool-crossing"),
 ])
 def test_presentation_rejects_malformed_fields(build, field):
     with pytest.raises(ValueError, match=field):
@@ -345,6 +350,16 @@ def test_text_parse_errors():
         front_from_text("CUSP R U\nCUSP L D\nX q + O\n")
     with pytest.raises(FrontError):  # validation still applies
         front_from_text("CUSP R U\nCUSP R D\n")
+
+
+@pytest.mark.parametrize("cid", ["1_0", "+1", "\u0661"],
+                         ids=["underscore", "plus", "arabic-indic-digit"])
+def test_text_rejects_crossing_ids_the_writer_never_makes(cid):
+    # int() reads each of these, and front_to_text would write it back as
+    # a different string.
+    text = front_to_text(left_trefoil()).replace("X 1 ", f"X {cid} ")
+    with pytest.raises(FrontError, match="bad crossing id"):
+        front_from_text(text)
 
 
 def test_text_comments_ignored():
