@@ -18,7 +18,6 @@ from .racks import (
     RackFlags,
     RackTable,
     automorphism_group,
-    find_isomorphism,
     inner_group,
     rack_flags,
     validate_rack,

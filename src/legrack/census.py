@@ -117,46 +117,53 @@ itself.  If m < y, column m is assigned and is not the identity, so
 M = m.  If m = y, a candidate other than the identity makes M = y, and
 the identity maps every set into itself.  So a dropped candidate has no
 complete assignment below it: the raw tables and their order are
-unchanged, and only ``assign`` calls fall.
+unchanged, and only ``assign`` calls fall.  A node with no fixer (see the
+centralizer rule) slices its candidates from a rank-sorted pool already
+filtered for its m, one per m, made on first use; a node with fixers
+filters its centralizer candidates.  Both give the branch list that
+filtering the unfiltered candidates would, in the same order.
 
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.
 
-Dedupe and counts: the raw tables are bucketed by an invariant key, the
-kink's flags and cycle type plus the sorted ``RackTable.element_colors``,
-and tested for isomorphism only within a bucket.  The colors are
-invariants: an isomorphism phi has phi b_y phi^-1 = b_phi(y),
-phi kink = kink phi, and row phi(x) equal to phi (row x) phi^-1, so column
-cycle type, kink cycle length and row value multiplicities at x are those
-at phi(x).  So the isomorphism search, which maps x only to elements of
-the same color, cuts only branches holding no isomorphism and still yields
-every isomorphism in lexicographic order, the least one first.  A
-rack's structure classes, the orbits of U_X x U_X under diagonal
-conjugation by Aut(X), are counted by Burnside as
+Dedupe: the raw tables are bucketed by an invariant key, the kink's flags
+and cycle type plus the sorted ``RackTable.element_colors``, and tested
+for isomorphism only within a bucket.  ``dedupe_racks`` reads the flags
+and colors off the column indices and leaves them in each table's caches.
+The colors are invariants: an isomorphism phi has phi b_y phi^-1 =
+b_phi(y), phi kink = kink phi, and row phi(x) equal to phi (row x)
+phi^-1, so column cycle type, kink cycle length and row value
+multiplicities at x are those at phi(x).
+
+Isomorphisms are read off the index tables with no search
+(``_isomorphisms``).  A permutation phi is an isomorphism from X to X'
+exactly when phi(b_z(x)) = b'_phi(z)(phi(x)) for all x and z, that is
+when phi b_z = b'_phi(z) phi for every column z.  Fix a column b_y of X.
+An isomorphism maps y to some v of y's color and so conjugates b_y to
+b'_v.  The phi with phi b_y phi^-1 = b'_v form one left coset of the
+centralizer C(b_y).  Proof: ``_centralizers`` records ``trans[i]``, a g
+with g p g^-1 = i for the first member p of i's conjugacy class; b_y and
+b'_v share a color, so a cycle type and that p, and conjugation by
+phi_0 = trans[b'_v] trans[b_y]^-1 carries b_y to p and then p to b'_v.
+A phi conjugates b_y to b'_v exactly when phi_0^-1 phi commutes with b_y,
+that is when phi lies in phi_0 C(b_y).  The cosets of distinct columns
+b'_v are disjoint.  So the isomorphisms are the members of these cosets,
+over the distinct columns of X' of y's color, that meet
+phi b_z = b'_phi(z) phi at every z; y is the element whose |C(b_y)| times
+the number of those columns is least.  The dedupe takes the first one,
+if there is one.  Aut(X) is the case X' = X (``_aut_indices``), and U_X
+is the automorphisms with b_phi(z) = b_z for every z (see
+``RackTable.gl_center``).  ``racks._iso_search``,
+``RackTable.automorphisms`` and ``gl_center``, which serve racks of any
+order, are the oracle of this computation.
+
+Counts: a rack's structure classes, the orbits of U_X x U_X under
+diagonal conjugation by Aut(X), are counted by Burnside as
 (1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is normal in Aut(X): for h in
 Aut, h b_y h^-1 = b_h(y), so h Inn h^-1 = Inn and h U_X h^-1 centralizes
 Inn as well.  Then C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per
 conjugacy class of Aut, weighted by its size (``_structure_class_count``).
-
-Aut(X) and U_X are read off the index tables with no isomorphism search
-(``_aut_indices``).  A permutation phi is an automorphism exactly when
-phi(b_z(x)) = b_phi(z)(phi(x)) for all x and z, that is when
-phi b_z = b_phi(z) phi for every column z.  Fix a column b_y.  An
-automorphism maps y to some v of y's color and so conjugates b_y to
-b_v.  The phi with phi b_y phi^-1 = b_v form one left coset of the
-centralizer C(b_y).  Proof: ``_centralizers`` records ``trans[i]``, a g
-with g p g^-1 = i for the first member p of i's conjugacy class; b_y and
-b_v share a color, so a cycle type and that p, and conjugation by
-phi_0 = trans[b_v] trans[b_y]^-1 carries b_y to p and then p to b_v.
-A phi conjugates b_y to b_v exactly when phi_0^-1 phi commutes with b_y,
-that is when phi lies in phi_0 C(b_y).  The cosets of distinct columns
-b_v are disjoint.  So Aut(X) is the members of these cosets, over the
-distinct columns of y's color, that meet phi b_z = b_phi(z) phi at every
-z; y is the element whose |C(b_y)| times the number of those columns is
-least.  U_X is the automorphisms with b_phi(z) = b_z for every z (see
-``RackTable.gl_center``).  ``RackTable.automorphisms`` and ``gl_center``,
-which serve racks of any order, are the oracle of this computation.
 """
 from __future__ import annotations
 
@@ -166,8 +173,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .perms import compose, cycle_type, inverse
-from .racks import RackTable, find_isomorphism, rack_flags
+from .perms import compose, cycle_type, cycles, inverse
+from .racks import RackFlags, RackTable, rack_flags
 
 MAX_ENUM_ORDER = 6
 
@@ -283,8 +290,10 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     base_rank = rank[first_col]
     pool = sorted((i for i in range(len(perms)) if rank[i] >= base_rank),
                   key=rank.__getitem__)
-    pool_rank = [rank[i] for i in pool]
-    top_rank = pool_rank[-1]
+    top_rank = rank[pool[-1]]
+    # the rank-sorted branch pools with their ranks: the whole pool, and in
+    # the identity shard one per m of the identity-prefix rule
+    pools: dict = {None: (pool, [rank[i] for i in pool])}
     # the positions of S = {0} u Fix(column 0)
     c = perms[first_col]
     ordered = [x == 0 or v == x for x, v in enumerate(c)]
@@ -371,19 +380,26 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         # commutes with everything
         fixers = sorted({c for c in cols if c > 0 and perms[c][y] == y},
                         key=lambda c: len(cent[c]))
+        # the identity-prefix rule (identity shard only): the identity
+        # columns are {0..m-1}, or {0..y-1} if b_y is not the identity, and
+        # every column maps them into themselves
+        m = next((x for x in range(y) if cols[x]), y) if first_col == 0 \
+            else None
         if fixers:
             rest = fixers[1:]
             branch = [r for r in cent[fixers[0]] if lo <= rank[r] <= hi
                       and all(prod[r][f] == prod[f][r] for f in rest)]
+            if m is not None:
+                branch = [r for r in branch if max(perms[r][:m]) < m]
         else:
-            branch = pool[bisect_left(pool_rank, lo):
-                          bisect_right(pool_rank, hi)]
-        if first_col == 0:
-            # the identity-prefix rule: the identity columns are {0..m-1},
-            # or {0..y-1} if b_y is not the identity, and every column maps
-            # them into themselves
-            m = next((x for x in range(y) if cols[x]), y)
-            branch = [r for r in branch if max(perms[r][:m]) < m]
+            # the pool, rank-sorted, already filtered for this m; made on
+            # first use
+            if m not in pools:
+                kept = [r for r in pool if max(perms[r][:m]) < m]
+                pools[m] = kept, [rank[r] for r in kept]
+            kept, kept_rank = pools[m]
+            branch = kept[bisect_left(kept_rank, lo):
+                          bisect_right(kept_rank, hi)]
         # the pre-check: the rule b_y(b) for every assigned b and b = y,
         # each a comparison the first pop of assign(y, r) would make
         assigned_cols = [(b, cols[b]) for b in assigned]
@@ -438,10 +454,39 @@ def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
     return table
 
 
-def _invariant_key(rack: RackTable):
-    flags = rack_flags(rack)
-    return (flags.is_quandle, flags.is_involutory,
-            cycle_type(flags.kink), tuple(sorted(rack.element_colors)))
+def _isomorphisms(n: int, src_cols, src_colors, dst_cols, dst_colors):
+    """Yield every phi, an index of ``_tables(n)``, with
+    phi b_z phi^-1 = b'_phi(z) for every z: the isomorphisms from the
+    table whose column indices are ``src_cols`` to the one whose column
+    indices are ``dst_cols``.  The colors are the two tables'
+    ``element_colors``.  Each phi is drawn from the centralizer cosets of
+    one column (see the module docstring), and no phi is yielded twice."""
+    if n == 0:
+        yield 0
+        return
+    perms, prod, inv, *_ = _tables(n)
+    cent, trans = _centralizers(n)
+    dst_rows = [prod[c] for c in dst_cols]
+    targets: dict = {}
+    for color, c in zip(dst_colors, dst_cols):
+        targets.setdefault(color, set()).add(c)
+    # the y that leaves the fewest candidates, |C(b_y)| per distinct column
+    # of y's color
+    y = min(range(n), key=lambda x: len(cent[src_cols[x]])
+            * len(targets.get(src_colors[x], ())))
+    c_y = cent[src_cols[y]]
+    back = inv[trans[src_cols[y]]]
+    for b_v in targets.get(src_colors[y], ()):
+        # the phi with phi b_y phi^-1 = b'_v: trans[b'_v] trans[b_y]^-1 C(b_y)
+        coset = prod[prod[trans[b_v]][back]]
+        for phi in map(coset.__getitem__, c_y):
+            # phi b_z = b'_phi(z) phi for every z
+            prod_phi = prod[phi]
+            for c, px in zip(src_cols, perms[phi]):
+                if prod_phi[c] != dst_rows[px][phi]:
+                    break
+            else:
+                yield phi
 
 
 def dedupe_racks(racks) -> list[RackTable]:
@@ -451,16 +496,65 @@ def dedupe_racks(racks) -> list[RackTable]:
     those it was fed, not by a canonical form: the representative depends
     on the input set, and a relabeled copy fed with it can win.  So a
     certificate or pin on representatives must fix its input set.
+
+    The tables must share one order n, at most ``MAX_ENUM_ORDER``: they
+    are read as indices of ``_tables(n)``, which holds n!^2 entries.  Each
+    table's ``flags`` and ``element_colors`` are filled from those
+    indices, and the key is the kink's flags and cycle type plus the
+    sorted colors.
     """
+    racks = list(racks)
+    orders = sorted({rack.n for rack in racks})
+    if len(orders) > 1:
+        raise ValueError(f"dedupe_racks needs tables of one order, got "
+                         f"orders {orders}")
+    if not racks:
+        return []
+    n = orders[0]
+    if n > MAX_ENUM_ORDER:
+        raise ValueError(f"order {n} is above {MAX_ENUM_ORDER}: the dedupe "
+                         f"reads the S_n tables, which hold n!^2 entries")
+    perms, _, inv, _, types, index = _tables(n)
+    identity = perms[0]
+    # per distinct kink: its cycle type and each element's cycle length;
+    # per distinct row: its value multiplicities, in descending order
+    kinks: dict = {}
+    counts: dict = {}
+    candidates = []
+    for rack in racks:
+        cols = [index[c] for c in rack.columns]
+        kink = tuple(perms[c][x] for x, c in enumerate(cols))
+        if kink not in kinks:
+            lengths = [1] * n
+            for cyc in cycles(kink):
+                for x in cyc:
+                    lengths[x] = len(cyc)
+            kinks[kink] = types[index[kink]], lengths
+        kink_type, lengths = kinks[kink]
+        rows = rack.rows
+        for row in rows:
+            if row not in counts:
+                counts[row] = tuple(sorted(map(row.count, set(row)),
+                                           reverse=True))
+        colors = tuple(zip(map(types.__getitem__, cols), lengths,
+                           map(counts.__getitem__, rows)))
+        flags = RackFlags(is_quandle=kink == identity,
+                          is_involutory=all(inv[c] == c for c in cols),
+                          kink=kink)
+        rack.__dict__.update(flags=flags, element_colors=colors)
+        key = (flags.is_quandle, flags.is_involutory, kink_type,
+               tuple(sorted(colors)))
+        candidates.append((key, rows, rack, cols))
+    candidates.sort(key=itemgetter(0, 1))
     buckets: dict = {}
-    candidates = sorted(((_invariant_key(r), r) for r in racks),
-                        key=lambda kr: (kr[0], kr[1].rows))
     reps: list[RackTable] = []
-    for key, rack in candidates:
+    for key, _, rack, cols in candidates:
+        colors = rack.element_colors
         bucket = buckets.setdefault(key, [])
-        if any(find_isomorphism(rack, other) is not None for other in bucket):
+        if any(next(_isomorphisms(n, cols, colors, *other), None) is not None
+               for other in bucket):
             continue
-        bucket.append(rack)
+        bucket.append((cols, colors))
         reps.append(rack)
     return reps
 
@@ -509,38 +603,14 @@ def _in_family(flags, family: str) -> bool:
 
 
 def _aut_indices(rack: RackTable) -> tuple[list[int], list[int]]:
-    """Aut(X) and U_X as indices of ``_tables``, read off the centralizer
-    cosets of one column with no isomorphism search (see the module
-    docstring)."""
+    """Aut(X) and U_X as indices of ``_tables``: Aut(X) is the
+    isomorphisms from X to itself, read off the centralizer cosets of one
+    column with no isomorphism search (see the module docstring)."""
     n = rack.n
-    if n == 0:
-        return [0], [0]
-    perms, prod, inv, _, _, index = _tables(n)
-    cent, trans = _centralizers(n)
+    perms, *_, index = _tables(n)
     cols = [index[c] for c in rack.columns]
-    col_rows = [prod[c] for c in cols]
     colors = rack.element_colors
-    targets: dict = {}
-    for color, c in zip(colors, cols):
-        targets.setdefault(color, set()).add(c)
-    # the y that leaves the fewest candidates, |C(b_y)| per distinct column
-    # of y's color
-    y = min(range(n),
-            key=lambda x: len(cent[cols[x]]) * len(targets[colors[x]]))
-    c_y = cent[cols[y]]
-    back = inv[trans[cols[y]]]
-    aut = []
-    for b_v in targets[colors[y]]:
-        # the phi with phi b_y phi^-1 = b_v: trans[b_v] trans[b_y]^-1 C(b_y)
-        coset = prod[prod[trans[b_v]][back]]
-        for phi in map(coset.__getitem__, c_y):
-            # phi b_z = b_phi(z) phi for every z
-            prod_phi = prod[phi]
-            for c, px in zip(cols, perms[phi]):
-                if prod_phi[c] != col_rows[px][phi]:
-                    break
-            else:
-                aut.append(phi)
+    aut = list(_isomorphisms(n, cols, colors, cols, colors))
     center = [phi for phi in aut if [cols[px] for px in perms[phi]] == cols]
     return aut, center
 

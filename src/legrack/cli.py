@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from math import factorial
 
 from . import __version__
@@ -183,7 +184,11 @@ def _verify_lines(report, header: list[str]):
         yield f"# violation: {v}"
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: its objects hold
+    each other in cycles, so a parser per call would leave them to the
+    cyclic collector.  Parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="legrack",
         description="Finite racks, 4-Legendrian structures, and Legendrian "

@@ -97,7 +97,7 @@ class RackTable(FrozenRecord):
         cycle under the kink and the value multiplicities of row x, in
         descending order.  An isomorphism phi carries each of the three at
         x to the same at phi(x), so the colors are isomorphism invariants
-        that ``_iso_search`` matches on."""
+        that ``_iso_search`` and the census's coset method match on."""
         kink_len = [1] * self.n
         for cyc in cycles(self.flags.kink):
             for x in cyc:
@@ -341,11 +341,6 @@ def _iso_search(src: RackTable, dst: RackTable):
         # frees this search's lists now rather than in a cyclic collection,
         # also when the caller abandons the search after a first yield.
         del extend
-
-
-def find_isomorphism(a: RackTable, b: RackTable) -> Perm | None:
-    """The lexicographically least rack isomorphism a -> b, or None."""
-    return next(_iso_search(a, b), None)
 
 
 def automorphism_group(rack: RackTable) -> PermGroup:

@@ -6,12 +6,15 @@ import sys
 
 import pytest
 
+import legrack.census
 from legrack.census import (
     FAMILY_NAMES,
+    MAX_ENUM_ORDER,
     _aut_indices,
     _canonical_first_columns,
     _centralizers,
     _cols_to_table,
+    _isomorphisms,
     _rack_classes,
     _search_shard,
     _tables,
@@ -23,9 +26,9 @@ from legrack.perms import compose, conjugate, cycle_type, inverse
 from legrack.racks import (
     RackError,
     RackTable,
+    _iso_search,
     automorphism_group,
     dihedral_quandle,
-    find_isomorphism,
     permutation_rack,
     rack_flags,
     trivial_quandle,
@@ -53,7 +56,7 @@ def test_enumeration_matches_brute_force(n, count):
     assert len(brute) == count
     # same classes, not just same count
     for rep in reps:
-        assert sum(find_isomorphism(rep, other) is not None
+        assert sum(next(_iso_search(rep, other), None) is not None
                    for other in brute) == 1
 
 
@@ -69,7 +72,7 @@ def test_enumeration_yields_valid_pairwise_nonisomorphic_tables():
         for rack in reps:
             validate_rack(rack.rows)
         for a, b in itertools.combinations(reps, 2):
-            assert find_isomorphism(a, b) is None
+            assert next(_iso_search(a, b), None) is None
 
 
 def _sha256(value) -> str:
@@ -415,7 +418,7 @@ def test_representatives_match_oracle(rack_classes, oracle_classes):
         reps, oracle = rack_classes[n], oracle_classes[n]
         assert len(reps) == len(oracle)
         for rep in reps:
-            assert sum(find_isomorphism(rep, other) is not None
+            assert sum(next(_iso_search(rep, other), None) is not None
                        for other in oracle) == 1, (n, rep.rows)
 
 
@@ -460,7 +463,7 @@ def test_known_families_are_represented():
     for rack in [trivial_quandle(4), dihedral_quandle(4),
                  permutation_rack((1, 2, 3, 0)),
                  permutation_rack((1, 0, 3, 2))]:
-        assert sum(find_isomorphism(rack, rep) is not None
+        assert sum(next(_iso_search(rack, rep), None) is not None
                    for rep in reps4) == 1
 
 
@@ -538,14 +541,69 @@ def test_aut_indices_match_the_search(rack_classes):
                 rack.gl_center.elements, rack.rows
 
 
+def test_isomorphisms_match_the_search(rack_classes):
+    # the centralizer cosets against the backtracking search, for every
+    # raw table of the column search of order <= 5 against every
+    # representative; both read colors of fresh tables, not the ones the
+    # dedupe fills
+    for n in range(1, 6):
+        perms, *_, index = _tables(n)
+        reps = [RackTable(n, rep.rows) for rep in rack_classes[n]]
+        rep_cols = [[index[c] for c in rep.columns] for rep in reps]
+        for first_col in _canonical_first_columns(n):
+            for cols in _search_shard(n, first_col):
+                raw = RackTable(n, _cols_to_table(n, cols).rows)
+                for rep, dst_cols in zip(reps, rep_cols):
+                    found = [perms[phi] for phi in _isomorphisms(
+                        n, list(cols), raw.element_colors,
+                        dst_cols, rep.element_colors)]
+                    assert len(found) == len(set(found)), raw.rows
+                    assert set(found) == set(_iso_search(raw, rep)), \
+                        (raw.rows, rep.rows)
+
+
+def test_dedupe_fills_flags_and_colors_as_a_fresh_table_has_them(
+        search_raw):
+    # the dedupe reads them off the column indices; a fresh table computes
+    # them from its rows.  Each raw table is fed with a relabeled copy, so
+    # that no position (column 0 of a shard, say) holds the same kind of
+    # column in every table.
+    for n, shards in enumerate(search_raw, start=1):
+        tables = [_cols_to_table(n, cols) for shard in shards
+                  for cols in shard]
+        shift = tuple(range(1, n)) + (0,)
+        tables += [relabeled(table, shift) for table in tables]
+        dedupe_racks(tables)
+        for table in tables:
+            fresh = RackTable(n, table.rows)
+            assert vars(table)["flags"] == fresh.flags, table.rows
+            assert vars(table)["element_colors"] == fresh.element_colors, \
+                table.rows
+
+
+def test_dedupe_rejects_tables_of_different_orders():
+    with pytest.raises(ValueError, match="one order"):
+        dedupe_racks([trivial_quandle(2), trivial_quandle(3)])
+
+
+def test_dedupe_rejects_orders_above_the_enumeration_bound():
+    # the dedupe reads the S_n tables, which hold n!^2 entries
+    with pytest.raises(ValueError, match="above"):
+        dedupe_racks([trivial_quandle(MAX_ENUM_ORDER + 1)])
+
+
 def test_census_counts_make_no_automorphism_search(iso_search_calls):
-    # Aut(X) and U_X come from ``_aut_indices``; the dedupe's searches,
-    # each between two tables, are bounded by ``ISO_SEARCH_CALLS``.  The
-    # cleared cache makes the census enumerate again, so the dedupe searches.
+    # Aut(X) and U_X come from ``_aut_indices``, and the dedupe tests
+    # isomorphisms on the centralizer cosets, so the census makes no
+    # ``_iso_search`` call.  The cleared cache makes the census enumerate
+    # again, so the dedupe runs too.
     _rack_classes.cache_clear()
     for n in range(1, 7):
         census_counts(n)
-    assert iso_search_calls and True not in iso_search_calls
+    assert iso_search_calls == []
+    # the recorder sees a search where there is one
+    automorphism_group(dihedral_quandle(5))
+    assert iso_search_calls == [True]
 
 
 def test_family_containments():
@@ -594,8 +652,8 @@ def relabeled(rack, phi):
 
 def test_searches_leave_no_cyclic_garbage():
     # the column search and the isomorphism search free their lists when
-    # they return, not by the collector; ``find_isomorphism`` abandons its
-    # search after the first isomorphism
+    # they return, not by the collector, also when the caller abandons the
+    # isomorphism search after the first isomorphism
     first_columns = _canonical_first_columns(5)
     shards = [_search_shard(5, fc) for fc in first_columns]
     rack = dihedral_quandle(5)
@@ -607,9 +665,9 @@ def test_searches_leave_no_cyclic_garbage():
         for fc, shard in zip(first_columns, shards):
             assert _search_shard(5, fc) == shard
             assert gc.collect() == 0, fc
-        assert find_isomorphism(rack, copy) is not None
+        assert next(_iso_search(rack, copy), None) is not None
         assert gc.collect() == 0
-        assert find_isomorphism(rack, trivial_quandle(5)) is None
+        assert next(_iso_search(rack, trivial_quandle(5)), None) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -636,21 +694,31 @@ def test_element_colors_move_with_a_relabeling(rack_classes):
             min(a.rows, b.rows) for a, b in zip(reps, copies)), n
 
 
-# ``_iso_search`` calls made by ``enumerate_racks(n)`` for n = 1..6: one per
-# pair of tables that share a dedupe key and are compared.  A weaker key
-# puts more tables in a bucket, and a weaker swap rule in the search feeds
-# the dedupe more duplicates; either shows here first.  Without the swap
-# rule the dedupe makes [0, 0, 1, 6, 87, 862] searches.
+# Isomorphism tests (``_isomorphisms`` calls) made by ``enumerate_racks(n)``
+# for n = 1..6: one per pair of tables that share a dedupe key and are
+# compared.  A weaker key puts more tables in a bucket, and a weaker swap
+# rule in the search feeds the dedupe more duplicates; either shows here
+# first.  Without the swap rule the dedupe makes [0, 0, 1, 6, 87, 862]
+# tests.
 ISO_SEARCH_CALLS = [0, 0, 1, 4, 30, 166]
 
 
-def test_dedupe_makes_few_isomorphism_searches(iso_search_calls):
+def test_dedupe_makes_few_isomorphism_searches(monkeypatch):
     # each order is enumerated afresh, once the orders below it are cached
+    tests = []
+    real = legrack.census._isomorphisms
+
+    def recording(*args):
+        tests.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(legrack.census, "_isomorphisms", recording)
     _rack_classes.cache_clear()
     counts = []
     for n in range(1, 7):
-        iso_search_calls.clear()
+        tests.clear()
         enumerate_racks(n)
-        counts.append(len(iso_search_calls))
+        counts.append(len(tests))
     assert all(c <= bound for c, bound in zip(counts, ISO_SEARCH_CALLS)), \
         counts
+    assert counts[-1] > 0

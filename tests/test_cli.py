@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import re
 import tracemalloc
@@ -151,6 +152,22 @@ def test_census_csv(capsys):
     assert "2,racks,2,8" in lines
     assert "2,quandles,1,4" in lines
     assert len(lines) == 1 + 4 * 3
+
+
+def test_a_second_call_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once per process, so a repeated call makes no
+    # argparse objects for the collector; a parser per call left 285
+    argv = ["census", "--max-order", "6", "--no-header"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert build_parser() is build_parser()
+    capsys.readouterr()
 
 
 def test_census_header_and_output_file(capsys, tmp_path):

@@ -18,7 +18,6 @@ from legrack.racks import (
     alexander_quandle,
     automorphism_group,
     dihedral_quandle,
-    find_isomorphism,
     inner_group,
     load_rack,
     permutation_rack,
@@ -160,11 +159,11 @@ def test_automorphism_group_matches_brute_force(rack_classes):
         assert automorphism_group(rack).elements == set(brute), rack.rows
 
 
-def test_find_isomorphism_is_the_least_one(rack_classes):
+def test_iso_search_yields_the_least_one_first(rack_classes):
     # every raw table of the column search of order <= 5 against every
     # representative: the colored search yields every isomorphism, each
-    # once and in lexicographic order, so ``find_isomorphism`` finds one
-    # exactly when one exists, and the lexicographically least one.  The
+    # once and in lexicographic order, so its first yield is there exactly
+    # when an isomorphism exists, and is the lexicographically least.  The
     # brute force carries the table along each phi of S_n, in
     # lexicographic order, and looks the image up among the
     # representatives.
@@ -186,7 +185,7 @@ def test_find_isomorphism_is_the_least_one(rack_classes):
                 assert sum(map(bool, isos)) == 1, raw.rows
                 assert [list(_iso_search(raw, rep)) for rep in reps] == \
                     isos, raw.rows
-                assert [find_isomorphism(raw, rep) for rep in reps] == \
+                assert [next(_iso_search(raw, rep), None) for rep in reps] == \
                     [found[0] if found else None for found in isos], raw.rows
 
 
@@ -237,17 +236,18 @@ def test_inner_groups():
     assert inner_group(dihedral_quandle(3)).order == 6
 
 
-def test_find_isomorphism_examples():
+def test_iso_search_examples():
     t3 = trivial_quandle(3)
-    assert find_isomorphism(t3, t3) == identity(3)
-    assert find_isomorphism(trivial_quandle(2), permutation_rack((1, 0))) is None
+    assert next(_iso_search(t3, t3)) == identity(3)
+    assert next(_iso_search(trivial_quandle(2), permutation_rack((1, 0))),
+                None) is None
     d5 = dihedral_quandle(5)
     relabel = (2, 4, 0, 3, 1)  # d5 carried along a non-identity relabelling
     back = inverse(relabel)
     moved = validate_rack([[relabel[d5.rows[back[x]][back[y]]]
                             for y in range(5)] for x in range(5)])
     assert moved.rows != d5.rows
-    phi = find_isomorphism(d5, moved)
+    phi = next(_iso_search(d5, moved), None)
     assert phi is not None
     assert all(phi[d5.rows[x][y]] == moved.rows[phi[x]][phi[y]]
                for x in range(5) for y in range(5))
@@ -256,7 +256,7 @@ def test_find_isomorphism_examples():
 def test_isomorphism_preserves_structure():
     a = alexander_quandle(5, 2)
     b = alexander_quandle(5, 3)
-    phi = find_isomorphism(a, b)
+    phi = next(_iso_search(a, b), None)
     if phi is not None:
         for x in range(5):
             for y in range(5):
