@@ -79,11 +79,16 @@ table of each isomorphism class within a shard's output is never dropped.
 Nor do the representatives move: ``dedupe_racks`` keeps the least table
 (by key, then rows) it is fed, and every table of a class shares its key,
 so that table is rows-least in its class within its own shard and is
-still fed.  The rule compares rows, not column indices, for that reason.
-It only filters the leaves, so the search tree and its ``assign`` calls
-are unchanged.  It is the isomorph rejection of Read ("Every one a winner",
-Ann. Discrete Math. 1978) and McKay ("Isomorph-free exhaustive
-generation", J. Algorithms 1998), restricted to a shard's transpositions.
+still fed.  The rule compares rows, not column indices, for that reason,
+but it reads them off the indices without building a row: h is its own
+inverse, so column y of h.X is h b_{h(y)} h, and the first entry in
+row-major order where h.X and X differ lies in the least row x where some
+column differs, in the least such column; the test stops at a difference
+in row 0.  It only filters the leaves, so the search tree and its
+``assign`` calls are unchanged.  It is the isomorph rejection of Read
+("Every one a winner", Ann. Discrete Math. 1978) and McKay ("Isomorph-free
+exhaustive generation", J. Algorithms 1998), restricted to a shard's
+transpositions.
 
 Isolated-point split: the identity shard holds only the racks with two or
 more identity columns, so its column 1 is the identity as well; the racks
@@ -120,12 +125,14 @@ complete assignment below it: the raw tables and their order are
 unchanged, and only ``assign`` calls fall.  A node with no fixer (see the
 centralizer rule) slices its candidates from a rank-sorted pool already
 filtered for its m, one per m, made on first use; a node with fixers
-filters its centralizer candidates.  Both give the branch list that
-filtering the unfiltered candidates would, in the same order.
+filters its centralizer candidates, first by the rank window and then once
+per further fixer.  Both give the branch list that filtering the
+unfiltered candidates would, in the same order.
 
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
-by composing permutation tuples.
+by composing permutation tuples.  Every shard's pool is a suffix of one
+rank-sorted order of S_n per order (``_rank_order``).
 
 Dedupe: the raw tables are bucketed by an invariant key, the kink's flags
 and cycle type plus the sorted ``RackTable.element_colors``, and tested
@@ -173,7 +180,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .perms import compose, cycle_type, cycles, inverse
+from .perms import cycle_type, cycles, inverse
 from .racks import RackFlags, RackTable, rack_flags
 
 MAX_ENUM_ORDER = 6
@@ -201,15 +208,21 @@ def _tables(n: int):
     generate S_n.  Row(p o g) has index ``row_p[g]``, so it is composed
     only when that row is still missing: n! - 1 compositions in all.  Each
     row is a tuple, composed by an ``itemgetter`` over row(g).
+
+    The perms are in lexicographic order, as ``itertools.permutations``
+    makes them.  The cycle type is computed once per conjugacy class, for
+    its first member, and spread to the rest of the class along
+    conjugation by the two generators.
     """
-    perms = sorted(itertools.permutations(range(n)))
+    perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     inv = [index[inverse(p)] for p in perms]
     gens = ([tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
             if n >= 2 else [])
     # n! >= 2 here, so each getter returns a tuple
     gen_rows = [(index[g],
-                 itemgetter(*[index[compose(g, q)] for q in perms]))
+                 itemgetter(*[index[tuple(map(g.__getitem__, q))]
+                              for q in perms]))
                 for g in gens]
     prod: list = [None] * len(perms)
     prod[0] = tuple(range(len(perms)))
@@ -221,7 +234,19 @@ def _tables(n: int):
             if prod[q] is None:
                 prod[q] = row_g(row_p)
                 frontier.append(q)
-    types = [cycle_type(p) for p in perms]
+    # g q g^-1 is prod[prod[g][q]][inv[g]]
+    conjugators = [(prod[g], inv[g]) for g, _ in gen_rows]
+    types: list = [None] * len(perms)
+    for p, perm in enumerate(perms):
+        if types[p] is None:
+            t = types[p] = cycle_type(perm)
+            klass = [p]
+            for q in klass:
+                for prod_g, ig in conjugators:
+                    c = prod[prod_g[q]][ig]
+                    if types[c] is None:
+                        types[c] = t
+                        klass.append(c)
     type_rank = {t: i for i, t in enumerate(sorted(set(types)))}
     rank = [type_rank[t] for t in types]
     return perms, prod, inv, rank, types, index
@@ -263,8 +288,11 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
     Conjugation by h relabels the cycles of p, and h(0) = 0 keeps the one
     through 0 there, so two permutations share an orbit exactly when they
     share a cycle type and the length of the cycle through 0.  The perms,
-    their indices and cycle types are those of ``_tables``.
+    their indices and cycle types are those of ``_tables``.  Order 0 has no
+    point 0 and no shard.
     """
+    if n == 0:
+        return ()
     perms, _, _, _, types, _ = _tables(n)
     first: dict = {}
     for i, (p, t) in enumerate(zip(perms, types)):
@@ -274,6 +302,16 @@ def _canonical_first_columns(n: int) -> tuple[int, ...]:
             length, x = length + 1, p[x]
         first.setdefault((t, length), i)
     return tuple(first.values())
+
+
+@lru_cache(maxsize=None)
+def _rank_order(n: int) -> tuple[list[int], list[int]]:
+    """The indices of ``_tables(n)`` sorted by rank, ties by index, and
+    their ranks.  A shard's branch pool is the suffix from its column 0's
+    rank."""
+    rank = _tables(n)[3]
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    return order, [rank[i] for i in order]
 
 
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
@@ -288,12 +326,13 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     perms, prod, inv, rank, *_ = _tables(n)
     cent, _ = _centralizers(n)
     base_rank = rank[first_col]
-    pool = sorted((i for i in range(len(perms)) if rank[i] >= base_rank),
-                  key=rank.__getitem__)
-    top_rank = rank[pool[-1]]
+    order, order_rank = _rank_order(n)
+    k = bisect_left(order_rank, base_rank)
+    pool = order[k:]
+    top_rank = order_rank[-1]
     # the rank-sorted branch pools with their ranks: the whole pool, and in
     # the identity shard one per m of the identity-prefix rule
-    pools: dict = {None: (pool, [rank[i] for i in pool])}
+    pools: dict = {None: (pool, order_rank[k:])}
     # the positions of S = {0} u Fix(column 0)
     c = perms[first_col]
     ordered = [x == 0 or v == x for x, v in enumerate(c)]
@@ -348,16 +387,27 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
 
     def swap_minimal(swaps) -> bool:
         # whether no h gives rows of h.X, (h.X)[x][y] = h(X[h(x)][h(y)]),
-        # lexicographically less than those of X; X[x][y] = b_y(x), and row
-        # x of h.X is row h(x) of X with its entries permuted and relabeled
-        rows = list(zip(*[perms[r] for r in cols]))
-        for h, permute, relabel in swaps:
-            for hx, row in zip(h, rows):
-                image = tuple(map(relabel, permute(rows[hx])))
-                if image != row:
-                    if image < row:
-                        return False
-                    break
+        # lexicographically less than those of X; X[x][y] = b_y(x), so
+        # column y of h.X is h b_{h(y)} h.  The first entry in row-major
+        # order where the two differ is at the least row x where some column
+        # differs, in the least such column, so a difference in row 0
+        # decides at once.
+        for hi, h in swaps:
+            prod_h = prod[hi]
+            first, less = n, False
+            for hy, old in zip(h, cols):
+                new = prod[prod_h[cols[hy]]][hi]
+                if new != old:
+                    col_new, col_old = perms[new], perms[old]
+                    x = 0
+                    while col_new[x] == col_old[x]:
+                        x += 1
+                    if x < first:
+                        first, less = x, col_new[x] < col_old[x]
+                        if not x:
+                            break
+            if less:
+                return False
         return True
 
     def extend() -> None:
@@ -386,9 +436,10 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         m = next((x for x in range(y) if cols[x]), y) if first_col == 0 \
             else None
         if fixers:
-            rest = fixers[1:]
-            branch = [r for r in cent[fixers[0]] if lo <= rank[r] <= hi
-                      and all(prod[r][f] == prod[f][r] for f in rest)]
+            branch = [r for r in cent[fixers[0]] if lo <= rank[r] <= hi]
+            for f in fixers[1:]:
+                prod_f = prod[f]
+                branch = [r for r in branch if prod[r][f] == prod_f[r]]
             if m is not None:
                 branch = [r for r in branch if max(perms[r][:m]) < m]
         else:
@@ -436,12 +487,13 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     return results
 
 
-def _transposition(n: int, p: int, q: int):
-    """The transposition h = (p q) of {0..n-1}, with the maps that permute
-    a row's entries by h and relabel a value by h."""
+def _transposition(n: int, p: int, q: int) -> tuple[int, list[int]]:
+    """The transposition h = (p q) of {0..n-1}: its index in ``_tables(n)``
+    and h itself."""
+    *_, index = _tables(n)
     h = list(range(n))
     h[p], h[q] = q, p
-    return h, itemgetter(*h), h.__getitem__
+    return index[tuple(h)], h
 
 
 def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:

@@ -82,6 +82,9 @@ def _sha256(value) -> str:
 def test_product_table_matches_compose_and_inverse():
     for n in range(7):
         perms, prod, inv, _, types, index = _tables(n)
+        # the rank order's ties, ``_canonical_first_columns`` and the raw
+        # pins rely on this order
+        assert perms == sorted(perms)
         assert len(prod) == len(perms)
         assert types == [cycle_type(p) for p in perms]
         assert index == {p: i for i, p in enumerate(perms)}
@@ -138,6 +141,11 @@ def orbit_walk_first_columns(n):
 def test_first_columns_match_orbit_walk():
     for n in range(1, 8):
         assert _canonical_first_columns(n) == orbit_walk_first_columns(n), n
+
+
+def test_order_zero_has_no_first_column():
+    # S_0 has one permutation, the empty one, and no point 0
+    assert _canonical_first_columns(0) == ()
 
 
 def unrestricted_search_shard(n, first_col):
@@ -284,23 +292,30 @@ def test_every_raw_table_is_a_rack(search_raw):
 # before it shows at any lower order: without the b_b(t) comparison of
 # ``assign`` shards 2, 5 and 13 each yield 1 non-rack (204, 41 and 39
 # tables).  Shard 0 is the identity shard, the one the identity-prefix
-# rule prunes.
+# rule prunes.  The raw output of every order-7 shard is pinned as well.
 ORDER7_SHARDS = {0: (0, 708), 2: (3, 203), 5: (27, 40), 13: (723, 38)}
+ORDER7_RAW_TABLE_COUNT = 2986
+ORDER7_RAW_SHARDS_SHA256 = \
+    "97e42a2d965db4f06ecdf3690d73619c33882baf2b816518ddc2720297101f32"
 
 
 def test_order7_shards_yield_only_racks():
-    # the S_7 tables take about 200 MB, so they are dropped afterwards
+    # the S_7 tables take about 200 MB, so every census cache is dropped
+    # afterwards
     try:
         shards = _canonical_first_columns(7)
+        raw = [_search_shard(7, first_col) for first_col in shards]
+        assert sum(map(len, raw)) == ORDER7_RAW_TABLE_COUNT
+        assert _sha256(raw) == ORDER7_RAW_SHARDS_SHA256
         for pos, (first_col, count) in ORDER7_SHARDS.items():
             assert shards[pos] == first_col
-            raw = _search_shard(7, first_col)
-            assert len(raw) == count, pos
-            for cols in raw:
+            assert len(raw[pos]) == count, pos
+            for cols in raw[pos]:
                 validate_rack(_cols_to_table(7, cols))
     finally:
-        _tables.cache_clear()
-        _centralizers.cache_clear()
+        for value in vars(legrack.census).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 # Calls of ``_search_shard``'s nested ``assign`` for n = 1..6.  The
