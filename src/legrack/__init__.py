@@ -30,7 +30,7 @@ from .fourleg import (
     enumerate_structures,
     make_fourleg,
 )
-from .census import census_counts, dedupe_racks, enumerate_racks
+from .census import census_counts, enumerate_racks
 from .front import (
     ClassicalInvariants,
     FrontCode,

@@ -76,25 +76,25 @@ that it loses no class: h fixes 0 and commutes with c, so h.X has column
 pointwise and a fixed-point swap exchanges two equal ranks, so the ranks
 at S stay sorted and h.X meets the rank order too.  So the rows-least
 table of each isomorphism class within a shard's output is never dropped.
-Nor do the representatives move: ``dedupe_racks`` keeps the least table
-(by key, then rows) it is fed, and every table of a class shares its key,
-so that table is rows-least in its class within its own shard and is
-still fed.  The rule compares rows, not column indices, for that reason,
-but it reads them off the indices without building a row: h is its own
-inverse, so column y of h.X is h b_{h(y)} h, and the first entry in
-row-major order where h.X and X differ lies in the least row x where some
-column differs, in the least such column; the test stops at a difference
-in row 0.  It only filters the leaves, so the search tree and its
-``assign`` calls are unchanged.  It is the isomorph rejection of Read
+Nor do the representatives move: the dedupe (``_dedupe``) keeps the
+least table (by key, then rows) it is fed, and every table of a class
+shares its key, so that table is rows-least in its class within its own
+shard and is still fed.  The rule compares rows, not column indices, for
+that reason, but it reads them off the indices without building a row:
+h is its own inverse, so column y of h.X is h b_{h(y)} h, and the first
+entry in row-major order where h.X and X differ lies in the least row x
+where some column differs, in the least such column; the test stops at a
+difference in row 0.  It only filters the leaves, so the search tree and
+its ``assign`` calls are unchanged.  It is the isomorph rejection of Read
 ("Every one a winner", Ann. Discrete Math. 1978) and McKay ("Isomorph-free
 exhaustive generation", J. Algorithms 1998), restricted to a shard's
 transpositions.
 
 Isolated-point split: the identity shard holds only the racks with two or
 more identity columns, so its column 1 is the identity as well; the racks
-with one are built from racks of order n - 1 (``_rack_classes``).  Proof:
-the set I of points whose column is the identity is invariant under every
-column, because b_{b_z(y)} = b_z id b_z^-1 = id for y in I.  In the
+with one are built from racks of order n - 1 (``_isolated_point_tables``).
+Proof: the set I of points whose column is the identity is invariant under
+every column, because b_{b_z(y)} = b_z id b_z^-1 = id for y in I.  In the
 identity shard the ranks are sorted at every position and the identity
 ranks lowest, so I = {0..m-1}; m >= 2 puts the identity at column 1, and
 the swap rule keeps it there, since a swap moving 1 exchanges two equal
@@ -109,9 +109,11 @@ X to X' maps I onto I', so p to p', and restricts to one from J to J';
 one from J to J' extends by p -> p'.  So {0} u J, over the classes J of
 order n - 1 with no identity column, gives each class with one identity
 column exactly once; at n = 1 the identity shard is empty and the trivial
-rack is {0} u the empty rack.  Racks with no identity column lie in the
-other shards, which are unchanged.  This is the isomorph rejection of
-McKay above, one level below the shards.
+rack is {0} u the empty rack.  J is read off its class's record: it has
+no identity column exactly when 0, the identity's index, is not among
+its column indices.  Racks with no identity column lie in the other
+shards, which are unchanged.  This is the isomorph rejection of McKay
+above, one level below the shards.
 
 Identity-prefix rule: in the identity shard, a branch candidate r for
 column y must map {0..m-1} into itself, m the number of leading identity
@@ -134,14 +136,18 @@ whose rows are built by composing the rows of two generators rather than
 by composing permutation tuples.  Every shard's pool is a suffix of one
 rank-sorted order of S_n per order (``_rank_order``).
 
-Dedupe: the raw tables are bucketed by an invariant key, the kink's flags
-and cycle type plus the sorted ``RackTable.element_colors``, and tested
-for isomorphism only within a bucket.  ``dedupe_racks`` reads the flags
-and colors off the column indices and leaves them in each table's caches.
-The colors are invariants: an isomorphism phi has phi b_y phi^-1 =
-b_phi(y), phi kink = kink phi, and row phi(x) equal to phi (row x)
-phi^-1, so column cycle type, kink cycle length and row value
-multiplicities at x are those at phi(x).
+Dedupe: the raw tables stay column-index tuples from the search to the
+counts.  ``_dedupe`` reads each one's rows, flags and
+``RackTable.element_colors`` off its indices, buckets the tables by an
+invariant key, the kink's flags and cycle type plus the sorted colors,
+and tests for isomorphism only within a bucket.  It keeps one record
+``(cols, rows, colors, flags)`` per class, the least table by key and
+then rows, and ``_rack_classes`` caches those records per order; the
+census reads them, and ``enumerate_racks`` builds one table per record,
+its caches filled from it.  The colors are invariants: an isomorphism
+phi has phi b_y phi^-1 = b_phi(y), phi kink = kink phi, and row phi(x)
+equal to phi (row x) phi^-1, so column cycle type, kink cycle length and
+row value multiplicities at x are those at phi(x).
 
 Isomorphisms are read off the index tables with no search
 (``_isomorphisms``).  A permutation phi is an isomorphism from X to X'
@@ -167,10 +173,18 @@ order, are the oracle of this computation.
 
 Counts: a rack's structure classes, the orbits of U_X x U_X under
 diagonal conjugation by Aut(X), are counted by Burnside as
-(1/|Aut|) sum_{g in Aut} |C_U(g)|^2.  U_X is normal in Aut(X): for h in
-Aut, h b_y h^-1 = b_h(y), so h Inn h^-1 = Inn and h U_X h^-1 centralizes
-Inn as well.  Then C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per
-conjugacy class of Aut, weighted by its size (``_structure_class_count``).
+(1/|Aut|) sum_{g in Aut} |C_U(g)|^2, on the indices of its record.
+U_X is normal in Aut(X): for h in Aut, h b_y h^-1 = b_h(y), so
+h Inn h^-1 = Inn and h U_X h^-1 centralizes Inn as well.  Then
+C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per conjugacy class
+of Aut, weighted by its size (``_structure_class_count``).  Two cases
+need no commuting pair scanned, and the count is exact in both.  If
+U_X = {id}, every C_U(g) is {id}, the sum is |Aut| and the count is 1.
+If U_X = Aut(X), C_U(g) is the centralizer of g in Aut, of size
+|Aut| / |K| for g in the class K (orbit-stabilizer), so the count is
+(1/|Aut|) sum_K |K| (|Aut| / |K|)^2 = sum_K |Aut| / |K|.  On the 456
+classes of orders 0-6 the first case holds for 18 classes, the second
+for 373, and 65 are scanned.
 """
 from __future__ import annotations
 
@@ -181,7 +195,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .perms import cycle_type, cycles, inverse
-from .racks import RackFlags, RackTable, rack_flags
+from .racks import RackFlags, RackTable
 
 MAX_ENUM_ORDER = 6
 
@@ -475,7 +489,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
 
     if first_col == 0:
         # the identity shard holds the racks with two or more identity
-        # columns (``_rack_classes`` builds those with one)
+        # columns (``_isolated_point_tables`` builds those with one)
         start = n >= 2 and assign(0, 0) and assign(1, 0)
     else:
         start = assign(0, first_col)
@@ -494,16 +508,6 @@ def _transposition(n: int, p: int, q: int) -> tuple[int, list[int]]:
     h = list(range(n))
     h[p], h[q] = q, p
     return index[tuple(h)], h
-
-
-def _cols_to_table(n: int, col_ids: tuple[int, ...]) -> RackTable:
-    # The column tuples and their cycle types are shared with ``_tables``,
-    # so the raw tables of a search hold no copies of them and no column's
-    # cycle type is computed again.
-    perms, _, _, _, types, _ = _tables(n)
-    table = RackTable.from_columns([perms[i] for i in col_ids])
-    table.__dict__["column_types"] = tuple(types[i] for i in col_ids)
-    return table
 
 
 def _isomorphisms(n: int, src_cols, src_colors, dst_cols, dst_colors):
@@ -541,31 +545,20 @@ def _isomorphisms(n: int, src_cols, src_colors, dst_cols, dst_colors):
                 yield phi
 
 
-def dedupe_racks(racks) -> list[RackTable]:
-    """One representative per isomorphism class, deterministic order.
+def _dedupe(n: int, tables) -> list[tuple]:
+    """One record ``(cols, rows, colors, flags)`` per isomorphism class of
+    the given tables, each given by its column indices in ``_tables(n)``,
+    in a deterministic order.
 
     Each class is represented by the least table (by key, then rows) among
     those it was fed, not by a canonical form: the representative depends
     on the input set, and a relabeled copy fed with it can win.  So a
     certificate or pin on representatives must fix its input set.
 
-    The tables must share one order n, at most ``MAX_ENUM_ORDER``: they
-    are read as indices of ``_tables(n)``, which holds n!^2 entries.  Each
-    table's ``flags`` and ``element_colors`` are filled from those
-    indices, and the key is the kink's flags and cycle type plus the
-    sorted colors.
+    The rows, the ``RackTable.element_colors`` (``colors``) and the
+    ``RackTable.flags`` are read off the indices, and the key is the kink's
+    flags and cycle type plus the sorted colors.
     """
-    racks = list(racks)
-    orders = sorted({rack.n for rack in racks})
-    if len(orders) > 1:
-        raise ValueError(f"dedupe_racks needs tables of one order, got "
-                         f"orders {orders}")
-    if not racks:
-        return []
-    n = orders[0]
-    if n > MAX_ENUM_ORDER:
-        raise ValueError(f"order {n} is above {MAX_ENUM_ORDER}: the dedupe "
-                         f"reads the S_n tables, which hold n!^2 entries")
     perms, _, inv, _, types, index = _tables(n)
     identity = perms[0]
     # per distinct kink: its cycle type and each element's cycle length;
@@ -573,8 +566,7 @@ def dedupe_racks(racks) -> list[RackTable]:
     kinks: dict = {}
     counts: dict = {}
     candidates = []
-    for rack in racks:
-        cols = [index[c] for c in rack.columns]
+    for cols in tables:
         kink = tuple(perms[c][x] for x, c in enumerate(cols))
         if kink not in kinks:
             lengths = [1] * n
@@ -583,7 +575,7 @@ def dedupe_racks(racks) -> list[RackTable]:
                     lengths[x] = len(cyc)
             kinks[kink] = types[index[kink]], lengths
         kink_type, lengths = kinks[kink]
-        rows = rack.rows
+        rows = tuple(zip(*map(perms.__getitem__, cols)))
         for row in rows:
             if row not in counts:
                 counts[row] = tuple(sorted(map(row.count, set(row)),
@@ -593,53 +585,69 @@ def dedupe_racks(racks) -> list[RackTable]:
         flags = RackFlags(is_quandle=kink == identity,
                           is_involutory=all(inv[c] == c for c in cols),
                           kink=kink)
-        rack.__dict__.update(flags=flags, element_colors=colors)
         key = (flags.is_quandle, flags.is_involutory, kink_type,
                tuple(sorted(colors)))
-        candidates.append((key, rows, rack, cols))
+        candidates.append((key, rows, cols, colors, flags))
     candidates.sort(key=itemgetter(0, 1))
     buckets: dict = {}
-    reps: list[RackTable] = []
-    for key, _, rack, cols in candidates:
-        colors = rack.element_colors
+    records = []
+    for key, rows, cols, colors, flags in candidates:
         bucket = buckets.setdefault(key, [])
         if any(next(_isomorphisms(n, cols, colors, *other), None) is not None
                for other in bucket):
             continue
         bucket.append((cols, colors))
-        reps.append(rack)
-    return reps
+        records.append((cols, rows, colors, flags))
+    return records
+
+
+def _isolated_point_tables(n: int) -> list[tuple[int, ...]]:
+    """The column indices of {0} u J for every class J of order n - 1 with
+    no identity column (index 0): column 0 is the identity, and J's
+    columns, moved up by one, fix 0."""
+    smaller = _tables(n - 1)[0]
+    *_, index = _tables(n)
+    return [(0,) + tuple(index[(0,) + tuple(v + 1 for v in smaller[c])]
+                         for c in cols)
+            for cols, *_ in _rack_classes(n - 1) if 0 not in cols]
 
 
 @lru_cache(maxsize=None)
-def _rack_classes(n: int) -> tuple[RackTable, ...]:
-    """One RackTable per isomorphism class of racks of order ``n``, deduped
-    from the shard tables and, by the isolated-point split, {0} u J for
-    every class J of order n - 1 with no identity column."""
+def _rack_classes(n: int) -> tuple[tuple, ...]:
+    """One record ``(cols, rows, colors, flags)`` per isomorphism class of
+    racks of order ``n`` (see ``_dedupe``), deduped from the shard tables
+    and the isolated-point split."""
     if n == 0:
-        return (RackTable(0, ()),)
-    *_, index = _tables(n)
-    tables = [_cols_to_table(n, cols) for fc in _canonical_first_columns(n)
-              for cols in _search_shard(n, fc)]
-    identity = tuple(range(n - 1))
-    for rack in _rack_classes(n - 1):
-        if identity not in rack.columns:
-            # {0} u J: column 0 is the identity (index 0), and J's columns,
-            # moved up by one, fix 0
-            shifted = [(0,) + tuple(v + 1 for v in c) for c in rack.columns]
-            tables.append(_cols_to_table(
-                n, (0,) + tuple(index[c] for c in shifted)))
-    return tuple(dedupe_racks(tables))
+        return tuple(_dedupe(0, [()]))
+    return tuple(_dedupe(n, [cols for fc in _canonical_first_columns(n)
+                             for cols in _search_shard(n, fc)]
+                         + _isolated_point_tables(n)))
 
 
-def enumerate_racks(n: int) -> list[RackTable]:
-    """One RackTable per isomorphism class of racks of order ``n``."""
+def _class_records(n: int) -> tuple[tuple, ...]:
+    """``_rack_classes(n)`` for an order the census supports."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > MAX_ENUM_ORDER:
         raise NotImplementedError(
             f"rack enumeration is supported for orders <= {MAX_ENUM_ORDER}")
-    return list(_rack_classes(n))
+    return _rack_classes(n)
+
+
+def enumerate_racks(n: int) -> list[RackTable]:
+    """One RackTable per isomorphism class of racks of order ``n``, its
+    ``columns``, ``column_types``, ``flags`` and ``element_colors`` filled
+    from the class's record."""
+    records = _class_records(n)
+    perms, _, _, _, types, _ = _tables(n)
+    racks = []
+    for cols, rows, colors, flags in records:
+        rack = RackTable(n, rows)
+        rack.__dict__.update(columns=tuple(map(perms.__getitem__, cols)),
+                             column_types=tuple(map(types.__getitem__, cols)),
+                             flags=flags, element_colors=colors)
+        racks.append(rack)
+    return racks
 
 
 def _in_family(flags, family: str) -> bool:
@@ -654,26 +662,33 @@ def _in_family(flags, family: str) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _aut_indices(rack: RackTable) -> tuple[list[int], list[int]]:
-    """Aut(X) and U_X as indices of ``_tables``: Aut(X) is the
-    isomorphisms from X to itself, read off the centralizer cosets of one
-    column with no isomorphism search (see the module docstring)."""
-    n = rack.n
-    perms, *_, index = _tables(n)
-    cols = [index[c] for c in rack.columns]
-    colors = rack.element_colors
+def _aut_indices(n: int, cols, colors) -> tuple[list[int], list[int]]:
+    """Aut(X) and U_X as indices of ``_tables(n)``, for the table whose
+    column indices are ``cols`` and whose ``element_colors`` are
+    ``colors``: Aut(X) is the isomorphisms from X to itself, read off the
+    centralizer cosets of one column with no isomorphism search (see the
+    module docstring)."""
+    perms = _tables(n)[0]
     aut = list(_isomorphisms(n, cols, colors, cols, colors))
-    center = [phi for phi in aut if [cols[px] for px in perms[phi]] == cols]
+    listed = list(cols)
+    center = [phi for phi in aut
+              if [cols[px] for px in perms[phi]] == listed]
     return aut, center
 
 
-def _structure_class_count(rack: RackTable) -> int:
+def _structure_class_count(n: int, cols, colors) -> int:
     """The number of orbits of U_X x U_X under diagonal conjugation by
     Aut(X), (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, summed once per conjugacy
-    class of Aut (see the module docstring) over the indices of ``_tables``
-    that ``_aut_indices`` gives: h g h^-1 is ``prod[prod[h][g]][inv[h]]``."""
-    _, prod, inv, *_ = _tables(rack.n)
-    aut, center = _aut_indices(rack)
+    class of Aut over the indices of ``_tables`` that ``_aut_indices``
+    gives: h g h^-1 is ``prod[prod[h][g]][inv[h]]``.  If U_X = {id} the
+    count is 1, and if U_X = Aut(X) then |C_U(g)| is |Aut| / |K| for g in
+    the class K, so no commuting pair is scanned (see the module
+    docstring)."""
+    aut, center = _aut_indices(n, cols, colors)
+    if len(center) == 1:
+        return 1
+    _, prod, inv, *_ = _tables(n)
+    everything = len(center) == len(aut)
     seen: set[int] = set()
     total = 0
     for g in aut:
@@ -681,22 +696,20 @@ def _structure_class_count(rack: RackTable) -> int:
             continue
         klass = {prod[prod[h][g]][inv[h]] for h in aut}
         seen |= klass
-        prod_g = prod[g]
-        c = sum(1 for u in center if prod[u][g] == prod_g[u])
+        if everything:
+            c = len(aut) // len(klass)
+        else:
+            prod_g = prod[g]
+            c = sum(1 for u in center if prod[u][g] == prod_g[u])
         total += len(klass) * c * c
     return total // len(aut)
 
 
-def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
-    """Structure-class counts per family (racks, involutory, quandles, kei).
-
-    A rack X contributes its number of 4-Legendrian structures up to
-    isomorphism, counted by ``_structure_class_count``.  The census runs
-    in one process; ``jobs`` is accepted for existing callers and has no
-    effect.
-    """
-    per_rack = [(rack_flags(r), _structure_class_count(r))
-                for r in enumerate_racks(n)]
+def _census_rows(n: int, records) -> list[CensusRow]:
+    """The per-family rows of ``census_counts`` over the records of the
+    classes of order ``n`` (see ``_dedupe``)."""
+    per_rack = [(flags, _structure_class_count(n, cols, colors))
+                for cols, _, colors, flags in records]
     rows = []
     for family in FAMILY_NAMES:
         members = [(f, c) for f, c in per_rack if _in_family(f, family)]
@@ -708,3 +721,13 @@ def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
         ))
     return rows
 
+
+def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
+    """Structure-class counts per family (racks, involutory, quandles, kei).
+
+    A rack X contributes its number of 4-Legendrian structures up to
+    isomorphism, counted by ``_structure_class_count`` on the records of
+    ``_rack_classes``.  The census runs in one process; ``jobs`` is
+    accepted for existing callers and has no effect.
+    """
+    return _census_rows(n, _class_records(n))

@@ -12,14 +12,16 @@ from legrack.census import (
     MAX_ENUM_ORDER,
     _aut_indices,
     _canonical_first_columns,
+    _census_rows,
     _centralizers,
-    _cols_to_table,
+    _dedupe,
+    _isolated_point_tables,
     _isomorphisms,
     _rack_classes,
     _search_shard,
+    _structure_class_count,
     _tables,
     census_counts,
-    dedupe_racks,
     enumerate_racks,
 )
 from legrack.perms import compose, conjugate, cycle_type, inverse
@@ -48,11 +50,28 @@ def brute_force_racks(n):
     return racks
 
 
+def cols_to_table(n, cols):
+    """The table whose column y is permutation ``cols[y]`` of
+    ``_tables(n)``."""
+    perms = _tables(n)[0]
+    return RackTable.from_columns([perms[c] for c in cols])
+
+
+def dedupe(racks):
+    """One representative table per isomorphism class of ``racks``, tables
+    of one order, by the census dedupe on their column indices."""
+    racks = list(racks)
+    n = racks[0].n
+    index = _tables(n)[5]
+    return [RackTable(n, rows) for _, rows, *_ in _dedupe(
+        n, [tuple(index[c] for c in rack.columns) for rack in racks])]
+
+
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 6)])
 def test_enumeration_matches_brute_force(n, count):
     reps = enumerate_racks(n)
     assert len(reps) == count
-    brute = dedupe_racks(brute_force_racks(n)) if n else [RackTable(0, ())]
+    brute = dedupe(brute_force_racks(n)) if n else [RackTable(0, ())]
     assert len(brute) == count
     # same classes, not just same count
     for rep in reps:
@@ -96,7 +115,7 @@ def test_product_table_matches_compose_and_inverse():
 
 
 # p(n), the number of partitions of n: conjugacy classes of S_n
-PARTITIONS = (1, 1, 2, 3, 5, 7, 11)
+PARTITIONS = (1, 1, 2, 3, 5, 7, 11, 15)
 
 
 def test_centralizer_table_matches_brute_force():
@@ -224,8 +243,8 @@ def _raw_search(search):
 
 def _dedupe_raw(raw):
     return [[RackTable(0, ())]] + [
-        dedupe_racks([_cols_to_table(n, cols)
-                      for shard in shards for cols in shard])
+        dedupe([cols_to_table(n, cols)
+                for shard in shards for cols in shard])
         for n, shards in enumerate(raw, start=1)]
 
 
@@ -284,7 +303,7 @@ def test_every_raw_table_is_a_rack(search_raw):
     for n, shards in enumerate(search_raw, start=1):
         for shard in shards:
             for cols in shard:
-                validate_rack(_cols_to_table(n, cols))
+                validate_rack(cols_to_table(n, cols))
 
 
 # Four order-7 shards, by position in ``_canonical_first_columns(7)``: their
@@ -297,11 +316,21 @@ ORDER7_SHARDS = {0: (0, 708), 2: (3, 203), 5: (27, 40), 13: (723, 38)}
 ORDER7_RAW_TABLE_COUNT = 2986
 ORDER7_RAW_SHARDS_SHA256 = \
     "97e42a2d965db4f06ecdf3690d73619c33882baf2b816518ddc2720297101f32"
+# The order-7 census on those raw tables and the isolated-point split:
+# per family, the racks up to isomorphism and their structure classes.
+# The rack and quandle counts come from outside the program: OEIS A181771
+# and A181769, as Vojtechovsky and Yang enumerate them ("Enumeration of
+# racks and quandles up to isomorphism", Math. Comp. 2019).  The structure
+# class counts are the census's own; ``classify_structures`` over all 2,080
+# racks, too slow for this suite, lists the same 169,289.
+ORDER7_CENSUS = [("racks", 2080, 169289), ("involutory", 906, 65549),
+                 ("quandles", 298, 24540), ("kei", 142, 14625)]
 
 
 def test_order7_shards_yield_only_racks():
     # the S_7 tables take about 200 MB, so every census cache is dropped
-    # afterwards
+    # afterwards; the census below reads the same raw tables, with no
+    # second search and no second build of the tables
     try:
         shards = _canonical_first_columns(7)
         raw = [_search_shard(7, first_col) for first_col in shards]
@@ -311,7 +340,21 @@ def test_order7_shards_yield_only_racks():
             assert shards[pos] == first_col
             assert len(raw[pos]) == count, pos
             for cols in raw[pos]:
-                validate_rack(_cols_to_table(7, cols))
+                validate_rack(cols_to_table(7, cols))
+        records = _dedupe(7, [cols for shard in raw for cols in shard]
+                          + _isolated_point_tables(7))
+        assert [(r.family, r.rack_count, r.structure_count)
+                for r in _census_rows(7, records)] == ORDER7_CENSUS
+        # p(7) permutation racks, one per cycle type of their one column;
+        # the connected quandles of prime order p are affine, so there are
+        # p - 2 (Etingof, Soloviev and Guralnick, "Indecomposable
+        # set-theoretical solutions to the quantum Yang-Baxter equation on
+        # a set with a prime number of elements", J. Algebra 2001)
+        assert sum(len(set(cols)) == 1 for cols, *_ in records) == \
+            PARTITIONS[7]
+        assert sum(connected(RackTable(7, rows))
+                   for _, rows, _, flags in records if flags.is_quandle) == \
+            7 - 2
     finally:
         for value in vars(legrack.census).values():
             if callable(getattr(value, "cache_clear", None)):
@@ -359,7 +402,7 @@ def _swap_minimal(n, cols):
     ranks, relabels the table to one with lexicographically smaller rows."""
     perms, _, _, rank, *_ = _tables(n)
     first = perms[cols[0]]
-    rows = _cols_to_table(n, cols).rows
+    rows = cols_to_table(n, cols).rows
     for p, q in itertools.combinations(range(1, n), 2):
         two_cycle = first[p] == q and first[q] == p
         same_rank_fixed = (first[p] == p and first[q] == q
@@ -443,7 +486,7 @@ def _identity_columns(rack):
 
 
 def test_one_identity_column_is_a_point_plus_a_smaller_rack(oracle_classes):
-    # the isolated-point split that ``_rack_classes`` rests on: a class with
+    # the isolated-point split (``_isolated_point_tables``): a class with
     # exactly one identity column p has p fixed by every column, and the
     # other points form a rack with no identity column; the classes of that
     # shape match, order by order, the classes one smaller with no identity
@@ -467,10 +510,13 @@ def test_one_identity_column_is_a_point_plus_a_smaller_rack(oracle_classes):
 
 
 def test_enumeration_envelope():
-    with pytest.raises(NotImplementedError):
-        enumerate_racks(7)
-    with pytest.raises(ValueError):
-        enumerate_racks(-1)
+    # the census reads the class records without ``enumerate_racks``, so
+    # both entry points check the order
+    for entry in (enumerate_racks, census_counts):
+        with pytest.raises(NotImplementedError):
+            entry(MAX_ENUM_ORDER + 1)
+        with pytest.raises(ValueError):
+            entry(-1)
 
 
 def test_known_families_are_represented():
@@ -547,8 +593,10 @@ def test_aut_indices_match_the_search(rack_classes):
     # order <= 6
     for n in range(7):
         perms = _tables(n)[0]
-        for rack in rack_classes[n]:
-            aut, center = _aut_indices(rack)
+        for rack, (cols, rows, colors, _) in zip(rack_classes[n],
+                                                 _rack_classes(n)):
+            assert rack.rows == rows
+            aut, center = _aut_indices(n, cols, colors)
             assert len(aut) == len(set(aut)), rack.rows
             assert {perms[g] for g in aut} == \
                 automorphism_group(rack).elements, rack.rows
@@ -567,7 +615,7 @@ def test_isomorphisms_match_the_search(rack_classes):
         rep_cols = [[index[c] for c in rep.columns] for rep in reps]
         for first_col in _canonical_first_columns(n):
             for cols in _search_shard(n, first_col):
-                raw = RackTable(n, _cols_to_table(n, cols).rows)
+                raw = RackTable(n, cols_to_table(n, cols).rows)
                 for rep, dst_cols in zip(reps, rep_cols):
                     found = [perms[phi] for phi in _isomorphisms(
                         n, list(cols), raw.element_colors,
@@ -579,32 +627,57 @@ def test_isomorphisms_match_the_search(rack_classes):
 
 def test_dedupe_fills_flags_and_colors_as_a_fresh_table_has_them(
         search_raw):
-    # the dedupe reads them off the column indices; a fresh table computes
-    # them from its rows.  Each raw table is fed with a relabeled copy, so
-    # that no position (column 0 of a shard, say) holds the same kind of
-    # column in every table.
+    # the dedupe reads the rows, flags and colors off the column indices; a
+    # fresh table computes them from its rows.  Each raw table is fed with
+    # a relabeled copy, so that no position (column 0 of a shard, say)
+    # holds the same kind of column in every table; each table is fed
+    # alone, so that each is a class's record.
     for n, shards in enumerate(search_raw, start=1):
-        tables = [_cols_to_table(n, cols) for shard in shards
+        index = _tables(n)[5]
+        tables = [cols_to_table(n, cols) for shard in shards
                   for cols in shard]
         shift = tuple(range(1, n)) + (0,)
         tables += [relabeled(table, shift) for table in tables]
-        dedupe_racks(tables)
         for table in tables:
+            cols = tuple(index[c] for c in table.columns)
+            [(kept, rows, colors, flags)] = _dedupe(n, [cols])
             fresh = RackTable(n, table.rows)
-            assert vars(table)["flags"] == fresh.flags, table.rows
-            assert vars(table)["element_colors"] == fresh.element_colors, \
-                table.rows
+            assert (kept, rows) == (cols, fresh.rows)
+            assert flags == fresh.flags, table.rows
+            assert colors == fresh.element_colors, table.rows
 
 
-def test_dedupe_rejects_tables_of_different_orders():
-    with pytest.raises(ValueError, match="one order"):
-        dedupe_racks([trivial_quandle(2), trivial_quandle(3)])
+def test_enumerated_tables_cache_what_a_fresh_table_computes(rack_classes):
+    # ``enumerate_racks`` fills four caches from each class's record
+    for n in range(7):
+        for rack in rack_classes[n]:
+            fresh = RackTable(n, rack.rows)
+            for name in ("columns", "column_types", "flags",
+                         "element_colors"):
+                assert vars(rack)[name] == getattr(fresh, name), \
+                    (name, rack.rows)
 
 
-def test_dedupe_rejects_orders_above_the_enumeration_bound():
-    # the dedupe reads the S_n tables, which hold n!^2 entries
-    with pytest.raises(ValueError, match="above"):
-        dedupe_racks([trivial_quandle(MAX_ENUM_ORDER + 1)])
+def burnside_scan(n, aut, center):
+    """(1/|Aut|) sum_{g in Aut} |C_U(g)|^2, g and every u of U_X scanned."""
+    prod = _tables(n)[1]
+    return sum(sum(1 for u in center if prod[u][g] == prod[g][u]) ** 2
+               for g in aut) // len(aut)
+
+
+def test_structure_class_count_takes_each_shortcut():
+    # U_X = {id} and U_X = Aut(X) skip the commuting scan; each branch is
+    # taken, and each gives the plain Burnside sum
+    branches = {"trivial": 0, "everything": 0, "scan": 0}
+    for n in range(7):
+        for cols, rows, colors, _ in _rack_classes(n):
+            aut, center = _aut_indices(n, cols, colors)
+            branch = ("trivial" if len(center) == 1 else
+                      "everything" if len(center) == len(aut) else "scan")
+            branches[branch] += 1
+            assert _structure_class_count(n, cols, colors) == \
+                burnside_scan(n, aut, center), rows
+    assert branches == {"trivial": 18, "everything": 373, "scan": 65}
 
 
 def test_census_counts_make_no_automorphism_search(iso_search_calls):
@@ -640,7 +713,7 @@ def test_family_containments():
 
 def test_dedupe_is_idempotent_and_absorbs_relabelings():
     reps = enumerate_racks(3)
-    assert [r.rows for r in dedupe_racks(reps)] == [r.rows for r in reps]
+    assert [r.rows for r in dedupe(reps)] == [r.rows for r in reps]
     # feeding a relabeled copy alongside the originals adds no class; the
     # relabelling is not an automorphism of D5, so the copy is a table that
     # the originals do not contain
@@ -652,7 +725,7 @@ def test_dedupe_is_idempotent_and_absorbs_relabelings():
     assert relabeled.rows != d5
     reps5 = enumerate_racks(5)
     assert relabeled.rows not in {r.rows for r in reps5}
-    assert len(dedupe_racks(list(reps5) + [relabeled])) == len(reps5)
+    assert len(dedupe(list(reps5) + [relabeled])) == len(reps5)
 
 
 def relabeled(rack, phi):
@@ -704,7 +777,7 @@ def test_element_colors_move_with_a_relabeling(rack_classes):
             assert all(copy.element_colors[phi[x]] == rack.element_colors[x]
                        for x in range(n)), (rack.rows, phi)
             copies.append(copy)
-        kept = dedupe_racks(list(reps) + copies)
+        kept = dedupe(list(reps) + copies)
         assert sorted(r.rows for r in kept) == sorted(
             min(a.rows, b.rows) for a, b in zip(reps, copies)), n
 

@@ -1,6 +1,10 @@
 import pytest
 
-from legrack.census import _structure_class_count, enumerate_racks
+from legrack.census import (
+    _rack_classes,
+    _structure_class_count,
+    enumerate_racks,
+)
 from legrack.fourleg import (
     FourLegStructure,
     check_kimura_axioms,
@@ -53,7 +57,6 @@ def test_gl_center_is_computed_once_per_table(iso_search_calls):
                 make_fourleg(rack, ul, ur)
         assert len(list(enumerate_structures(rack))) == center.order ** 2
         classify_structures(rack)
-        _structure_class_count(rack)
         assert rack.gl_center is center
         # at most one Aut(X) search, and no other isomorphism search
         assert iso_search_calls == searches
@@ -146,8 +149,10 @@ def test_classify_matches_burnside_for_trivial_quandles():
 def test_count_structure_classes_matches_classify(n, rack_classes):
     # the census's Burnside over S_n indices, the same sum over
     # permutation tuples, and the listing of the classes
-    for rack in rack_classes[n]:
-        count = _structure_class_count(rack)
+    for rack, (cols, rows, colors, _) in zip(rack_classes[n],
+                                             _rack_classes(n)):
+        assert rack.rows == rows
+        count = _structure_class_count(n, cols, colors)
         assert count == count_structure_classes(rack) == \
             len(classify_structures(rack)), rack.rows
 

@@ -4,7 +4,6 @@ import pytest
 
 from legrack.census import (
     _canonical_first_columns,
-    _cols_to_table,
     _search_shard,
     enumerate_racks,
 )
@@ -29,6 +28,7 @@ from legrack.racks import (
     ts_rack,
     validate_rack,
 )
+from test_census import cols_to_table
 
 
 def test_validate_accepts_families():
@@ -172,7 +172,7 @@ def test_iso_search_yields_the_least_one_first(rack_classes):
         by_rows = {rep.rows: i for i, rep in enumerate(reps)}
         for first_col in _canonical_first_columns(n):
             for cols in _search_shard(n, first_col):
-                raw = _cols_to_table(n, cols)
+                raw = cols_to_table(n, cols)
                 isos = [[] for _ in reps]
                 for phi in itertools.permutations(range(n)):
                     image = [[0] * n for _ in range(n)]
