@@ -177,14 +177,36 @@ diagonal conjugation by Aut(X), are counted by Burnside as
 U_X is normal in Aut(X): for h in Aut, h b_y h^-1 = b_h(y), so
 h Inn h^-1 = Inn and h U_X h^-1 centralizes Inn as well.  Then
 C_U(h g h^-1) = h C_U(g) h^-1, so the sum runs once per conjugacy class
-of Aut, weighted by its size (``_structure_class_count``).  Two cases
-need no commuting pair scanned, and the count is exact in both.  If
-U_X = {id}, every C_U(g) is {id}, the sum is |Aut| and the count is 1.
-If U_X = Aut(X), C_U(g) is the centralizer of g in Aut, of size
-|Aut| / |K| for g in the class K (orbit-stabilizer), so the count is
-(1/|Aut|) sum_K |K| (|Aut| / |K|)^2 = sum_K |Aut| / |K|.  On the 456
-classes of orders 0-6 the first case holds for 18 classes, the second
-for 373, and 65 are scanned.
+of Aut, weighted by its size (``_structure_class_count``).  Three cases,
+tested in this order, need no commuting pair scanned, and the count is
+exact in each.  If every column is the identity (the trivial rack), every
+permutation is an automorphism and fixes every column, so
+Aut = U_X = S_n and the count is sum_{g in S_n} |C(g)|^2 / n!, read off
+the sizes of ``_centralizers``: 1, 1, 4, 11, 43, 161, 901 for n = 0..6.
+If every u in U_X commutes with every g in Aut(X), C_U(g) = U_X for every
+g, the sum is |Aut| |U_X|^2 and the count is |U_X|^2; U_X = {id} is the
+case |U_X| = 1.  If U_X = Aut(X), C_U(g) is the centralizer of g in Aut,
+of size |Aut| / |K| for g in the class K (orbit-stabilizer), so the count
+is (1/|Aut|) sum_K |K| (|Aut| / |K|)^2 = sum_K |Aut| / |K|.  On the 456
+classes of orders 0-6 the trivial rack holds for 7 classes, centrality
+for 376 and U_X = Aut(X) for 33, and 40 are scanned.
+
+A rack with one isolated point, X = {0} u J (see the isolated-point
+split), is not counted: it takes J's count, which the order below found
+(``_class_counts``, one cached tuple per order, aligned with
+``_rack_classes``).  Proof: 0 is X's only identity column, and an
+automorphism phi has b_phi(0) = phi b_0 phi^-1 = id, so phi fixes 0 and
+restricts to a permutation of J that is an automorphism of J, since J's
+columns are X's restricted to J.  Conversely an automorphism of J extends
+by 0 -> 0, because every column of J fixes 0 and b_0 = id.  The two maps
+are inverse and respect composition, so Aut(X) is Aut(J), and U_X, the
+automorphisms with b_phi(z) = b_z for every z, is U_J, since two columns
+of X are equal exactly when their restrictions to J are.  Conjugation
+acts the same way on both, so the orbit counts agree.  Each such table
+is its own record: one identity column is an isomorphism invariant, the
+shards hold no rack with exactly one, and the J are pairwise
+non-isomorphic.  On orders 1-6 this spares 55 counts, 40 of them at
+order 6.
 """
 from __future__ import annotations
 
@@ -274,8 +296,9 @@ def _centralizers(n: int) -> tuple[list[list[int]], list[int]]:
 
     S_n is scanned once per conjugacy class, for the centralizer C(p) of
     its first member p; every other member g p g^-1 gets g C(p) g^-1, and
-    g is its ``trans``.  The lists hold n! * p(n) entries in all, p the
-    partition count.
+    g, the first such in index order, is its ``trans``.  The sweep over g
+    stops once the class's n! / |C(p)| members are filled.  The lists hold
+    n! * p(n) entries in all, p the partition count.
     """
     perms, prod, inv, *_ = _tables(n)
     size = len(perms)
@@ -286,12 +309,17 @@ def _centralizers(n: int) -> tuple[list[list[int]], list[int]]:
             continue
         prod_p = prod[p]
         c_p = [q for q in range(size) if prod[q][p] == prod_p[q]]
+        # the class has n! / |C(p)| members; the sweep stops at the last
+        left = size // len(c_p)
         for g in range(size):
             prod_g, ig = prod[g], inv[g]
             conj = prod[prod_g[p]][ig]
             if cent[conj] is None:
                 cent[conj] = sorted(prod[prod_g[q]][ig] for q in c_p)
                 trans[conj] = g
+                left -= 1
+                if not left:
+                    break
     return cent, trans
 
 
@@ -557,7 +585,8 @@ def _dedupe(n: int, tables) -> list[tuple]:
 
     The rows, the ``RackTable.element_colors`` (``colors``) and the
     ``RackTable.flags`` are read off the indices, and the key is the kink's
-    flags and cycle type plus the sorted colors.
+    flags and cycle type plus the sorted colors; the flags record is made
+    only for the tables kept, from the key's two flags and the kink.
     """
     perms, _, inv, _, types, index = _tables(n)
     identity = perms[0]
@@ -582,22 +611,21 @@ def _dedupe(n: int, tables) -> list[tuple]:
                                            reverse=True))
         colors = tuple(zip(map(types.__getitem__, cols), lengths,
                            map(counts.__getitem__, rows)))
-        flags = RackFlags(is_quandle=kink == identity,
-                          is_involutory=all(inv[c] == c for c in cols),
-                          kink=kink)
-        key = (flags.is_quandle, flags.is_involutory, kink_type,
+        key = (kink == identity, all(inv[c] == c for c in cols), kink_type,
                tuple(sorted(colors)))
-        candidates.append((key, rows, cols, colors, flags))
+        candidates.append((key, rows, cols, colors, kink))
     candidates.sort(key=itemgetter(0, 1))
     buckets: dict = {}
     records = []
-    for key, rows, cols, colors, flags in candidates:
+    for key, rows, cols, colors, kink in candidates:
         bucket = buckets.setdefault(key, [])
         if any(next(_isomorphisms(n, cols, colors, *other), None) is not None
                for other in bucket):
             continue
         bucket.append((cols, colors))
-        records.append((cols, rows, colors, flags))
+        records.append((cols, rows, colors,
+                        RackFlags(is_quandle=key[0], is_involutory=key[1],
+                                  kink=kink)))
     return records
 
 
@@ -678,16 +706,24 @@ def _aut_indices(n: int, cols, colors) -> tuple[list[int], list[int]]:
 
 def _structure_class_count(n: int, cols, colors) -> int:
     """The number of orbits of U_X x U_X under diagonal conjugation by
-    Aut(X), (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, summed once per conjugacy
-    class of Aut over the indices of ``_tables`` that ``_aut_indices``
-    gives: h g h^-1 is ``prod[prod[h][g]][inv[h]]``.  If U_X = {id} the
-    count is 1, and if U_X = Aut(X) then |C_U(g)| is |Aut| / |K| for g in
-    the class K, so no commuting pair is scanned (see the module
-    docstring)."""
+    Aut(X), (1/|Aut|) sum_{g in Aut} |C_U(g)|^2, for the table whose column
+    indices are ``cols`` and whose ``element_colors`` are ``colors``.
+
+    Three cases are read off in closed form (see the module docstring):
+    the trivial rack, from the centralizer sizes of S_n; U_X central in
+    Aut(X), as |U_X|^2; and U_X = Aut(X), from the class sizes of Aut.
+    Otherwise the sum runs once per conjugacy class of Aut over the
+    indices of ``_tables`` that ``_aut_indices`` gives: h g h^-1 is
+    ``prod[prod[h][g]][inv[h]]``."""
+    if not any(cols):
+        # every column is the identity: Aut = U_X = S_n
+        cent = _centralizers(n)[0]
+        return sum(len(c) ** 2 for c in cent) // len(cent)
     aut, center = _aut_indices(n, cols, colors)
-    if len(center) == 1:
-        return 1
     _, prod, inv, *_ = _tables(n)
+    # the identity, index 0, commutes with everything
+    if all(prod[u][g] == prod[g][u] for u in center if u for g in aut):
+        return len(center) ** 2
     everything = len(center) == len(aut)
     seen: set[int] = set()
     total = 0
@@ -705,11 +741,39 @@ def _structure_class_count(n: int, cols, colors) -> int:
     return total // len(aut)
 
 
-def _census_rows(n: int, records) -> list[CensusRow]:
+def _record_counts(n: int, records) -> list[int]:
+    """The structure class count of each of the given records of order
+    ``n`` (see ``_dedupe``).  A record {0} u J, J a class of order n - 1
+    with no identity column, takes J's count from ``_class_counts(n - 1)``
+    (see the module docstring); every other record is counted by
+    ``_structure_class_count``."""
+    inherited: dict = {}
+    if n:
+        smaller = [count for (cols, *_), count
+                   in zip(_rack_classes(n - 1), _class_counts(n - 1))
+                   if 0 not in cols]
+        inherited = dict(zip(_isolated_point_tables(n), smaller))
+    return [inherited[cols] if cols in inherited
+            else _structure_class_count(n, cols, colors)
+            for cols, _, colors, _ in records]
+
+
+@lru_cache(maxsize=None)
+def _class_counts(n: int) -> tuple[int, ...]:
+    """The structure class count of each record of ``_rack_classes(n)``, in
+    the same order."""
+    return tuple(_record_counts(n, _rack_classes(n)))
+
+
+def _census_rows(n: int, records, counts=None) -> list[CensusRow]:
     """The per-family rows of ``census_counts`` over the records of the
-    classes of order ``n`` (see ``_dedupe``)."""
-    per_rack = [(flags, _structure_class_count(n, cols, colors))
-                for cols, _, colors, flags in records]
+    classes of order ``n`` (see ``_dedupe``) and their structure class
+    counts, ``_record_counts`` of the records if ``counts`` is not
+    given."""
+    if counts is None:
+        counts = _record_counts(n, records)
+    per_rack = [(flags, count)
+                for (_, _, _, flags), count in zip(records, counts)]
     rows = []
     for family in FAMILY_NAMES:
         members = [(f, c) for f, c in per_rack if _in_family(f, family)]
@@ -726,8 +790,8 @@ def census_counts(n: int, jobs: int = 1) -> list[CensusRow]:
     """Structure-class counts per family (racks, involutory, quandles, kei).
 
     A rack X contributes its number of 4-Legendrian structures up to
-    isomorphism, counted by ``_structure_class_count`` on the records of
+    isomorphism, read from ``_class_counts`` over the records of
     ``_rack_classes``.  The census runs in one process; ``jobs`` is
     accepted for existing callers and has no effect.
     """
-    return _census_rows(n, _class_records(n))
+    return _census_rows(n, _class_records(n), _class_counts(n))

@@ -108,7 +108,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
     text = text.strip()
     if text in ("()", "", "id"):
         return identity(degree)
-    if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+", text):
+    # ASCII digits only: ``int`` would also take "١" as 1
+    if not re.fullmatch(r"(\(\s*[0-9]+(?:[\s,]+[0-9]+)*\s*\)\s*)+", text):
         raise ValueError(f"malformed cycle notation: {text!r}")
     image = list(range(degree))
     touched = set()

@@ -6,6 +6,7 @@ is the rack operation, so each column ``y`` is the translation map ``b_y``.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cached_property
 from math import gcd
 from typing import NamedTuple
@@ -368,11 +369,17 @@ def rack_to_text(rack: RackTable) -> str:
 MAX_RACK_ORDER = 256
 
 
+# An integer in ASCII digits, as ``rack_to_text`` writes it, so ``int``
+# never sees "+1", "0_3" or non-ASCII digits.  A minus is let through to
+# the checks that reject a negative order or entry with their own reason.
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
 def _int_tokens(lineno: int, raw: str, line: str) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
+    tokens = line.split()
+    if not all(map(_INT_TOKEN.fullmatch, tokens)):
         raise RackError(f"line {lineno}: expected integers, got {raw!r}")
+    return [int(tok) for tok in tokens]
 
 
 def rack_from_text(text: str) -> RackTable:

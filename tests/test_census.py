@@ -14,7 +14,9 @@ from legrack.census import (
     _canonical_first_columns,
     _census_rows,
     _centralizers,
+    _class_counts,
     _dedupe,
+    _in_family,
     _isolated_point_tables,
     _isomorphisms,
     _rack_classes,
@@ -666,18 +668,61 @@ def burnside_scan(n, aut, center):
 
 
 def test_structure_class_count_takes_each_shortcut():
-    # U_X = {id} and U_X = Aut(X) skip the commuting scan; each branch is
-    # taken, and each gives the plain Burnside sum
-    branches = {"trivial": 0, "everything": 0, "scan": 0}
+    # the trivial rack, U_X central in Aut(X) and U_X = Aut(X) skip the
+    # commuting scan, tested in that order; each branch is taken, and each
+    # gives the plain Burnside sum
+    branches = {"trivial rack": 0, "central": 0, "everything": 0, "scan": 0}
     for n in range(7):
+        prod = _tables(n)[1]
         for cols, rows, colors, _ in _rack_classes(n):
             aut, center = _aut_indices(n, cols, colors)
-            branch = ("trivial" if len(center) == 1 else
+            branch = ("trivial rack" if not any(cols) else
+                      "central" if all(prod[u][g] == prod[g][u]
+                                       for u in center for g in aut) else
                       "everything" if len(center) == len(aut) else "scan")
             branches[branch] += 1
             assert _structure_class_count(n, cols, colors) == \
                 burnside_scan(n, aut, center), rows
-    assert branches == {"trivial": 18, "everything": 373, "scan": 65}
+    assert branches == {"trivial rack": 7, "central": 376, "everything": 33,
+                        "scan": 40}
+    # sum_{g in S_n} |C(g)|^2 / n!, the counts of the trivial racks
+    assert [_structure_class_count(n, (0,) * n, None) for n in range(7)] == \
+        [1, 1, 4, 11, 43, 161, 901]
+
+
+def test_census_reads_every_count_and_inherits_the_isolated_points(
+        monkeypatch):
+    # the counts ``census_counts`` reads are those of
+    # ``_structure_class_count`` on every record; the records {0} u J take
+    # J's count instead of counting
+    inherited = 0
+    for n in range(7):
+        isolated = set(_isolated_point_tables(n)) if n else set()
+        records = _rack_classes(n)
+        counts = _class_counts(n)
+        assert len(counts) == len(records)
+        for (cols, rows, colors, _), count in zip(records, counts):
+            assert count == _structure_class_count(n, cols, colors), rows
+            inherited += cols in isolated
+        for family, row in zip(FAMILY_NAMES, census_counts(n)):
+            assert row.structure_count == sum(
+                count for (*_, flags), count in zip(records, counts)
+                if _in_family(flags, family))
+    assert inherited == 55
+    # fresh counts count only the records they cannot inherit, and each
+    # order once
+    counted = []
+
+    def recording(n, cols, colors):
+        counted.append(n)
+        return _structure_class_count(n, cols, colors)
+
+    monkeypatch.setattr(legrack.census, "_structure_class_count", recording)
+    _class_counts.cache_clear()
+    _class_counts(6)
+    assert [counted.count(n) for n in range(7)] == \
+        [1] + [len(_rack_classes(n)) - len(_isolated_point_tables(n))
+               for n in range(1, 7)]
 
 
 def test_census_counts_make_no_automorphism_search(iso_search_calls):

@@ -246,7 +246,8 @@ def test_cycle_string_and_parse_roundtrip():
 
 
 def test_parse_cycles_rejects_garbage():
-    for bad in ["(0 1", "(0 0)", "(0 1)(1 2)", "(9)"]:
+    # ASCII digits only: ``int`` alone reads "\u0661" as 1
+    for bad in ["(0 1", "(0 0)", "(0 1)(1 2)", "(9)", "(\u0660 \u0661)"]:
         with pytest.raises(ValueError):
             parse_cycles(bad, 3)
 

@@ -341,6 +341,12 @@ def test_text_parse_errors():
         rack_from_text("2\nx y\n1 0\n")
     with pytest.raises(RackError, match="order must be nonnegative"):
         rack_from_text("-1\n")
+    # ASCII integers only: ``int`` alone reads each of these as the
+    # trivial rack of order 3
+    for header, last in [("0_3", "2 2 2"), ("+3", "2 2 2"), ("3", "2 2 +2"),
+                         ("3", "2 2 \u0662")]:
+        with pytest.raises(RackError, match="expected integers"):
+            rack_from_text(f"{header}\n0 0 0\n1 1 1\n{last}\n")
 
 
 def test_rack_text_order_bound():
