@@ -34,6 +34,10 @@ Symmetry breaking: column 0 is required to have the minimal cycle type
 among all columns and to be the canonical representative of its orbit under
 conjugation by the stabilizer of the point 0; every rack has a relabeling
 of that shape, and each such column 0 starts one shard of the search.
+The identity ranks lowest, so a rack has an identity column exactly when
+its column 0 is the identity; the identity shard is not searched, and
+those racks are built from smaller classes instead (see identity columns
+below).  The other shards hold exactly the racks with no identity column.
 Branched columns are drawn from the types allowed by column 0's; a forced
 column is a conjugate of an assigned one, so it meets that bound already.
 
@@ -43,7 +47,7 @@ Proof: a relabeling h that moves only fixed points of c other than 0
 fixes 0 and commutes with c (their supports are disjoint), so it keeps the
 table in its shard and moves column x, with its cycle type, to position
 h(x); some such h sorts the ranks at those points, and column 0 has the
-least rank of all.  In the identity shard S is every position.  The rank
+least rank of all.  The rank
 order is checked on every column as it is assigned, forced columns included
 (where a forced column lands decides whether its rank fits), and a branch
 column in S is drawn only from the ranks between those of its assigned
@@ -90,46 +94,44 @@ its ``assign`` calls are unchanged.  It is the isomorph rejection of Read
 exhaustive generation", J. Algorithms 1998), restricted to a shard's
 transpositions.
 
-Isolated-point split: the identity shard holds only the racks with two or
-more identity columns, so its column 1 is the identity as well; the racks
-with one are built from racks of order n - 1 (``_isolated_point_tables``).
-Proof: the set I of points whose column is the identity is invariant under
-every column, because b_{b_z(y)} = b_z id b_z^-1 = id for y in I.  In the
-identity shard the ranks are sorted at every position and the identity
-ranks lowest, so I = {0..m-1}; m >= 2 puts the identity at column 1, and
-the swap rule keeps it there, since a swap moving 1 exchanges two equal
-ranks.  A rack X with I = {p} is {p} u J: every column fixes p, so
-J = X - {p} is closed under the operation, with the columns of X
-restricted to J, and none of those is the identity, for a column that is
-the identity on J and fixes p is the identity.  Conversely, for a rack J
-with no identity column, a new point p with b_p = id, fixed by every
-column of J, gives a rack (the axiom at z = p reads b_y = b_y, at y = p
-id = b_z id b_z^-1) whose only identity column is p.  An isomorphism from
-X to X' maps I onto I', so p to p', and restricts to one from J to J';
-one from J to J' extends by p -> p'.  So {0} u J, over the classes J of
-order n - 1 with no identity column, gives each class with one identity
-column exactly once; at n = 1 the identity shard is empty and the trivial
-rack is {0} u the empty rack.  J is read off its class's record: it has
-no identity column exactly when 0, the identity's index, is not among
-its column indices.  Racks with no identity column lie in the other
-shards, which are unchanged.  This is the isomorph rejection of McKay
-above, one level below the shards.
-
-Identity-prefix rule: in the identity shard, a branch candidate r for
-column y must map {0..m-1} into itself, m the number of leading identity
-columns among 0..y-1 (all assigned, y being the first unassigned
-position).  Proof: a complete assignment is a rack with sorted ranks, so
-its identity columns are {0..M-1} and every column maps that set into
-itself.  If m < y, column m is assigned and is not the identity, so
-M = m.  If m = y, a candidate other than the identity makes M = y, and
-the identity maps every set into itself.  So a dropped candidate has no
-complete assignment below it: the raw tables and their order are
-unchanged, and only ``assign`` calls fall.  A node with no fixer (see the
-centralizer rule) slices its candidates from a rank-sorted pool already
-filtered for its m, one per m, made on first use; a node with fixers
-filters its centralizer candidates, first by the rank window and then once
-per further fixer.  Both give the branch list that filtering the
-unfiltered candidates would, in the same order.
+Identity columns: a rack X of order n with an identity column is built
+from a class of order n - m, m the number of its identity columns
+(``_identity_column_tables``).  Relabel X so that its identity columns are
+I = {0..m-1}, and let J = {m..n-1}.
+1. I is invariant: for y in I, b_{b_z(y)} = b_z id b_z^-1 = id, so every
+   column maps I into I, and so onto I, and J onto J.
+2. J is a subrack: it is closed under the operation, and the columns of X
+   at J, restricted to J and moved down by m, are the columns tau of a
+   rack of order n - m, whose axiom is X's at y, z in J read on J.
+3. The columns of X at J restricted to I give sigma: J -> S_m, and X's
+   axiom at y, z in J read on I is sigma_{tau_z(y)} =
+   sigma_z sigma_y sigma_z^-1.  No z in J has tau_z and sigma_z both the
+   identity, since b_z is not.
+4. Conversely, for a rack J of order n - m with columns tau and a twist
+   sigma that meets the condition of step 3, the columns id at I and
+   sigma_z on I with tau_z on J at m + z form a rack (``_extensions``)
+   whose identity columns are exactly I.  The axiom at z in I reads
+   b_y = b_y; at y in I, b_{b_z(y)} = id = b_z id b_z^-1, as b_z maps I
+   into I; at y, z in J it is J's axiom on J and step 3's condition on I.
+5. Completeness: an isomorphism phi from J' to J and a pi in S_m carry a
+   twist sigma' of J' to the twist sigma of J with
+   sigma_{phi(y)} = pi sigma'_y pi^-1, and the permutation that is pi on I
+   and phi, moved up by m, on J is an isomorphism between the two racks:
+   it conjugates each column of one to the column of the other at the
+   image point, on I and on J alike.  Take J' the subrack of X, phi onto
+   the representative of its class in ``_rack_classes``, and pi with
+   pi sigma'_{phi^-1(0)} pi^-1 the first member of its conjugacy class.
+   So X is isomorphic to the rack of a twist sigma of that J whose
+   sigma_0 is the first member of its class, and ``_twists`` lists every
+   such twist.
+The number of identity columns is an isomorphism invariant
+(phi b_y phi^-1 = b_phi(y)), so each class with an identity column is built
+from exactly one m, and the dedupe removes the duplicates that Aut(J) and
+the centralizer of sigma_0 leave.  At m = n, J is the empty rack and X the
+trivial rack.  At m = 1, S_1 has one element, so the twist is the identity
+and J must have no identity column: X = {0} u J, one table per such class
+J.  This is the isomorph rejection of McKay above, one level below the
+shards.
 
 Columns are indices into a precomputed S_n product table (``_tables``),
 whose rows are built by composing the rows of two generators rather than
@@ -191,9 +193,9 @@ is (1/|Aut|) sum_K |K| (|Aut| / |K|)^2 = sum_K |Aut| / |K|.  On the 456
 classes of orders 0-6 the trivial rack holds for 7 classes, centrality
 for 376 and U_X = Aut(X) for 33, and 40 are scanned.
 
-A rack with one isolated point, X = {0} u J (see the isolated-point
-split), is not counted: it takes J's count, which the order below found
-(``_class_counts``, one cached tuple per order, aligned with
+A rack with one isolated point, X = {0} u J (the case m = 1 of the
+identity columns), is not counted: it takes J's count, which the order
+below found (``_class_counts``, one cached tuple per order, aligned with
 ``_rack_classes``).  Proof: 0 is X's only identity column, and an
 automorphism phi has b_phi(0) = phi b_0 phi^-1 = id, so phi fixes 0 and
 restricts to a permutation of J that is an automorphism of J, since J's
@@ -203,10 +205,10 @@ are inverse and respect composition, so Aut(X) is Aut(J), and U_X, the
 automorphisms with b_phi(z) = b_z for every z, is U_J, since two columns
 of X are equal exactly when their restrictions to J are.  Conjugation
 acts the same way on both, so the orbit counts agree.  Each such table
-is its own record: one identity column is an isomorphism invariant, the
-shards hold no rack with exactly one, and the J are pairwise
-non-isomorphic.  On orders 1-6 this spares 55 counts, 40 of them at
-order 6.
+is its own record: it is the only table with one identity column built
+on J, the shards hold no rack with an identity column, and the J are
+pairwise non-isomorphic.  On orders 1-6 this spares 55 counts, 40 of them
+at order 6.
 """
 from __future__ import annotations
 
@@ -357,10 +359,9 @@ def _rank_order(n: int) -> tuple[list[int], list[int]]:
 
 
 def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
-    """All column assignments with the given canonical first column whose
-    column ranks at column 0 and at its fixed points do not decrease, less
-    those the swap rule drops.  In the identity shard (first column 0)
-    column 1 is the identity as well.
+    """All column assignments with the given canonical first column, other
+    than the identity, whose column ranks at column 0 and at its fixed
+    points do not decrease, less those the swap rule drops.
 
     ``assigned`` is the stack of assigned positions, in assignment order.
     A branch is undone by stack height: the positions it assigned, forced
@@ -370,11 +371,8 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
     base_rank = rank[first_col]
     order, order_rank = _rank_order(n)
     k = bisect_left(order_rank, base_rank)
-    pool = order[k:]
+    pool, pool_rank = order[k:], order_rank[k:]
     top_rank = order_rank[-1]
-    # the rank-sorted branch pools with their ranks: the whole pool, and in
-    # the identity shard one per m of the identity-prefix rule
-    pools: dict = {None: (pool, order_rank[k:])}
     # the positions of S = {0} u Fix(column 0)
     c = perms[first_col]
     ordered = [x == 0 or v == x for x, v in enumerate(c)]
@@ -472,27 +470,14 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
         # commutes with everything
         fixers = sorted({c for c in cols if c > 0 and perms[c][y] == y},
                         key=lambda c: len(cent[c]))
-        # the identity-prefix rule (identity shard only): the identity
-        # columns are {0..m-1}, or {0..y-1} if b_y is not the identity, and
-        # every column maps them into themselves
-        m = next((x for x in range(y) if cols[x]), y) if first_col == 0 \
-            else None
         if fixers:
             branch = [r for r in cent[fixers[0]] if lo <= rank[r] <= hi]
             for f in fixers[1:]:
                 prod_f = prod[f]
                 branch = [r for r in branch if prod[r][f] == prod_f[r]]
-            if m is not None:
-                branch = [r for r in branch if max(perms[r][:m]) < m]
         else:
-            # the pool, rank-sorted, already filtered for this m; made on
-            # first use
-            if m not in pools:
-                kept = [r for r in pool if max(perms[r][:m]) < m]
-                pools[m] = kept, [rank[r] for r in kept]
-            kept, kept_rank = pools[m]
-            branch = kept[bisect_left(kept_rank, lo):
-                          bisect_right(kept_rank, hi)]
+            branch = pool[bisect_left(pool_rank, lo):
+                          bisect_right(pool_rank, hi)]
         # the pre-check: the rule b_y(b) for every assigned b and b = y,
         # each a comparison the first pop of assign(y, r) would make
         assigned_cols = [(b, cols[b]) for b in assigned]
@@ -515,13 +500,7 @@ def _search_shard(n: int, first_col: int) -> list[tuple[int, ...]]:
                     cols[t] = -1
                 del assigned[k:]
 
-    if first_col == 0:
-        # the identity shard holds the racks with two or more identity
-        # columns (``_isolated_point_tables`` builds those with one)
-        start = n >= 2 and assign(0, 0) and assign(1, 0)
-    else:
-        start = assign(0, first_col)
-    if start:
+    if assign(0, first_col):
         extend()
     # extend holds itself through its closure.  Dropping that reference
     # frees this search's lists now rather than in a cyclic collection.
@@ -629,27 +608,119 @@ def _dedupe(n: int, tables) -> list[tuple]:
     return records
 
 
-def _isolated_point_tables(n: int) -> list[tuple[int, ...]]:
-    """The column indices of {0} u J for every class J of order n - 1 with
-    no identity column (index 0): column 0 is the identity, and J's
-    columns, moved up by one, fix 0."""
-    smaller = _tables(n - 1)[0]
-    *_, index = _tables(n)
-    return [(0,) + tuple(index[(0,) + tuple(v + 1 for v in smaller[c])]
-                         for c in cols)
-            for cols, *_ in _rack_classes(n - 1) if 0 not in cols]
+def _extensions(n: int, cols, twists) -> list[tuple[int, ...]]:
+    """The column indices in ``_tables(n)`` of the rack on I u J with
+    I = {0..m-1}, for each of the given twists sigma of the rack J whose
+    column indices in ``_tables(n - m)`` are ``cols``: every column at I is
+    the identity, and the column at m + z is the permutation sigma_z (an
+    index of ``_tables(m)``) on I and J's column tau_z, moved up by m, on
+    the rest."""
+    index = _tables(n)[5]
+    k = len(cols)
+    m = n - k
+    perms_m = _tables(m)[0]
+    perms_k = _tables(k)[0]
+    tau = [tuple(m + v for v in perms_k[c]) for c in cols]
+    return [(0,) * m + tuple(index[perms_m[s] + t] for s, t in zip(sigma, tau))
+            for sigma in twists]
+
+
+def _twists(m: int, cols) -> list[tuple[int, ...]]:
+    """Every sigma, one index of ``_tables(m)`` per point of the rack J
+    whose column indices in ``_tables(len(cols))`` are ``cols``, with
+    sigma_{tau_z(y)} = sigma_z sigma_y sigma_z^-1 for all y, z (tau_z the
+    column of z), with no z where tau_z and sigma_z are both the identity,
+    and with sigma_0 the first member of its conjugacy class.
+
+    Points are assigned by the two forward rules of ``_search_shard``'s
+    ``assign``, with sigma in place of the columns: for every assigned b,
+    sigma at tau_b(t) is sigma_b sigma_t sigma_b^-1 and sigma at tau_t(b)
+    is sigma_t sigma_b sigma_t^-1.  The soundness proof there carries over,
+    so a complete assignment meets every condition at (z, y)."""
+    k = len(cols)
+    _, prod, inv, *_ = _tables(m)
+    perms_k = _tables(k)[0]
+    tau = [perms_k[c] for c in cols]
+    sigma = [-1] * k
+    assigned: list[int] = []
+    results: list[tuple[int, ...]] = []
+
+    def assign(t: int, s: int) -> bool:
+        queue = [(t, s)]
+        while queue:
+            t, s = queue.pop()
+            if sigma[t] != -1:
+                if sigma[t] != s:
+                    return False
+                continue
+            sigma[t] = s
+            assigned.append(t)
+            tau_t, prod_s, inv_s = tau[t], prod[s], inv[s]
+            for b in assigned:
+                sb = sigma[b]
+                # sigma at tau_b(t) is conj(sigma_b, sigma_t)
+                u, v = tau[b][t], prod[prod[sb][s]][inv[sb]]
+                cur = sigma[u]
+                if cur == -1:
+                    queue.append((u, v))
+                elif cur != v:
+                    return False
+                # sigma at tau_t(b) is conj(sigma_t, sigma_b)
+                u, v = tau_t[b], prod[prod_s[sb]][inv_s]
+                cur = sigma[u]
+                if cur == -1:
+                    queue.append((u, v))
+                elif cur != v:
+                    return False
+        return True
+
+    def extend(branch) -> None:
+        if len(assigned) == k:
+            # a point whose column in J is the identity must not be one in X
+            if all(s or c for s, c in zip(sigma, cols)):
+                results.append(tuple(sigma))
+            return
+        y = sigma.index(-1)
+        for s in branch:
+            h = len(assigned)
+            if assign(y, s):
+                extend(range(len(prod)))
+            for t in assigned[h:]:
+                sigma[t] = -1
+            del assigned[h:]
+
+    # trans[p] is the identity, index 0, exactly when p is the first member
+    # of its conjugacy class
+    extend([p for p, g in enumerate(_centralizers(m)[1]) if not g])
+    # as in ``_search_shard``: free the lists now, not in a cyclic collection
+    del extend
+    return results
+
+
+def _identity_column_tables(n: int) -> list[tuple[int, ...]]:
+    """The column indices in ``_tables(n)`` of racks of order n whose
+    identity columns are {0..m-1}, m >= 1: I u J for every class J of order
+    n - m (``_rack_classes``) and every twist of J into S_m (``_twists``),
+    at least one table per class of racks with an identity column (see
+    the module docstring)."""
+    tables = []
+    for m in range(1, n + 1):
+        for cols, *_ in _rack_classes(n - m):
+            tables += _extensions(n, cols, _twists(m, cols))
+    return tables
 
 
 @lru_cache(maxsize=None)
 def _rack_classes(n: int) -> tuple[tuple, ...]:
     """One record ``(cols, rows, colors, flags)`` per isomorphism class of
-    racks of order ``n`` (see ``_dedupe``), deduped from the shard tables
-    and the isolated-point split."""
+    racks of order ``n`` (see ``_dedupe``), deduped from the tables of the
+    shards other than the identity's and those built from the classes of
+    lower orders with identity columns added."""
     if n == 0:
         return tuple(_dedupe(0, [()]))
-    return tuple(_dedupe(n, [cols for fc in _canonical_first_columns(n)
+    return tuple(_dedupe(n, [cols for fc in _canonical_first_columns(n) if fc
                              for cols in _search_shard(n, fc)]
-                         + _isolated_point_tables(n)))
+                         + _identity_column_tables(n)))
 
 
 def _class_records(n: int) -> tuple[tuple, ...]:
@@ -749,10 +820,10 @@ def _record_counts(n: int, records) -> list[int]:
     ``_structure_class_count``."""
     inherited: dict = {}
     if n:
-        smaller = [count for (cols, *_), count
-                   in zip(_rack_classes(n - 1), _class_counts(n - 1))
-                   if 0 not in cols]
-        inherited = dict(zip(_isolated_point_tables(n), smaller))
+        inherited = {_extensions(n, cols, [(0,) * (n - 1)])[0]: count
+                     for (cols, *_), count in zip(_rack_classes(n - 1),
+                                                  _class_counts(n - 1))
+                     if 0 not in cols}
     return [inherited[cols] if cols in inherited
             else _structure_class_count(n, cols, colors)
             for cols, _, colors, _ in records]

@@ -485,6 +485,11 @@ def builtin_fixtures() -> dict[str, FrontCode]:
 # A crossing id as ``front_to_text`` writes it: an optional minus and
 # ASCII digits, so ``int`` never sees "+1", "1_0" or non-ASCII digits.
 _CROSSING_ID = re.compile(r"-?[0-9]+")
+# Lines end at "\n" (a "\r" before it is dropped) and fields are
+# separated by ASCII spaces and tabs: ``str.splitlines`` and ``str.split``
+# would also take the other Unicode line breaks and spaces, which
+# ``front_to_text`` never writes.
+_BLANKS = re.compile(r"[ \t]+")
 
 
 def front_to_text(code: FrontCode) -> str:
@@ -500,11 +505,11 @@ def front_to_text(code: FrontCode) -> str:
 
 def front_from_text(text: str) -> FrontCode:
     events: list[FrontEvent] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(" \t\r")
         if not line:
             continue
-        parts = line.split()
+        parts = _BLANKS.split(line)
         if parts[0] == "CUSP" and len(parts) == 3:
             events.append(Cusp(parts[1], parts[2]))
         elif parts[0] == "X" and len(parts) == 4 and parts[2] in ("+", "-"):
@@ -513,7 +518,9 @@ def front_from_text(text: str) -> FrontCode:
             events.append(CrossingPass(int(parts[1]),
                                        1 if parts[2] == "+" else -1, parts[3]))
         else:
-            raise FrontError(f"line {lineno}: unrecognized event {raw!r}")
+            raise FrontError(f"line {lineno}: unrecognized event {raw!r}: "
+                             f"expected CUSP or X and its fields, separated "
+                             f"by spaces or tabs")
     return validate_front(events)
 
 

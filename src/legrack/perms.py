@@ -105,16 +105,21 @@ def cycle_string(p: Perm) -> str:
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse cycle notation like ``(0 1 2)(3 4)`` or ``(0 1) (2 3)`` into a
     permutation of ``degree``."""
-    text = text.strip()
+    text = text.strip(" \t")
     if text in ("()", "", "id"):
         return identity(degree)
-    # ASCII digits only: ``int`` would also take "١" as 1
-    if not re.fullmatch(r"(\(\s*[0-9]+(?:[\s,]+[0-9]+)*\s*\)\s*)+", text):
-        raise ValueError(f"malformed cycle notation: {text!r}")
+    # ASCII digits and blanks only: ``int`` would also take "١" as 1, and
+    # ``\s`` the other Unicode spaces, which ``cycle_string`` never writes
+    if not re.fullmatch(r"(\([ \t]*[0-9]+(?:[ \t,]+[0-9]+)*[ \t]*\)[ \t]*)+",
+                        text):
+        raise ValueError(f"malformed cycle notation: {text!r}: expected "
+                         f"ASCII digits in parentheses, separated by "
+                         f"spaces, tabs or commas")
     image = list(range(degree))
     touched = set()
     for group in re.findall(r"\(([^()]*)\)", text):
-        entries = [int(tok) for tok in re.split(r"[\s,]+", group.strip()) if tok]
+        entries = [int(tok) for tok in re.split(r"[ \t,]+", group.strip(" \t"))
+                   if tok]
         if any(e >= degree for e in entries):
             raise ValueError(f"cycle entry out of range for degree {degree}: {text!r}")
         if len(set(entries)) != len(entries) or touched & set(entries):

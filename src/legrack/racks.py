@@ -373,12 +373,18 @@ MAX_RACK_ORDER = 256
 # never sees "+1", "0_3" or non-ASCII digits.  A minus is let through to
 # the checks that reject a negative order or entry with their own reason.
 _INT_TOKEN = re.compile(r"-?[0-9]+")
+# Lines end at "\n" (a "\r" before it is dropped) and tokens are
+# separated by ASCII spaces and tabs: ``str.splitlines`` and ``str.split``
+# would also take the other Unicode line breaks and spaces, which
+# ``rack_to_text`` never writes.
+_BLANKS = re.compile(r"[ \t]+")
 
 
 def _int_tokens(lineno: int, raw: str, line: str) -> list[int]:
-    tokens = line.split()
+    tokens = _BLANKS.split(line)
     if not all(map(_INT_TOKEN.fullmatch, tokens)):
-        raise RackError(f"line {lineno}: expected integers, got {raw!r}")
+        raise RackError(f"line {lineno}: expected integers separated by "
+                        f"spaces or tabs, got {raw!r}")
     return [int(tok) for tok in tokens]
 
 
@@ -387,8 +393,8 @@ def rack_from_text(text: str) -> RackTable:
     not blank or a comment, then one row of integers per line.  The order
     is checked against ``MAX_RACK_ORDER`` before any row is parsed."""
     lines = [(lineno, raw, line)
-             for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (line := raw.split("#", 1)[0].strip())]
+             for lineno, raw in enumerate(text.split("\n"), start=1)
+             if (line := raw.split("#", 1)[0].strip(" \t\r"))]
     if not lines:
         raise RackError("empty rack file")
     header = _int_tokens(*lines[0])

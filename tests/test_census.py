@@ -16,8 +16,8 @@ from legrack.census import (
     _centralizers,
     _class_counts,
     _dedupe,
+    _identity_column_tables,
     _in_family,
-    _isolated_point_tables,
     _isomorphisms,
     _rack_classes,
     _search_shard,
@@ -243,6 +243,13 @@ def _raw_search(search):
             for n in range(1, 7)]
 
 
+def _searched_columns(n):
+    """The first columns of the shards the census searches: every canonical
+    first column but the identity (index 0), whose racks are built by
+    ``_identity_column_tables``."""
+    return [fc for fc in _canonical_first_columns(n) if fc]
+
+
 def _dedupe_raw(raw):
     return [[RackTable(0, ())]] + [
         dedupe([cols_to_table(n, cols)
@@ -257,7 +264,13 @@ def oracle_raw():
 
 @pytest.fixture(scope="module")
 def search_raw():
-    return _raw_search(_search_shard)
+    return [[_search_shard(n, fc) for fc in _searched_columns(n)]
+            for n in range(1, 7)]
+
+
+@pytest.fixture(scope="module")
+def generated_raw():
+    return [_identity_column_tables(n) for n in range(1, 7)]
 
 
 @pytest.fixture(scope="module")
@@ -266,23 +279,28 @@ def oracle_classes(oracle_raw):
 
 
 # Raw output (every table of every shard, in order) and class
-# representatives of the oracle and of the search, for n = 1..6 (the
+# representatives of the oracle and of the census, for n = 1..6 (the
 # representatives for n = 0..6).  Any change to the branching, the pruning
 # or the symmetry breaking shows in the raw pins before it can show in the
-# class counts.  The search generates a subset of the oracle's tables, and
-# ``enumerate_racks`` builds the racks with one identity column from
-# smaller racks, so the lexicographically least table of some classes is
-# no longer among them and the two representative hashes differ.
+# class counts.  The census searches every shard but the identity's, a
+# subset of the oracle's tables, and builds the racks with identity
+# columns from smaller classes (``_identity_column_tables``, whose raw
+# output is pinned too), so the lexicographically least table of some
+# classes is not among the tables it dedupes and the two representative
+# hashes differ.
 ORACLE_RAW_TABLE_COUNTS = [1, 2, 8, 44, 446, 6941]
 ORACLE_RAW_SHARDS_SHA256 = \
     "fedf16caac3d174d0a4ba62b2fefdc69100e7d600fefb1aaaeb86e8aeb0734ce"
 ORACLE_REPRESENTATIVES_SHA256 = \
     "dbffe42d2146bff5aaf4068c96e7ccf770b58acb31999144275721e86aa107d7"
-RAW_TABLE_COUNTS = [0, 2, 6, 20, 92, 457]
+RAW_TABLE_COUNTS = [0, 1, 4, 13, 64, 329]
 RAW_SHARDS_SHA256 = \
-    "196a2b56bd973618d41e2953ab8f9b936c228cdc3ce8dc787f5ec128aa21a87f"
+    "d882adc748df76859a06e08bf29872c55ca0b44a1d7927b43f1f8a6f503e1a58"
+GENERATED_TABLE_COUNTS = [1, 1, 3, 9, 34, 162]
+GENERATED_SHA256 = \
+    "94759609f97f62bc72a5af0bef7a276b94fd2d83f34d66be58c0596cf5a98e41"
 REPRESENTATIVES_SHA256 = \
-    "23e85d5264d4354ea27abb158c9f702f1f8f9fbc6b9dd9820d90ec05131e56f9"
+    "3cb6c7d9d3a953cd74974dfe517a1ecd6effe2462f28844e3e733733b42ebad5"
 
 
 def test_oracle_search_is_pinned(oracle_raw, oracle_classes):
@@ -293,10 +311,12 @@ def test_oracle_search_is_pinned(oracle_raw, oracle_classes):
         ORACLE_REPRESENTATIVES_SHA256
 
 
-def test_search_shards_are_pinned(search_raw):
+def test_search_shards_are_pinned(search_raw, generated_raw):
     assert [sum(len(shard) for shard in r) for r in search_raw] == \
         RAW_TABLE_COUNTS
     assert _sha256(search_raw) == RAW_SHARDS_SHA256
+    assert list(map(len, generated_raw)) == GENERATED_TABLE_COUNTS
+    assert _sha256(generated_raw) == GENERATED_SHA256
 
 
 def test_every_raw_table_is_a_rack(search_raw):
@@ -308,17 +328,21 @@ def test_every_raw_table_is_a_rack(search_raw):
                 validate_rack(cols_to_table(n, cols))
 
 
-# Four order-7 shards, by position in ``_canonical_first_columns(7)``: their
-# first columns and raw table counts.  A lost comparison shows at order 7
-# before it shows at any lower order: without the b_b(t) comparison of
-# ``assign`` shards 2, 5 and 13 each yield 1 non-rack (204, 41 and 39
-# tables).  Shard 0 is the identity shard, the one the identity-prefix
-# rule prunes.  The raw output of every order-7 shard is pinned as well.
-ORDER7_SHARDS = {0: (0, 708), 2: (3, 203), 5: (27, 40), 13: (723, 38)}
-ORDER7_RAW_TABLE_COUNT = 2986
+# Three order-7 shards, by position in ``_canonical_first_columns(7)``:
+# their first columns and raw table counts.  A lost comparison shows at
+# order 7 before it shows at any lower order: without the b_b(t)
+# comparison of ``assign`` shards 2, 5 and 13 each yield 1 non-rack (204,
+# 41 and 39 tables).  The raw output of every searched order-7 shard (all
+# but shard 0, the identity's) is pinned as well, and so is that of
+# ``_identity_column_tables(7)``.
+ORDER7_SHARDS = {2: (3, 203), 5: (27, 40), 13: (723, 38)}
+ORDER7_RAW_TABLE_COUNT = 2278
 ORDER7_RAW_SHARDS_SHA256 = \
-    "97e42a2d965db4f06ecdf3690d73619c33882baf2b816518ddc2720297101f32"
-# The order-7 census on those raw tables and the isolated-point split:
+    "0f14d6d3f83f2ea865358f0db4a43d1d0f59977e586468bc561adbe0049efd4a"
+ORDER7_GENERATED_TABLE_COUNT = 935
+ORDER7_GENERATED_SHA256 = \
+    "9858ee55c6cb07564bfcade5abf56fee7ec3b5c21c5438cb9ef54bb2aa7378d1"
+# The order-7 census on those raw tables and the generated ones:
 # per family, the racks up to isomorphism and their structure classes.
 # The rack and quandle counts come from outside the program: OEIS A181771
 # and A181769, as Vojtechovsky and Yang enumerate them ("Enumeration of
@@ -329,22 +353,32 @@ ORDER7_CENSUS = [("racks", 2080, 169289), ("involutory", 906, 65549),
                  ("quandles", 298, 24540), ("kei", 142, 14625)]
 
 
+def _clear_census_caches():
+    for value in vars(legrack.census).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
 def test_order7_shards_yield_only_racks():
     # the S_7 tables take about 200 MB, so every census cache is dropped
     # afterwards; the census below reads the same raw tables, with no
     # second search and no second build of the tables
     try:
         shards = _canonical_first_columns(7)
-        raw = [_search_shard(7, first_col) for first_col in shards]
+        assert shards[0] == 0
+        raw = [_search_shard(7, first_col) for first_col in shards[1:]]
         assert sum(map(len, raw)) == ORDER7_RAW_TABLE_COUNT
         assert _sha256(raw) == ORDER7_RAW_SHARDS_SHA256
         for pos, (first_col, count) in ORDER7_SHARDS.items():
             assert shards[pos] == first_col
-            assert len(raw[pos]) == count, pos
-            for cols in raw[pos]:
+            assert len(raw[pos - 1]) == count, pos
+            for cols in raw[pos - 1]:
                 validate_rack(cols_to_table(7, cols))
+        generated = _identity_column_tables(7)
+        assert len(generated) == ORDER7_GENERATED_TABLE_COUNT
+        assert _sha256(generated) == ORDER7_GENERATED_SHA256
         records = _dedupe(7, [cols for shard in raw for cols in shard]
-                          + _isolated_point_tables(7))
+                          + generated)
         assert [(r.family, r.rack_count, r.structure_count)
                 for r in _census_rows(7, records)] == ORDER7_CENSUS
         # p(7) permutation racks, one per cycle type of their one column;
@@ -358,15 +392,13 @@ def test_order7_shards_yield_only_racks():
                    for _, rows, _, flags in records if flags.is_quandle) == \
             7 - 2
     finally:
-        for value in vars(legrack.census).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+        _clear_census_caches()
 
 
-# Calls of ``_search_shard``'s nested ``assign`` for n = 1..6.  The
-# pre-check in ``extend`` drops most failing candidates before the call,
-# and in the identity shard so does the identity-prefix rule.
-ASSIGN_CALLS = [0, 3, 11, 40, 353, 3740]
+# Calls of ``_search_shard``'s nested ``assign`` for n = 1..6, over the
+# shards the census searches.  The pre-check in ``extend`` drops most
+# failing candidates before the call.
+ASSIGN_CALLS = [0, 1, 7, 27, 268, 2872]
 
 
 def test_search_makes_few_assign_calls():
@@ -384,7 +416,7 @@ def test_search_makes_few_assign_calls():
         calls = 0
         sys.setprofile(profile)
         try:
-            for first_col in _canonical_first_columns(n):
+            for first_col in _searched_columns(n):
                 _search_shard(n, first_col)
         finally:
             sys.setprofile(None)
@@ -420,18 +452,18 @@ def _swap_minimal(n, cols):
 
 
 def test_search_is_the_oracle_sorted_and_swap_minimal(search_raw, oracle_raw):
-    # each shard keeps exactly the oracle's tables whose column ranks at
-    # column 0 and at its fixed points do not decrease, that no swap of
-    # the rule makes lexicographically smaller and, in the identity shard,
-    # whose column 1 is the identity
+    # each searched shard, all but the identity's (the oracle's first),
+    # keeps exactly the oracle's tables whose column ranks at column 0 and
+    # at its fixed points do not decrease and that no swap of the rule
+    # makes lexicographically smaller
     for n, (shards, oracle_shards) in enumerate(zip(search_raw, oracle_raw),
                                                 start=1):
-        for shard, oracle_shard in zip(shards, oracle_shards, strict=True):
+        for shard, oracle_shard in zip(shards, oracle_shards[1:],
+                                       strict=True):
             assert sorted(shard) == [
                 cols for cols in sorted(oracle_shard)
                 if _ranks_sorted_at_fixed_points(n, cols)
-                and _swap_minimal(n, cols)
-                and (cols[0] != 0 or cols[1:2] == (0,))]
+                and _swap_minimal(n, cols)]
 
 
 def test_centralizer_relabelings_keep_each_oracle_shard(oracle_raw):
@@ -488,10 +520,10 @@ def _identity_columns(rack):
 
 
 def test_one_identity_column_is_a_point_plus_a_smaller_rack(oracle_classes):
-    # the isolated-point split (``_isolated_point_tables``): a class with
-    # exactly one identity column p has p fixed by every column, and the
-    # other points form a rack with no identity column; the classes of that
-    # shape match, order by order, the classes one smaller with no identity
+    # the case m = 1 of ``_identity_column_tables``: a class with exactly
+    # one identity column p has p fixed by every column, and the other
+    # points form a rack with no identity column; the classes of that shape
+    # match, order by order, the classes one smaller with no identity
     # column
     counts = []
     for n in range(1, 7):
@@ -509,6 +541,41 @@ def test_one_identity_column_is_a_point_plus_a_smaller_rack(oracle_classes):
                                  for r in oracle_classes[n - 1]), n
         counts.append(len(split))
     assert counts == [1, 0, 1, 3, 10, 40]
+
+
+def test_identity_columns_are_built_from_smaller_classes(oracle_classes,
+                                                         generated_raw):
+    # every table of ``_identity_column_tables`` is a rack whose identity
+    # columns are {0..m-1}, m >= 1; deduped, its classes with m identity
+    # columns match the oracle's (the unrestricted search, deduped) in
+    # number, and each is isomorphic to exactly one of them
+    per_order = []
+    for n, tables in enumerate(generated_raw, start=1):
+        racks = []
+        for cols in tables:
+            rack = validate_rack(cols_to_table(n, cols).rows)
+            identities = _identity_columns(rack)
+            assert identities and identities == list(range(len(identities))), \
+                rack.rows
+            racks.append(rack)
+        classes = dedupe(racks)
+        counts = []
+        for m in range(1, n + 1):
+            built = [r for r in classes if len(_identity_columns(r)) == m]
+            oracle = [r for r in oracle_classes[n]
+                      if len(_identity_columns(r)) == m]
+            assert len(built) == len(oracle), (n, m)
+            for rack in built:
+                assert sum(next(_iso_search(rack, other), None) is not None
+                           for other in oracle) == 1, rack.rows
+            counts.append(len(built))
+        assert sum(counts) == len(classes)
+        per_order.append(counts)
+    # per order, the classes with m = 1, 2, ... identity columns; m = n is
+    # the trivial rack, and m = n - 1 a point whose column is a
+    # non-identity class of S_(n-1), p(n - 1) - 1 of them
+    assert per_order == [[1], [0, 1], [1, 1, 1], [3, 3, 2, 1],
+                         [10, 13, 6, 4, 1], [40, 55, 28, 15, 6, 1]]
 
 
 def test_enumeration_envelope():
@@ -606,38 +673,41 @@ def test_aut_indices_match_the_search(rack_classes):
                 rack.gl_center.elements, rack.rows
 
 
-def test_isomorphisms_match_the_search(rack_classes):
+def test_isomorphisms_match_the_search(rack_classes, search_raw,
+                                      generated_raw):
     # the centralizer cosets against the backtracking search, for every
-    # raw table of the column search of order <= 5 against every
+    # raw table the census dedupes at order <= 5 against every
     # representative; both read colors of fresh tables, not the ones the
     # dedupe fills
     for n in range(1, 6):
         perms, *_, index = _tables(n)
         reps = [RackTable(n, rep.rows) for rep in rack_classes[n]]
         rep_cols = [[index[c] for c in rep.columns] for rep in reps]
-        for first_col in _canonical_first_columns(n):
-            for cols in _search_shard(n, first_col):
-                raw = RackTable(n, cols_to_table(n, cols).rows)
-                for rep, dst_cols in zip(reps, rep_cols):
-                    found = [perms[phi] for phi in _isomorphisms(
-                        n, list(cols), raw.element_colors,
-                        dst_cols, rep.element_colors)]
-                    assert len(found) == len(set(found)), raw.rows
-                    assert set(found) == set(_iso_search(raw, rep)), \
-                        (raw.rows, rep.rows)
+        for cols in [cols for shard in search_raw[n - 1] for cols in shard] \
+                + generated_raw[n - 1]:
+            raw = RackTable(n, cols_to_table(n, cols).rows)
+            for rep, dst_cols in zip(reps, rep_cols):
+                found = [perms[phi] for phi in _isomorphisms(
+                    n, list(cols), raw.element_colors,
+                    dst_cols, rep.element_colors)]
+                assert len(found) == len(set(found)), raw.rows
+                assert set(found) == set(_iso_search(raw, rep)), \
+                    (raw.rows, rep.rows)
 
 
 def test_dedupe_fills_flags_and_colors_as_a_fresh_table_has_them(
-        search_raw):
+        search_raw, generated_raw):
     # the dedupe reads the rows, flags and colors off the column indices; a
     # fresh table computes them from its rows.  Each raw table is fed with
     # a relabeled copy, so that no position (column 0 of a shard, say)
     # holds the same kind of column in every table; each table is fed
     # alone, so that each is a class's record.
-    for n, shards in enumerate(search_raw, start=1):
+    for n, (shards, generated) in enumerate(zip(search_raw, generated_raw),
+                                            start=1):
         index = _tables(n)[5]
         tables = [cols_to_table(n, cols) for shard in shards
-                  for cols in shard]
+                  for cols in shard] + [cols_to_table(n, cols)
+                                        for cols in generated]
         shift = tuple(range(1, n)) + (0,)
         tables += [relabeled(table, shift) for table in tables]
         for table in tables:
@@ -693,17 +763,20 @@ def test_structure_class_count_takes_each_shortcut():
 def test_census_reads_every_count_and_inherits_the_isolated_points(
         monkeypatch):
     # the counts ``census_counts`` reads are those of
-    # ``_structure_class_count`` on every record; the records {0} u J take
-    # J's count instead of counting
+    # ``_structure_class_count`` on every record; the records {0} u J, the
+    # ones with exactly one identity column (index 0), take J's count
+    # instead of counting
+    def isolated(n):
+        return sum(cols.count(0) == 1 for cols, *_ in _rack_classes(n))
+
     inherited = 0
     for n in range(7):
-        isolated = set(_isolated_point_tables(n)) if n else set()
         records = _rack_classes(n)
         counts = _class_counts(n)
         assert len(counts) == len(records)
         for (cols, rows, colors, _), count in zip(records, counts):
             assert count == _structure_class_count(n, cols, colors), rows
-            inherited += cols in isolated
+            inherited += cols.count(0) == 1
         for family, row in zip(FAMILY_NAMES, census_counts(n)):
             assert row.structure_count == sum(
                 count for (*_, flags), count in zip(records, counts)
@@ -721,8 +794,7 @@ def test_census_reads_every_count_and_inherits_the_isolated_points(
     _class_counts.cache_clear()
     _class_counts(6)
     assert [counted.count(n) for n in range(7)] == \
-        [1] + [len(_rack_classes(n)) - len(_isolated_point_tables(n))
-               for n in range(1, 7)]
+        [len(_rack_classes(n)) - isolated(n) for n in range(7)]
 
 
 def test_census_counts_make_no_automorphism_search(iso_search_calls):
@@ -784,11 +856,13 @@ def relabeled(rack, phi):
 
 
 def test_searches_leave_no_cyclic_garbage():
-    # the column search and the isomorphism search free their lists when
-    # they return, not by the collector, also when the caller abandons the
-    # isomorphism search after the first isomorphism
-    first_columns = _canonical_first_columns(5)
+    # the column search, the twist search of the identity columns and the
+    # isomorphism search free their lists when they return, not by the
+    # collector, also when the caller abandons the isomorphism search after
+    # the first isomorphism
+    first_columns = _searched_columns(5)
     shards = [_search_shard(5, fc) for fc in first_columns]
+    generated = _identity_column_tables(5)
     rack = dihedral_quandle(5)
     copy = relabeled(rack, (2, 4, 0, 3, 1))
     rack.element_colors, copy.element_colors
@@ -798,6 +872,8 @@ def test_searches_leave_no_cyclic_garbage():
         for fc, shard in zip(first_columns, shards):
             assert _search_shard(5, fc) == shard
             assert gc.collect() == 0, fc
+        assert _identity_column_tables(5) == generated
+        assert gc.collect() == 0
         assert next(_iso_search(rack, copy), None) is not None
         assert gc.collect() == 0
         assert next(_iso_search(rack, trivial_quandle(5)), None) is None
@@ -830,10 +906,21 @@ def test_element_colors_move_with_a_relabeling(rack_classes):
 # Isomorphism tests (``_isomorphisms`` calls) made by ``enumerate_racks(n)``
 # for n = 1..6: one per pair of tables that share a dedupe key and are
 # compared.  A weaker key puts more tables in a bucket, and a weaker swap
-# rule in the search feeds the dedupe more duplicates; either shows here
-# first.  Without the swap rule the dedupe makes [0, 0, 1, 6, 87, 862]
-# tests.
-ISO_SEARCH_CALLS = [0, 0, 1, 4, 30, 166]
+# rule in the search, or more duplicate twists in the identity columns,
+# feeds the dedupe more duplicates; either shows here first.  Without the
+# swap rule the dedupe makes [0, 0, 1, 3, 51, 489] tests.
+ISO_SEARCH_CALLS = [0, 0, 1, 3, 26, 160]
+
+
+def test_census_cold_start_matches_the_ascending_run():
+    # ``_identity_column_tables(n)`` reads ``_rack_classes(k)`` for every
+    # k < n, so order 6 asked first builds every lower order on the way,
+    # and gives the rows the ascending run gives
+    _clear_census_caches()
+    cold = census_counts(6)
+    lower = [census_counts(n) for n in range(6)]
+    _clear_census_caches()
+    assert lower + [cold] == [census_counts(n) for n in range(7)]
 
 
 def test_dedupe_makes_few_isomorphism_searches(monkeypatch):

@@ -350,6 +350,14 @@ def test_text_parse_errors():
         front_from_text("CUSP R U\nCUSP L D\nX q + O\n")
     with pytest.raises(FrontError):  # validation still applies
         front_from_text("CUSP R U\nCUSP R D\n")
+    # ASCII spaces and tabs between fields, "\n" between lines: with
+    # ``str.split`` and ``str.splitlines`` each of these loads as the
+    # standard unknot
+    for text in ["CUSP R U\nCUSP\u3000L D\n", "CUSP R U\u2028CUSP L D\n"]:
+        with pytest.raises(FrontError, match="separated by spaces or tabs"):
+            front_from_text(text)
+    assert front_from_text("CUSP\tR U\r\nCUSP L\t D\r\n").events == \
+        standard_unknot().events
 
 
 @pytest.mark.parametrize("cid", ["1_0", "+1", "\u0661"],

@@ -250,6 +250,11 @@ def test_parse_cycles_rejects_garbage():
     for bad in ["(0 1", "(0 0)", "(0 1)(1 2)", "(9)", "(\u0660 \u0661)"]:
         with pytest.raises(ValueError):
             parse_cycles(bad, 3)
+    # ASCII spaces, tabs and commas only between entries: ``\s`` also
+    # takes an em space, and this read as (1, 0)
+    with pytest.raises(ValueError, match="spaces, tabs or commas"):
+        parse_cycles("(0\u20031)", 2)
+    assert parse_cycles("\t(0\t1)", 2) == (1, 0)
 
 
 def test_validate_perm_rejects_non_bijection():

@@ -4,6 +4,7 @@ import pytest
 
 from legrack.census import (
     _canonical_first_columns,
+    _identity_column_tables,
     _search_shard,
     enumerate_racks,
 )
@@ -160,7 +161,8 @@ def test_automorphism_group_matches_brute_force(rack_classes):
 
 
 def test_iso_search_yields_the_least_one_first(rack_classes):
-    # every raw table of the column search of order <= 5 against every
+    # every raw table the census dedupes at order <= 5 (the searched shards,
+    # all but the identity's, and the identity-column tables) against every
     # representative: the colored search yields every isomorphism, each
     # once and in lexicographic order, so its first yield is there exactly
     # when an isomorphism exists, and is the lexicographically least.  The
@@ -170,23 +172,24 @@ def test_iso_search_yields_the_least_one_first(rack_classes):
     for n in range(1, 6):
         reps = rack_classes[n]
         by_rows = {rep.rows: i for i, rep in enumerate(reps)}
-        for first_col in _canonical_first_columns(n):
-            for cols in _search_shard(n, first_col):
-                raw = cols_to_table(n, cols)
-                isos = [[] for _ in reps]
-                for phi in itertools.permutations(range(n)):
-                    image = [[0] * n for _ in range(n)]
-                    for x in range(n):
-                        for y in range(n):
-                            image[phi[x]][phi[y]] = phi[raw.rows[x][y]]
-                    i = by_rows.get(tuple(map(tuple, image)))
-                    if i is not None:
-                        isos[i].append(phi)
-                assert sum(map(bool, isos)) == 1, raw.rows
-                assert [list(_iso_search(raw, rep)) for rep in reps] == \
-                    isos, raw.rows
-                assert [next(_iso_search(raw, rep), None) for rep in reps] == \
-                    [found[0] if found else None for found in isos], raw.rows
+        raw_tables = [cols for first_col in _canonical_first_columns(n)
+                      if first_col for cols in _search_shard(n, first_col)]
+        for cols in raw_tables + _identity_column_tables(n):
+            raw = cols_to_table(n, cols)
+            isos = [[] for _ in reps]
+            for phi in itertools.permutations(range(n)):
+                image = [[0] * n for _ in range(n)]
+                for x in range(n):
+                    for y in range(n):
+                        image[phi[x]][phi[y]] = phi[raw.rows[x][y]]
+                i = by_rows.get(tuple(map(tuple, image)))
+                if i is not None:
+                    isos[i].append(phi)
+            assert sum(map(bool, isos)) == 1, raw.rows
+            assert [list(_iso_search(raw, rep)) for rep in reps] == \
+                isos, raw.rows
+            assert [next(_iso_search(raw, rep), None) for rep in reps] == \
+                [found[0] if found else None for found in isos], raw.rows
 
 
 def test_automorphism_group_is_searched_once_per_table():
@@ -347,6 +350,18 @@ def test_text_parse_errors():
                          ("3", "2 2 \u0662")]:
         with pytest.raises(RackError, match="expected integers"):
             rack_from_text(f"{header}\n0 0 0\n1 1 1\n{last}\n")
+    # ASCII spaces and tabs between tokens, "\n" between lines: with
+    # ``str.split`` and ``str.splitlines`` each of these loads as the
+    # trivial rack of order 2
+    for text in ["2\n0 0\n1\u30001\n", "2\n0\u00a00\n1 1\n"]:
+        with pytest.raises(RackError,
+                           match="expected integers separated by spaces"):
+            rack_from_text(text)
+    with pytest.raises(RackError, match="expected 2 table rows, got 1"):
+        rack_from_text("2\n0 0\u20281 1\n")
+    # what the readers did take in ASCII still loads
+    assert rack_from_text("2\r\n0\t0\r\n 1 1 \r\n").rows == \
+        trivial_quandle(2).rows
 
 
 def test_rack_text_order_bound():
